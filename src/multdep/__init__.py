@@ -28,7 +28,6 @@ from .latticecount import (
     covolume_ratio,
     enumerate_solutions,
     hyperplane_lattice_count,
-    merge_reports,
 )
 from .constants import (
     C0,
@@ -56,7 +55,7 @@ __all__ = [
     "mm_unit_cube_Q", "mm_half_cube_Q", "simplex_Q", "V_alpha", "V_alpha_positive",
     "HyperplaneSpec", "DomainSpec", "CountReport", "CurveSystemSpec",
     "covolume_ratio", "hyperplane_lattice_count", "enumerate_solutions",
-    "count_S", "merge_reports", "count_curve_system",
+    "count_S", "count_curve_system",
     "alpha_star", "alpha_pm", "delta", "C0", "C1", "C2_k3", "C1_k3",
     "S2prime", "C_k2", "C_e1", "C_total", "C_positive", "ConstantBreakdown",
     "__version__",

@@ -8,6 +8,7 @@ output: identical invocations print identical bytes.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -57,8 +58,22 @@ def _span(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected a range like 10..100, got {text!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token such as -2,3,-1 or -1/2 as a value, not as an option.
+
+    argparse takes a token after an option for a value only when it looks
+    like a plain negative number; vectors and rationals may start with '-'
+    too.  No option string of this CLI looks like one, so nothing else
+    changes.  Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d[-\d,./]*$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="multdep",
         description="Multiplicative dependence of integer vectors on hyperplanes: "
         "exact decisions, counts, volumes, and asymptotic constants.",
@@ -81,7 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--positive", action="store_true")
     c.add_argument("--by-rank", action="store_true")
     c.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    c.add_argument("--threads", type=int, default=1)
 
     k = sub.add_parser("constant", help="exact asymptotic constant")
     k.add_argument("--alpha", type=_vector, required=True)
@@ -100,7 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--grid", type=_grid, required=True)
     g.add_argument("--positive", action="store_true")
     g.add_argument("--format", choices=("csv", "json"), default="csv")
-    g.add_argument("--threads", type=int, default=1)
 
     u = sub.add_parser("curve", help="count solutions of a curve system")
     u.add_argument("--variant", choices=latticecount.CURVE_VARIANTS, required=True)
@@ -147,7 +160,7 @@ def _cmd_depcheck(args) -> None:
 def _cmd_count(args) -> None:
     spec = HyperplaneSpec(args.alpha, args.J)
     dom = DomainSpec("positive" if args.positive else "signed", args.H)
-    rep = latticecount.count_S(spec, dom, stratify=args.by_rank, threads=args.threads)
+    rep = latticecount.count_S(spec, dom, stratify=args.by_rank)
     ranks = sorted(rep.by_rank)
     if args.format == "text":
         if rep.degenerate:
@@ -202,7 +215,6 @@ def _cmd_converge(args) -> None:
     rows = report.convergence_study(
         args.alpha, args.J, args.grid,
         domain="positive" if args.positive else "signed",
-        threads=args.threads,
     )
     out = report.rows_to_csv(rows) if args.format == "csv" else report.rows_to_json(rows)
     sys.stdout.write(out)

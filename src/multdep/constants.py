@@ -52,8 +52,10 @@ class ConstantBreakdown:
     c1_correction: Fraction = Fraction(0)
 
     def __post_init__(self):
-        assert self.c0 >= 0 and self.c1 >= 0 and self.c2 >= 0
-        assert self.total == self.c0 + self.c1 + self.c2
+        if self.c0 < 0 or self.c1 < 0 or self.c2 < 0:
+            raise ValueError(f"negative constant part: c0={self.c0}, c1={self.c1}, c2={self.c2}")
+        if self.total != self.c0 + self.c1 + self.c2:
+            raise ValueError(f"total {self.total} != c0 + c1 + c2 = {self.c0 + self.c1 + self.c2}")
 
 
 def alpha_star(alpha, i: int) -> tuple[int, ...]:
@@ -186,10 +188,12 @@ def C1_k3(alpha, J: int) -> Fraction:
         jp, jpp = (i for i in nz if i != j)
         if abs(a[j]) == abs(J) and abs(a[jp]) == abs(a[jpp]):
             x_size += 1
-    assert x_size in (0, 1, 3)
+    if x_size not in (0, 1, 3):
+        raise ArithmeticError(f"C1_k3: {x_size} pinned indices (expected 0, 1 or 3)")
     n = len(a)
     out = C1(a, J) - Fraction(2) ** (n - 2) * x_size
-    assert out >= 0
+    if out < 0:
+        raise ArithmeticError(f"C1_k3: negative rank-1 constant {out}")
     return out
 
 
@@ -259,7 +263,8 @@ def C_k2(alpha, J: int) -> ConstantBreakdown:
     c0 = C0(a, J) - (unit if boundary else 0)
     correction = unit * s2 - (unit if boundary else 0)
     c1 = C1(a, J) + correction
-    assert c0 >= 0 and c1 >= 0
+    if c0 < 0 or c1 < 0:
+        raise ArithmeticError(f"C_k2: negative constant part c0={c0}, c1={c1}")
     return ConstantBreakdown(
         k=2, c0=c0, c1=c1, c2=Fraction(0), total=c0 + c1,
         h_exponent=n - 2,
@@ -304,7 +309,8 @@ def _breakdown_e1(J: int, H: int, n: int) -> ConstantBreakdown:
     c1 = unit * (n - 1) * (n - 2 + 2 * t)
     c2 = 2 * unit * Fraction((n - 1) * (n - 2), f - 1)
     total = c0 + c1 + c2
-    assert total == C_e1(J, H, n)
+    if total != C_e1(J, H, n):
+        raise ArithmeticError(f"C_e1: parts sum to {total}, closed form gives {C_e1(J, H, n)}")
     return ConstantBreakdown(
         k=1, c0=c0, c1=c1, c2=c2, total=total, h_exponent=n - 2,
         regime=f"single unit coefficient, |J| > 1; affine in floor(log H/log {f}), here H = {H}",

@@ -19,18 +19,13 @@ Sign symmetry: dependence and rank depend only on absolute values, so any
 free coordinate with α_i = 0 is swept over [1, H] with multiplicity 2 in the
 signed domain.  The linear constraint never involves those coordinates, so
 the folding is exact, for the total count as well as per rank.
-
-Chunked counting splits the outermost swept coordinate; partial reports merge
-by plain addition, so any merge order gives identical results.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -91,24 +86,7 @@ class CountReport:
     total_on_plane: int = 0
     dependent_total: int = 0
     by_rank: dict[int, int] = field(default_factory=dict)
-    wall_time: float = 0.0
     degenerate: bool = False
-
-
-def merge_reports(a: CountReport, b: CountReport) -> CountReport:
-    if (a.alpha, a.J, a.domain, a.H, a.stratify) != (b.alpha, b.J, b.domain, b.H, b.stratify):
-        raise ValueError("cannot merge reports for different counting problems")
-    by_rank = dict(a.by_rank)
-    for r, c in b.by_rank.items():
-        by_rank[r] = by_rank.get(r, 0) + c
-    return CountReport(
-        a.alpha, a.J, a.domain, a.H, a.stratify,
-        a.total_on_plane + b.total_on_plane,
-        a.dependent_total + b.dependent_total,
-        by_rank,
-        a.wall_time + b.wall_time,
-        a.degenerate or b.degenerate,
-    )
 
 
 # ── lattice-point counting on boxes (no dependence condition) ────────────
@@ -257,47 +235,6 @@ def enumerate_solutions(spec: HyperplaneSpec, domain: DomainSpec):
 # ── dependence classification kernel ─────────────────────────────────────
 
 
-class _Tables:
-    """Minimal-base and radical lookup tables for values up to H."""
-
-    def __init__(self, H: int):
-        self.H = H
-        self.base = arith.power_base_table(H)
-        self.rad = arith.radical_table(H)
-
-
-def _deep_dependent(values: tuple[int, ...], memo: dict) -> bool:
-    """Exact dependence for vectors with no ±1 and no dependent pair."""
-    hit = memo.get(values)
-    if hit is None:
-        rows = relations.exponent_matrix(values).rows
-        hit = relations.rank_of_rows(rows) < len(values)
-        memo[values] = hit
-    return hit
-
-
-def _deep_rank(values: tuple[int, ...], memo: dict) -> int | None:
-    """Exact rank (≥ 2) for such vectors, or None when independent."""
-    hit = memo.get(values, -1)
-    if hit != -1:
-        return hit
-    rows = relations.exponent_matrix(values).rows
-    n = len(values)
-    out: int | None = None
-    if relations.rank_of_rows(rows) < n:
-        for size in range(3, n + 1):
-            found = False
-            for sub in combinations(range(n), size):
-                if relations.rank_of_rows([rows[i] for i in sub]) < size:
-                    found = True
-                    break
-            if found:
-                out = size - 1
-                break
-    memo[values] = out
-    return out
-
-
 def _axis_values(a_i: int, H: int, signed: bool) -> tuple[np.ndarray, int]:
     """Sweep values and fold multiplicity for one free coordinate."""
     if signed and a_i == 0:
@@ -310,22 +247,27 @@ def _axis_values(a_i: int, H: int, signed: bool) -> tuple[np.ndarray, int]:
 
 
 def _classify_block(
+    report: CountReport,
     outer_abs: tuple[int, ...],
     inner_abs: np.ndarray,
     pivot_abs: np.ndarray | None,
     valid: np.ndarray,
     weight: int,
-    stratify: bool,
-    tables: _Tables,
-    memos: tuple[dict, dict],
-) -> tuple[int, int, dict[int, int]]:
-    """Classify one block of rows; returns (visited, dependent, by_rank)."""
+    base: np.ndarray,
+    rad: np.ndarray,
+    memo: dict,
+) -> None:
+    """Classify one block of rows and add its counts to ``report``.
+
+    ``base`` and ``rad`` are the minimal-base and radical tables up to H;
+    ``memo`` maps sorted absolute values to their deep rank test result.
+    """
     visited = int(valid.sum()) * weight
     if visited == 0:
-        return 0, 0, {}
-    by_rank: dict[int, int] = {}
-    n_extra = 1 + (1 if pivot_abs is not None else 0)
-    n = len(outer_abs) + n_extra
+        return
+    report.total_on_plane += visited
+    stratify = report.stratify
+    n = len(outer_abs) + (2 if pivot_abs is not None else 1)
 
     if any(v == 1 for v in outer_abs):
         m0 = valid
@@ -334,14 +276,13 @@ def _classify_block(
         if pivot_abs is not None:
             m0 = m0 | (valid & (pivot_abs == 1))
     c0 = int(m0.sum()) * weight
-    if c0:
-        by_rank[0] = c0
+    report.dependent_total += c0
+    if stratify and c0:
+        report.by_rank[0] = report.by_rank.get(0, 0) + c0
     rest = valid & ~m0
     if not rest.any():
-        dep = c0
-        return visited, dep, (by_rank if stratify else {})
+        return
 
-    base = tables.base
     outer_base = [int(base[v]) for v in outer_abs]
     scalar_pair = any(
         outer_base[i] == outer_base[j]
@@ -362,17 +303,16 @@ def _classify_block(
             m1 |= inner_base == pivot_base
         m1 &= rest
     c1 = int(m1.sum()) * weight
-    if c1:
-        by_rank[1] = c1
-    dep = c0 + c1
+    report.dependent_total += c1
+    if stratify and c1:
+        report.by_rank[1] = report.by_rank.get(1, 0) + c1
     rest = rest & ~m1
     if n < 3 or not rest.any():
-        return visited, dep, (by_rank if stratify else {})
+        return
 
     # cover filter: a dependent subset of size ≥ 3 needs each member's primes
     # to reappear among the other coordinates (else its exponent is forced 0)
-    if tables.H**n < 2**62:
-        rad = tables.rad
+    if report.H**n < 2**62:
         prod_all = np.where(rest, inner_abs, 1).astype(np.int64)
         if pivot_abs is not None:
             prod_all = prod_all * np.where(rest, pivot_abs, 1)
@@ -389,162 +329,93 @@ def _classify_block(
         candidates = rest & (cov >= 3)
     else:
         candidates = rest
-    if not candidates.any():
-        return visited, dep, (by_rank if stratify else {})
 
-    dep_memo, rank_memo = memos
-    idxs = np.nonzero(candidates)[0]
-    for i in idxs:
+    for i in np.nonzero(candidates)[0]:
         vals = list(outer_abs)
         vals.append(int(inner_abs[i]))
         if pivot_abs is not None:
             vals.append(int(pivot_abs[i]))
         key = tuple(sorted(vals))
-        if stratify:
-            r = _deep_rank(key, rank_memo)
-            if r is not None:
-                dep += weight
-                by_rank[r] = by_rank.get(r, 0) + weight
-        elif _deep_dependent(key, dep_memo):
-            dep += weight
-    return visited, dep, (by_rank if stratify else {})
+        r = memo.get(key)
+        if r is None:
+            # no ±1 and no dependent pair here, so subsets start at size 3;
+            # an unstratified count needs only the full-rank test.  Either
+            # result is below n exactly when the vector is dependent.
+            rows = relations.exponent_matrix(key).rows
+            if stratify:
+                r = relations.rank_from_rows(rows, smallest=3)
+            else:
+                r = relations.rank_of_rows(rows)
+            memo[key] = r
+        if r < n:
+            report.dependent_total += weight
+            if stratify:
+                report.by_rank[r] = report.by_rank.get(r, 0) + weight
 
 
-def _count_chunk(args) -> tuple[int, int, dict[int, int]]:
-    """One chunk of the sweep: fixed pivot, outer lists, vectorized innermost."""
-    (alpha, J, H, signed, stratify, pivot, free, outer_lists, inner_vals,
-     weight, tables, memos) = args
-    visited = 0
-    dep = 0
-    by_rank: dict[int, int] = {}
-    inner = free[-1]
-    outers = free[:-1]
-    a_in = alpha[inner]
-    inner_abs = np.abs(inner_vals)
-    if pivot is None:
-        # no linear constraint: every inner value is a solution
-        valid_all = np.ones(inner_vals.shape, dtype=bool)
-        for combo in product(*outer_lists):
-            outer_abs = tuple(abs(v) for v in combo)
-            v, d, br = _classify_block(
-                outer_abs, inner_abs, None, valid_all, weight, stratify, tables, memos
-            )
-            visited += v
-            dep += d
-            for r, c in br.items():
-                by_rank[r] = by_rank.get(r, 0) + c
-        return visited, dep, by_rank
-    ap = alpha[pivot]
-    positive = not signed
-    for combo in product(*outer_lists):
-        rem = J - sum(alpha[i] * v for i, v in zip(outers, combo))
-        num = rem - a_in * inner_vals
-        mask = num % ap == 0
-        pv = num // ap
-        if positive:
-            valid = mask & (pv >= 1) & (pv <= H)
-        else:
-            valid = mask & (pv != 0) & (np.abs(pv) <= H)
-        if not valid.any():
-            continue
-        pivot_abs = np.where(valid, np.abs(pv), 1)
-        outer_abs = tuple(abs(v) for v in combo)
-        v, d, br = _classify_block(
-            outer_abs, inner_abs, pivot_abs, valid, weight, stratify, tables, memos
-        )
-        visited += v
-        dep += d
-        for r, c in br.items():
-            by_rank[r] = by_rank.get(r, 0) + c
-    return visited, dep, by_rank
-
-
-def count_S(
-    spec: HyperplaneSpec,
-    domain: DomainSpec,
-    stratify: bool = False,
-    threads: int = 1,
-    chunks: int | None = None,
-) -> CountReport:
+def count_S(spec: HyperplaneSpec, domain: DomainSpec, stratify: bool = False) -> CountReport:
     """Exact count of multiplicatively dependent vectors on α·ν = J.
 
     With ``stratify`` the count splits by multiplicative rank.  The all-zero
     α with J = 0 counts unconstrained dependent vectors in the box; all-zero
     α with J ≠ 0 has no solutions and returns a report flagged degenerate.
-    ``threads``/``chunks`` split the outermost sweep; the merged result is
-    identical regardless of the split.
     """
-    t0 = time.perf_counter()
     H = domain.H
     signed = domain.kind == "signed"
     report = CountReport(spec.alpha, spec.J, domain.kind, H, stratify)
     if spec.nnz == 0 and spec.J != 0:
         report.degenerate = True
-        report.wall_time = time.perf_counter() - t0
         return report
 
     n = spec.n
-    tables = _Tables(H)
-    memos: tuple[dict, dict] = ({}, {})
+    alpha = spec.alpha
 
     if spec.nnz == 0:
         pivot = None
         free = list(range(n))
     else:
-        pivot = _pivot_index(spec.alpha)
+        pivot = _pivot_index(alpha)
         free = [i for i in range(n) if i != pivot]
 
     if not free:
         # n == 1 with a single constrained coordinate
-        q, r = divmod(spec.J, spec.alpha[pivot])
+        q, r = divmod(spec.J, alpha[pivot])
         if r == 0 and q != 0 and abs(q) <= H and (signed or q >= 1):
             report.total_on_plane = 1
             if abs(q) == 1:
                 report.dependent_total = 1
                 if stratify:
                     report.by_rank[0] = 1
-        report.wall_time = time.perf_counter() - t0
         return report
 
-    axes = {i: _axis_values(spec.alpha[i], H, signed) for i in free}
+    base = arith.power_base_table(H)
+    rad = arith.radical_table(H)
+    axes = {i: _axis_values(alpha[i], H, signed) for i in free}
     weight = 1
     for i in free:
         weight *= axes[i][1]
-    inner = free[-1]
+    inner, outers = free[-1], free[:-1]
     inner_vals = axes[inner][0]
-    outer_lists = [axes[i][0].tolist() for i in free[:-1]]
-
-    if chunks is None:
-        chunks = max(1, threads * 4) if threads > 1 else 1
-    jobs = []
-    if outer_lists:
-        split = np.array_split(np.asarray(outer_lists[0]), chunks)
-        for part in split:
-            if part.size == 0:
+    inner_abs = np.abs(inner_vals)
+    memo: dict = {}
+    # without a pivot (α = 0, J = 0) every row is a solution
+    valid = np.ones(inner_vals.shape, dtype=bool)
+    pivot_abs = None
+    for combo in product(*[axes[i][0].tolist() for i in outers]):
+        if pivot is not None:
+            rem = spec.J - sum(alpha[i] * v for i, v in zip(outers, combo))
+            num = rem - alpha[inner] * inner_vals
+            pv = num // alpha[pivot]
+            valid = num % alpha[pivot] == 0
+            if signed:
+                valid &= (pv != 0) & (np.abs(pv) <= H)
+            else:
+                valid &= (pv >= 1) & (pv <= H)
+            if not valid.any():
                 continue
-            jobs.append((spec.alpha, spec.J, H, signed, stratify, pivot, free,
-                         [part.tolist()] + outer_lists[1:], inner_vals, weight,
-                         tables, memos))
-    else:
-        split = np.array_split(inner_vals, chunks)
-        for part in split:
-            if part.size == 0:
-                continue
-            jobs.append((spec.alpha, spec.J, H, signed, stratify, pivot, free,
-                         [], part, weight, tables, memos))
-
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(_count_chunk, jobs))
-    else:
-        partials = [_count_chunk(j) for j in jobs]
-
-    for v, d, br in partials:
-        report.total_on_plane += v
-        report.dependent_total += d
-        for r, c in br.items():
-            report.by_rank[r] = report.by_rank.get(r, 0) + c
-    report.wall_time = time.perf_counter() - t0
+            pivot_abs = np.where(valid, np.abs(pv), 1)
+        _classify_block(report, tuple(abs(v) for v in combo), inner_abs, pivot_abs,
+                        valid, weight, base, rad, memo)
     return report
 
 

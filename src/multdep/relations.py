@@ -105,11 +105,29 @@ def rank_of_rows(rows) -> int:
     return len(_echelon(rows)[0])
 
 
+def rank_from_rows(rows, smallest: int = 2) -> int:
+    """Multiplicative rank from the exponent rows of a vector with no ±1.
+
+    One full-rank test first: independent rows give n.  Otherwise the rank is
+    one less than the size of the smallest dependent subset, scanned in
+    increasing size from ``smallest`` (the caller vouches that smaller
+    subsets are independent); the whole set being dependent caps it at n − 1.
+    """
+    n = len(rows)
+    if rank_of_rows(rows) == n:
+        return n
+    for size in range(smallest, n):
+        for sub in combinations(range(n), size):
+            if rank_of_rows([rows[i] for i in sub]) < size:
+                return size - 1
+    return n - 1
+
+
 def right_kernel_basis(rows, ncols: int) -> list[tuple[int, ...]]:
     """Primitive integer basis of {x : M x = 0}, deterministic order.
 
-    One basis vector per free column, ascending; each is reduced to content 1
-    with its first nonzero entry positive.
+    One basis vector per free column, ascending; each is reduced by
+    ``_primitive`` to content 1 with its first nonzero entry positive.
     """
     ech, pivots = _echelon([list(r) for r in rows if any(r)])
     free = [c for c in range(ncols) if c not in pivots]
@@ -125,16 +143,7 @@ def right_kernel_basis(rows, ncols: int) -> list[tuple[int, ...]]:
                     s += ech[r][c] * x[c]
             x[col] = -s / ech[r][col]
         den = math.lcm(*(q.denominator for q in x))
-        ints = [int(q * den) for q in x]
-        g = 0
-        for a in ints:
-            g = math.gcd(g, a)
-        if g > 1:
-            ints = [a // g for a in ints]
-        lead = next(a for a in ints if a != 0)
-        if lead < 0:
-            ints = [-a for a in ints]
-        basis.append(tuple(ints))
+        basis.append(_primitive([int(q * den) for q in x]))
     return basis
 
 
@@ -194,6 +203,12 @@ def _primitive(k) -> tuple[int, ...]:
     return tuple(k)
 
 
+def _verified(nu, k) -> tuple[int, ...]:
+    if not verify_relation(nu, k):
+        raise ArithmeticError(f"relation witness {k} fails verification for {nu}")
+    return k
+
+
 def relation(nu):
     """A verified relation witness, or None for independent vectors.
 
@@ -205,22 +220,17 @@ def relation(nu):
     n = len(nu)
     for i, x in enumerate(nu):
         if x == 1:
-            k = tuple(1 if j == i else 0 for j in range(n))
-            assert verify_relation(nu, k)
-            return k
+            return _verified(nu, tuple(1 if j == i else 0 for j in range(n)))
     for i, x in enumerate(nu):
         if x == -1:
-            k = tuple(2 if j == i else 0 for j in range(n))
-            assert verify_relation(nu, k)
-            return k
+            return _verified(nu, tuple(2 if j == i else 0 for j in range(n)))
     basis = _relation_lattice_basis(nu)
     if not basis:
         return None
     k = _primitive(basis[0])
     if _sign_product(nu, k) == -1:
         k = tuple(2 * a for a in k)
-    assert verify_relation(nu, k)
-    return k
+    return _verified(nu, k)
 
 
 def mult_rank(nu) -> int:
@@ -228,19 +238,12 @@ def mult_rank(nu) -> int:
 
     0 when some coordinate is ±1; otherwise the largest s such that every s
     coordinates are multiplicatively independent (n for a fully independent
-    vector).  Subsets are scanned in increasing size with early exit, so the
-    rank is one less than the size of the smallest dependent subset.
+    vector), i.e. one less than the size of the smallest dependent subset.
     """
     nu = validate_vector(nu)
     if any(abs(x) == 1 for x in nu):
         return 0
-    rows = exponent_matrix(nu).rows
-    n = len(nu)
-    for size in range(2, n + 1):
-        for sub in combinations(range(n), size):
-            if rank_of_rows([rows[i] for i in sub]) < size:
-                return size - 1
-    return n
+    return rank_from_rows(exponent_matrix(nu).rows)
 
 
 def full_support_relation(nu):

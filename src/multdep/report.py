@@ -69,7 +69,6 @@ def convergence_study(
     J: int,
     grid,
     domain: str = "signed",
-    threads: int = 1,
     log_correction: bool = False,
 ) -> list[ConvergenceRow]:
     """One row per grid value, ascending.
@@ -98,7 +97,7 @@ def convergence_study(
             spec = HyperplaneSpec(a, J)
             dom = DomainSpec("signed", g)
             bd = constants.C_total(a, J, H=g)
-        rep = latticecount.count_S(spec, dom, threads=threads)
+        rep = latticecount.count_S(spec, dom)
         normalized = Fraction(rep.dependent_total, g**bd.h_exponent)
         predicted = bd.total
         residual = normalized - predicted

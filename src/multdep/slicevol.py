@@ -81,7 +81,8 @@ def mm_unit_cube_Q(alpha, r) -> Fraction:
     for a in alpha:
         prod *= a
     q = total / (factorial(n - 1) * prod)
-    assert q >= 0
+    if q < 0:
+        raise ArithmeticError(f"negative slice volume {q} for alpha={alpha}, r={r}")
     return q
 
 
@@ -101,7 +102,8 @@ def mm_half_cube_Q(alpha, r) -> Fraction:
     for a in alpha:
         prod *= a
     q = total / (2 ** (n - 1) * factorial(n - 1) * prod)
-    assert q >= 0
+    if q < 0:
+        raise ArithmeticError(f"negative slice volume {q} for alpha={alpha}, r={r}")
     return q
 
 

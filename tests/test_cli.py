@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import multdep
 from multdep.cli import main
 
 
@@ -166,11 +171,48 @@ def test_fuzz_corpus_never_crashes(capsys, argv):
         assert diag.startswith("error: ") and "\n" not in diag
 
 
-def test_count_threads_flag(capsys):
-    code1, out1, _ = run(capsys, "count", "--alpha", "1,1,1", "--J", "1", "--H", "25",
-                         "--by-rank", "--threads", "3")
-    code2, out2, _ = run(capsys, "count", "--alpha", "1,1,1", "--J", "1", "--H", "25", "--by-rank")
-    assert code1 == code2 == 0 and out1 == out2
+NEGATIVE_VALUES = [
+    (["count", "--J", "1", "--H", "12", "--by-rank"], "--alpha", "-2,3,-1"),
+    (["rank"], "--vector", "-2,-4"),
+    (["volume", "--alpha", "1,2", "--box", "half"], "--r", "-1/2"),
+]
+
+
+@pytest.mark.parametrize("head,opt,value", NEGATIVE_VALUES)
+def test_value_with_leading_minus_as_own_token(capsys, head, opt, value):
+    code1, out1, _ = run(capsys, *head, opt, value)
+    code2, out2, _ = run(capsys, *head, f"{opt}={value}")
+    assert code1 == code2 == 0 and out1 == out2 != ""
+
+
+def test_threads_flag_removed(capsys):
+    code, _, err = run(capsys, "count", "--alpha", "1,1,1", "--J", "1", "--H", "5",
+                       "--threads", "2")
+    assert code == 2 and "--threads" in err
+
+
+def _python_O(*args):
+    """Run a fresh interpreter under -O with this checkout's package."""
+    src = str(Path(multdep.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-O", *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_guards_and_output_under_python_O(capsys):
+    bad = ("from fractions import Fraction as F\n"
+           "from multdep.constants import ConstantBreakdown\n"
+           "assert False, 'asserts are on'\n"
+           "ConstantBreakdown(k=3, c0=F(1), c1=F(1), c2=F(0), total=F(3), h_exponent=1, regime='x')\n")
+    proc = _python_O("-c", bad)
+    assert proc.returncode == 1
+    assert "ValueError: total 3 != c0 + c1 + c2 = 2" in proc.stderr
+    argv = ["count", "--alpha", "1,1,1", "--J", "1", "--H", "30", "--by-rank"]
+    proc = _python_O("-m", "multdep", *argv)
+    code, out, _ = run(capsys, *argv)
+    assert proc.returncode == code == 0 and proc.stderr == ""
+    assert proc.stdout == out
 
 
 def test_converge_positive_level_grid(capsys):
