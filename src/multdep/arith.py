@@ -2,12 +2,14 @@
 
 Factorization (smallest-prime-factor sieve with deterministic trial division
 beyond the sieve bound), radicals, smooth-number counting, minimal perfect
-power bases, and vector gcds.  Everything here is exact; nothing uses floats
+power bases, vector gcds, and the signed convolution kernel that multiplies
+sparse integer polynomials.  Everything here is exact; nothing uses floats
 or probabilistic primality.
 
-The sieve is built once, on first use, up to the limit given by the
-``MULTDEP_SIEVE_LIMIT`` environment variable (default 10**6) and is then
-immutable, so it can be shared freely across threads.
+The sieve starts at 4096 entries on first use and doubles when a value past
+its end is factorized, up to the limit given by the ``MULTDEP_SIEVE_LIMIT``
+environment variable (default 10**6); values above the limit use trial
+division.  A regrown table replaces the old one, which is never modified.
 """
 
 from __future__ import annotations
@@ -16,12 +18,17 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import repeat
 
 import numpy as np
 
+from .errors import RegimeError
+
 DEFAULT_SIEVE_LIMIT = 10**6
+_SIEVE_START = 4096
 
 _spf_table: np.ndarray | None = None
+_spf_full = False  # the table reaches sieve_limit(): never regrow
 
 
 def sieve_limit() -> int:
@@ -34,21 +41,26 @@ def sieve_limit() -> int:
     return min(max(limit, 16), 2**31 - 2)
 
 
-def _spf() -> np.ndarray:
-    """Smallest-prime-factor table over [0, sieve_limit()], built once."""
-    global _spf_table
-    if _spf_table is None:
-        n = sieve_limit()
-        spf = np.zeros(n + 1, dtype=np.int32)
-        for p in range(2, math.isqrt(n) + 1):
-            if spf[p] == 0:
-                block = spf[p * p :: p]
-                block[block == 0] = p
-        untouched = np.nonzero(spf == 0)[0]
-        spf[untouched] = untouched  # primes, plus the 0 and 1 slots
-        spf[1] = 1
-        _spf_table = spf
-    return _spf_table
+def _grow_spf(a: int) -> np.ndarray:
+    """Smallest-prime-factor table over [0, size), size doubled from the
+    current one (at least 4096) until it covers ``a`` or reaches sieve_limit()."""
+    global _spf_table, _spf_full
+    size = _SIEVE_START if _spf_table is None else 2 * _spf_table.shape[0]
+    while size <= a:
+        size *= 2
+    end = sieve_limit() + 1
+    if size >= end:
+        size, _spf_full = end, True
+    spf = np.zeros(size, dtype=np.int32)
+    for p in range(2, math.isqrt(size - 1) + 1):
+        if spf[p] == 0:
+            block = spf[p * p :: p]
+            block[block == 0] = p
+    untouched = np.nonzero(spf == 0)[0]
+    spf[untouched] = untouched  # primes, plus the 0 and 1 slots
+    spf[1] = 1
+    _spf_table = spf
+    return spf
 
 
 @dataclass(frozen=True)
@@ -73,7 +85,9 @@ class SignedFactorization:
 def _abs_exponents(a: int) -> tuple[tuple[int, int], ...]:
     """Prime-exponent pairs of ``a`` ≥ 1, ascending primes."""
     pairs = []
-    spf = _spf()
+    spf = _spf_table
+    if spf is None or (a >= spf.shape[0] and not _spf_full):
+        spf = _grow_spf(a)
     if a < spf.shape[0]:
         while a > 1:
             p = int(spf[a])
@@ -164,6 +178,93 @@ def f_base(A: int) -> int:
 def gcd_vec(v) -> int:
     """gcd of absolute values; the all-zero vector has gcd 0."""
     return reduce(math.gcd, (abs(int(x)) for x in v), 0)
+
+
+# ── signed convolution of sparse integer polynomials ────────────────────
+
+# Most coefficient slots a product may need (exponent range, or number of
+# term combinations when smaller); one int64 array of this size is 32 MiB.
+_CONV_CAP = 1 << 22
+
+
+def _terms(f):
+    return zip(f, repeat(1)) if isinstance(f, range) else f.items()
+
+
+def _extent(f) -> tuple[int, int]:
+    if isinstance(f, range):
+        return min(f[0], f[-1]), max(f[0], f[-1])
+    return min(f), max(f)
+
+
+def _dense_product(factors) -> np.ndarray:
+    """int64 coefficients of ∏ factors, index 0 holding the lowest exponent.
+
+    Exact only while ∏ Σ|weights| < 2**63 (the caller checks).
+    """
+    acc = np.ones(1, dtype=np.int64)
+    for f in factors:
+        flo, fhi = _extent(f)
+        n = acc.shape[0]
+        new = np.zeros(n + fhi - flo, dtype=np.int64)
+        for e, w in _terms(f):
+            pos = e - flo
+            if w == 1:
+                new[pos : pos + n] += acc
+            else:
+                new[pos : pos + n] += w * acc
+        acc = new
+    return acc
+
+
+def _sparse_product(factors) -> dict[int, int]:
+    """Exponent → coefficient of ∏ factors in Python ints (zeros dropped)."""
+    acc = {0: 1}
+    for f in factors:
+        new: dict[int, int] = {}
+        for s, c in acc.items():
+            for e, w in _terms(f):
+                k = s + e
+                new[k] = new.get(k, 0) + c * w
+        acc = new
+    return {k: c for k, c in acc.items() if c}
+
+
+def poly_product(factors, at: int | None = None):
+    """Exact coefficients of the product of sparse integer polynomials.
+
+    Each factor maps exponents (any sign) to integer weights: a dict, or a
+    range whose exponents all have weight 1.  Returns {exponent: coefficient}
+    over the nonzero coefficients or, given ``at``, the coefficient of z**at.
+
+    Convolves int64 arrays when ∏ Σ|weights| < 2**62, which bounds every
+    partial coefficient, and Python-int dicts otherwise.  Raises RegimeError,
+    before allocating, when the product needs more than 2**22 coefficient
+    slots (its exponent range, or its number of term combinations if fewer).
+    """
+    factors = list(factors)
+    if not all(factors):
+        return {} if at is None else 0
+    low = high = 0
+    bound = combos = 1
+    for f in factors:
+        flo, fhi = _extent(f)
+        low += flo
+        high += fhi
+        bound *= len(f) if isinstance(f, range) else sum(abs(w) for w in f.values())
+        combos *= len(f)
+    if at is not None and not low <= at <= high:
+        return 0
+    slots = min(high - low + 1, combos)
+    if slots > _CONV_CAP:
+        raise RegimeError(f"convolution needs {slots} coefficient slots, above the cap {_CONV_CAP}")
+    if bound >= 2**62 or high - low >= _CONV_CAP:
+        coeffs = _sparse_product(factors)
+        return coeffs if at is None else coeffs.get(at, 0)
+    acc = _dense_product(factors)
+    if at is not None:
+        return int(acc[at - low])
+    return {low + int(i): int(acc[i]) for i in np.flatnonzero(acc)}
 
 
 # ── lookup tables for the counting kernels ───────────────────────────────

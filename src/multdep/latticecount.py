@@ -107,46 +107,17 @@ def covolume_ratio(alpha) -> Fraction:
 def _dp_solution_count(terms, target: int) -> int:
     """Exact #solutions of Σ a_i t_i = target with t_i in [lo_i, hi_i].
 
-    ``terms`` is a list of (a, lo, hi, skip_zero).  Pure convolution DP; uses
-    int64 arrays unless the total could overflow, then falls back to dicts.
+    ``terms`` is a list of (a, lo, hi, skip_zero); the count is the
+    coefficient of z**target in ∏_i Σ_{t_i} z^{a_i·t_i} (``arith.poly_product``).
     """
-    smin = smax = 0
-    total_combos = 1
-    for a, lo, hi, _ in terms:
-        smin += min(a * lo, a * hi)
-        smax += max(a * lo, a * hi)
-        total_combos *= hi - lo + 1
-    if not smin <= target <= smax:
-        return 0
-    if total_combos < 2**62:
-        acc = np.ones(1, dtype=np.int64)
-        offset = 0
-        for a, lo, hi, skip in terms:
-            cmin = min(a * lo, a * hi)
-            cmax = max(a * lo, a * hi)
-            new = np.zeros(acc.shape[0] + (cmax - cmin), dtype=np.int64)
-            for t in range(lo, hi + 1):
-                if skip and t == 0:
-                    continue
-                pos = a * t - cmin
-                new[pos : pos + acc.shape[0]] += acc
-            acc = new
-            offset += cmin
-        idx = target - offset
-        if idx < 0 or idx >= acc.shape[0]:
-            return 0
-        return int(acc[idx])
-    acc = {0: 1}
+    factors = []
     for a, lo, hi, skip in terms:
-        new: dict[int, int] = {}
-        for s, c in acc.items():
-            for t in range(lo, hi + 1):
-                if skip and t == 0:
-                    continue
-                key = s + a * t
-                new[key] = new.get(key, 0) + c
-        acc = new
-    return acc.get(target, 0)
+        f = range(a * lo, a * hi + (1 if a > 0 else -1), a)
+        if skip and lo <= 0 <= hi:
+            f = dict.fromkeys(f, 1)
+            del f[0]
+        factors.append(f)
+    return arith.poly_product(factors, at=target)
 
 
 def hyperplane_lattice_count(spec: HyperplaneSpec, box) -> int:

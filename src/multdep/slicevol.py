@@ -7,8 +7,11 @@ unit cube the signed inclusion–exclusion over the 2**n vertices gives
     Q = (1 / ((n−1)!·∏ α_i)) · Σ_{c ∈ {0,1}^n} (−1)^{#{c_i = 1}} max(r − α·c, 0)^{n−1}
 
 and the centered cube [−1/2, 1/2]^n uses c ∈ {−1,1}^n with max(2r − α·c, 0)
-and an extra 1/2^{n−1}.  The vertex sums walk a Gray code so each step
-updates the running dot product by one coordinate.
+and an extra 1/2^{n−1}.  The vertex sums are grouped by dot value d: the
+signed number of vertices with α·c = d is the coefficient of z^d in
+∏(1 − z^{α_i}) (∏(z^{−α_i} − z^{α_i}) for the centered cube), computed by
+``arith.poly_product``, so the cost is pseudo-polynomial in Σ|α_i| rather
+than 2^n.
 
 The density V_α(B; J) = gcd(α)·Vol_{n−1}(B ∩ {α·ν = J}) / ‖α‖ is the exact
 per-slice count of lattice points per unit of box growth; coordinates where
@@ -38,34 +41,15 @@ def _validate_nonzero(alpha) -> tuple[int, ...]:
     return a
 
 
-def _gray_sum(alpha, shift: Fraction, deltas, power: int) -> Fraction:
-    """Σ over vertex states of (−1)^{#set bits} · max(shift − dot, 0)**power.
-
-    ``deltas[i]`` is the dot-product change when bit i flips on; the walk
-    starts from the all-clear state with dot = 0.
-    """
-    n = len(alpha)
-    total = Fraction(0)
-    dot = 0
-    parity = 1
-    bits = 0
-    arg = shift
-    if arg > 0:
-        total += arg**power
-    for g in range(1, 1 << n):
-        i = (g & -g).bit_length() - 1
-        bit = 1 << i
-        if bits & bit:
-            dot -= deltas[i]
-            parity = -parity
-        else:
-            dot += deltas[i]
-            parity = -parity
-        bits ^= bit
-        arg = shift - dot
+def _vertex_sum(factors, shift: Fraction, power: int) -> Fraction:
+    """Σ_d c_d · max(shift − d, 0)**power, c_d the coefficient of z^d in ∏ factors."""
+    p, q = shift.numerator, shift.denominator
+    total = 0
+    for d, c in arith.poly_product(factors).items():
+        arg = p - d * q
         if arg > 0:
-            total += parity * arg**power
-    return total
+            total += c * arg**power
+    return Fraction(total, q**power)
 
 
 def mm_unit_cube_Q(alpha, r) -> Fraction:
@@ -76,7 +60,7 @@ def mm_unit_cube_Q(alpha, r) -> Fraction:
     if n == 1:
         t = r / alpha[0]
         return Fraction(1, abs(alpha[0])) if 0 <= t <= 1 else Fraction(0)
-    total = _gray_sum(alpha, r, alpha, n - 1)
+    total = _vertex_sum([{0: 1, a: -1} for a in alpha], r, n - 1)
     prod = 1
     for a in alpha:
         prod *= a
@@ -94,10 +78,7 @@ def mm_half_cube_Q(alpha, r) -> Fraction:
     if n == 1:
         t = r / alpha[0]
         return Fraction(1, abs(alpha[0])) if -Fraction(1, 2) <= t <= Fraction(1, 2) else Fraction(0)
-    # start at c = (−1, ..., −1); flipping bit i adds 2·α_i
-    shift = 2 * r + sum(alpha)
-    deltas = [2 * a for a in alpha]
-    total = _gray_sum(alpha, Fraction(shift), deltas, n - 1)
+    total = _vertex_sum([{-a: 1, a: -1} for a in alpha], 2 * r, n - 1)
     prod = 1
     for a in alpha:
         prod *= a

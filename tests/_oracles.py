@@ -1,15 +1,18 @@
 """Independent oracles used by the test suite.
 
 Deliberately share no code with the package: slice densities come from exact
-piecewise-polynomial convolution of box densities, ranks from plain Fraction
-Gaussian elimination, dependence from a bounded exponent search, and the
-n = 2 same-base pair count from integer roots and repeated multiplication.
+piecewise-polynomial convolution of box densities, from the signed vertex sum
+over all 2^n cube vertices, and, for all-ones α, from Eulerian numbers; ranks
+from plain Fraction Gaussian elimination, dependence from a bounded exponent
+search, and the n = 2 same-base pair count from integer roots and repeated
+multiplication.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import factorial
 
 
 # ── exact piecewise-polynomial convolution of box densities ──────────────
@@ -148,6 +151,43 @@ def unit_cube_Q_oracle(alpha, r) -> Fraction:
 def half_cube_Q_oracle(alpha, r) -> Fraction:
     intervals = [(-Fraction(abs(a), 2), Fraction(abs(a), 2)) for a in alpha]
     return _projected_density(intervals)(r)
+
+
+def cube_vertex_Q_oracle(alpha, r, centered: bool = False) -> Fraction:
+    """Q of the unit cube (or [−1/2, 1/2]^n when ``centered``) by the
+    Marichal–Mossinghoff signed sum, visiting each of the 2^n vertices (n ≥ 2)."""
+    n = len(alpha)
+    corners = (-1, 1) if centered else (0, 1)
+    shift = 2 * Fraction(r) if centered else Fraction(r)
+    total = Fraction(0)
+    for c in product(corners, repeat=n):
+        arg = shift - sum(a * x for a, x in zip(alpha, c))
+        if arg > 0:
+            total += (-1) ** c.count(1) * arg ** (n - 1)
+    scale = factorial(n - 1) * (2 ** (n - 1) if centered else 1)
+    for a in alpha:
+        scale *= a
+    return total / scale
+
+
+def eulerian(m: int, j: int) -> int:
+    """Eulerian number A(m, j): permutations of m items with j descents.
+
+    Recurrence A(m, j) = (j + 1)·A(m − 1, j) + (m − j)·A(m − 1, j − 1), A(0, 0) = 1.
+    """
+    row = [1]  # A(0, ·)
+    for mm in range(1, m + 1):
+        row = [
+            (i + 1) * (row[i] if i < len(row) else 0) + (mm - i) * (row[i - 1] if i >= 1 else 0)
+            for i in range(mm)
+        ]
+    return row[j] if 0 <= j < len(row) else 0
+
+
+def irwin_hall_Q_oracle(n: int, k: int) -> Fraction:
+    """Q_unit((1,)^n, k) for integer k: the Irwin–Hall density at k,
+    A(n − 1, k − 1)/(n − 1)!."""
+    return Fraction(eulerian(n - 1, k - 1), factorial(n - 1))
 
 
 # ── independent linear algebra and dependence oracles ────────────────────

@@ -1,8 +1,13 @@
+import time
+from itertools import product
+from math import comb
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from multdep import arith
+from multdep.errors import RegimeError
 
 nonzero_ints = st.integers(min_value=-10**6, max_value=10**6).filter(lambda x: x != 0)
 
@@ -155,3 +160,103 @@ def test_sieve_limit_env(monkeypatch):
     assert arith.sieve_limit() == 12345
     monkeypatch.setenv("MULTDEP_SIEVE_LIMIT", "not-a-number")
     assert arith.sieve_limit() == arith.DEFAULT_SIEVE_LIMIT
+
+
+@pytest.fixture
+def fresh_sieve(monkeypatch):
+    """No SPF table yet; the module's table and cache come back after the test."""
+    monkeypatch.setattr(arith, "_spf_table", None)
+    monkeypatch.setattr(arith, "_spf_full", False)
+    arith._abs_exponents.cache_clear()
+    yield
+    arith._abs_exponents.cache_clear()
+
+
+def test_sieve_starts_small_and_doubles_on_demand(fresh_sieve):
+    assert arith.factorize(12).exponents == {2: 2, 3: 1}
+    assert arith._spf_table.shape[0] == 4096
+    assert arith.factorize(5003 * 2).exponents == {2: 1, 5003: 1}
+    assert arith._spf_table.shape[0] == 16384 and not arith._spf_full
+    assert arith.factorize(4093).exponents == {4093: 1}  # no regrowth below the end
+    assert arith._spf_table.shape[0] == 16384
+
+
+def test_sieve_stops_at_the_limit(fresh_sieve, monkeypatch):
+    monkeypatch.setenv("MULTDEP_SIEVE_LIMIT", "20000")
+    m = 1_000_003 * 999_983
+    assert arith.factorize(m).exponents == {999_983: 1, 1_000_003: 1}
+    assert arith._spf_table.shape[0] == 20001 and arith._spf_full
+    monkeypatch.setenv("MULTDEP_SIEVE_LIMIT", "50000")  # read only while regrowing
+    assert arith.factorize(40_000).exponents == {2: 6, 5: 4}
+    assert arith._spf_table.shape[0] == 20001
+    for v in range(2, 3000):
+        assert arith.factorize(v).value() == v
+
+
+# ── signed convolution kernel ─────────────────────────────────────────────
+
+
+def _expand(factors):
+    """Coefficients of ∏ factors by expanding every choice of one term per factor."""
+    out = {}
+    terms = [list(f.items()) if isinstance(f, dict) else [(e, 1) for e in f] for f in factors]
+    for choice in product(*terms):
+        e = sum(t[0] for t in choice)
+        w = 1
+        for t in choice:
+            w *= t[1]
+        out[e] = out.get(e, 0) + w
+    return {e: c for e, c in out.items() if c}
+
+
+def test_poly_product_matches_expansion(rng):
+    for _ in range(80):
+        factors = []
+        for _ in range(rng.randint(0, 5)):
+            if rng.random() < 0.3:
+                step = rng.choice([-3, -1, 1, 2])
+                start = rng.randint(-6, 6)
+                factors.append(range(start, start + step * rng.randint(1, 5), step))
+            else:
+                factors.append({rng.randint(-6, 6): rng.randint(-3, 3) or 1 for _ in range(rng.randint(1, 4))})
+        want = _expand(factors)
+        assert arith.poly_product(factors) == want
+        assert arith._sparse_product(factors) == want
+        for at in range(-40, 41):
+            assert arith.poly_product(factors, at=at) == want.get(at, 0)
+        if factors:
+            low = sum(min(f) for f in factors)
+            dense = arith._dense_product(factors)
+            assert {low + i: int(c) for i, c in enumerate(dense) if c} == want
+
+
+def test_poly_product_int64_switch_boundary(monkeypatch):
+    # ∏ Σ|weights| = 2**k: int64 arrays below 2**62, Python ints from there on,
+    # and both give the binomial coefficients on either side of the switch
+    calls = []
+    sparse = arith._sparse_product
+    monkeypatch.setattr(arith, "_sparse_product", lambda fs: calls.append(len(fs)) or sparse(fs))
+    for k, want_sparse in ((61, False), (62, True), (63, True)):
+        factors = [{0: 1, 1: 1}] * k
+        calls.clear()
+        got = arith.poly_product(factors)
+        assert bool(calls) == want_sparse
+        assert got == {j: comb(k, j) for j in range(k + 1)}
+        if k <= 62:  # comb(62, 31) < 2**63: the int64 path still holds it
+            assert [int(c) for c in arith._dense_product(factors)] == [comb(k, j) for j in range(k + 1)]
+    # signed weights: Σ|w| = 3 per factor, 3**39 < 2**62 <= 3**40
+    for k in (39, 40):
+        factors = [{0: 2, 1: -1}] * k
+        calls.clear()
+        got = arith.poly_product(factors, at=k // 2)
+        assert bool(calls) == (k == 40)
+        assert got == comb(k, k // 2) * 2 ** (k - k // 2) * (-1) ** (k // 2)
+
+
+def test_poly_product_caps_its_allocation():
+    t0 = time.perf_counter()
+    with pytest.raises(RegimeError):
+        arith.poly_product([range(-10**9, 10**9 + 1)] * 2, at=1)
+    assert time.perf_counter() - t0 < 1
+    # a wide but sparse product keeps few coefficients and runs
+    assert arith.poly_product([{0: 1, 10**12: -1}, {0: 1, 1: -1}]) == {0: 1, 1: -1, 10**12: -1, 10**12 + 1: 1}

@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import _oracles as orc
 import multdep
 from multdep.cli import main
 
@@ -67,6 +69,24 @@ def test_constant(capsys):
 def test_constant_positive(capsys):
     code, out, _ = run(capsys, "constant", "--alpha", "1,1,1", "--J", "9", "--positive")
     assert code == 0 and "total 9/2" in out
+
+
+def test_constant_at_twenty_coefficients(capsys):
+    ones = ",".join(["1"] * 20)
+    code, out, _ = run(capsys, "constant", f"--alpha={ones}", "--J", "1")
+    assert code == 0
+    fields = dict(line.split(" ", 1) for line in out.splitlines())
+    assert Fraction(fields["total"]) == Fraction(fields["c0"]) + Fraction(fields["c1"])
+    assert Fraction(fields["total"]) > 0 and fields["c2"] == "0"
+    assert fields["exponent"] == "18"
+
+
+def test_volume_at_twenty_four_coefficients(capsys):
+    ones = ",".join(["1"] * 24)
+    for k in (1, 5, 12):
+        code, out, _ = run(capsys, "volume", f"--alpha={ones}", "--box", "unit", "--r", str(k))
+        assert code == 0
+        assert out.splitlines()[0] == f"Q {orc.irwin_hall_Q_oracle(24, k)}"
 
 
 def test_volume(capsys):

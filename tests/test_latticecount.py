@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 from itertools import product
 
@@ -59,6 +60,16 @@ def test_lattice_count_brute_random(rng):
         assert hyperplane_lattice_count(HyperplaneSpec(alpha, J), box) == brute_lattice_count(
             alpha, J, box
         )
+
+
+def test_lattice_count_oversized_box_raises_at_once():
+    # 6·10^9 possible sums: refused before any array or term list is built
+    t0 = time.perf_counter()
+    with pytest.raises(RegimeError):
+        hyperplane_lattice_count(HyperplaneSpec((1, 2), 1), [(-10**9, 10**9)] * 2)
+    assert time.perf_counter() - t0 < 1
+    # a level outside the reachable sums is still an exact 0
+    assert hyperplane_lattice_count(HyperplaneSpec((1, 2), 10**10), [(-10**9, 10**9)] * 2) == 0
 
 
 def test_lattice_count_all_zero_alpha():

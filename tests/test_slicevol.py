@@ -92,6 +92,29 @@ def test_half_cube_matches_convolution_oracle(alpha, r):
     assert mm_half_cube_Q(alpha, r) == orc.half_cube_Q_oracle(alpha, r)
 
 
+def test_cube_kernels_match_vertex_enumeration(rng):
+    # every Q equals the plain 2^n vertex sum, Fraction for Fraction
+    for _ in range(40):
+        n = rng.randint(2, 12)
+        alpha = tuple(rng.choice([-1, 1]) * rng.randint(1, rng.choice([1, 3, 7])) for _ in range(n))
+        den = rng.randint(1, 6)
+        span = sum(abs(a) for a in alpha) * den
+        r = F(rng.randint(-span, span), den)
+        assert mm_unit_cube_Q(alpha, r) == orc.cube_vertex_Q_oracle(alpha, r)
+        assert mm_half_cube_Q(alpha, r / 2) == orc.cube_vertex_Q_oracle(alpha, r / 2, centered=True)
+
+
+@pytest.mark.parametrize("n", [12, 20, 24])
+def test_all_ones_slices_match_eulerian_numbers(n):
+    # Q_unit((1,)^n, k) is the Irwin–Hall density A(n−1, k−1)/(n−1)!; the
+    # centered cube is the same slice moved by n/2
+    ones = (1,) * n
+    for k in range(n + 1):
+        q = orc.irwin_hall_Q_oracle(n, k)
+        assert mm_unit_cube_Q(ones, k) == q
+        assert mm_half_cube_Q(ones, k - F(n, 2)) == q
+
+
 def test_monte_carlo_agreement(rng):
     nprng = np.random.default_rng(777)
     for _ in range(8):
