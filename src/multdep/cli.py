@@ -223,10 +223,10 @@ def _cmd_converge(args) -> None:
 def _cmd_curve(args) -> None:
     sysspec = CurveSystemSpec(args.variant, args.A, args.B, tuple(args.k),
                               tuple(args.alpha), args.J)
-    count = latticecount.count_curve_system(sysspec, args.H)
+    count, excluded = latticecount.curve_counts(sysspec, args.H)
     print(f"count {count}")
     if args.variant == "3var":
-        print(f"excluded {latticecount.count_curve_system_excluded(sysspec, args.H)}")
+        print(f"excluded {excluded}")
 
 
 def _cmd_fatal(args) -> None:
@@ -234,18 +234,7 @@ def _cmd_fatal(args) -> None:
     if lo < 1 or hi < lo:
         raise ValueError("fatal range needs 1 <= lo <= hi")
     for N in range(lo, hi + 1):
-        hit = None
-        for a in range(1, N // 3 + 1):
-            for b in range(a + 1, (N - a) // 2 + 1):
-                c = N - a - b
-                if c <= b:
-                    continue
-                k = relations.full_support_relation((a, b, c))
-                if k is not None:
-                    hit = (a, b, c, k)
-                    break
-            if hit:
-                break
+        hit = relations.fatal_triple(N)
         if hit:
             a, b, c, k = hit
             print(f"{N}: ({a},{b},{c}) k=({','.join(str(e) for e in k)})")

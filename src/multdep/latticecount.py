@@ -19,6 +19,12 @@ Sign symmetry: dependence and rank depend only on absolute values, so any
 free coordinate with α_i = 0 is swept over [1, H] with multiplicity 2 in the
 signed domain.  The linear constraint never involves those coordinates, so
 the folding is exact, for the total count as well as per rank.
+
+Curve systems (one power-product equation with one linear equation) run one
+loop for every variant: ``enumerate_solutions`` walks the plane, and each
+point's power equation is tested by multiplying both sides out in integers.
+``curve_counts`` returns the count and the 3var exclusions of that one pass.
+Sweeps refuse H above ``_TABLE_CAP`` with RegimeError before building tables.
 """
 
 from __future__ import annotations
@@ -324,6 +330,11 @@ def _classify_block(
                 report.by_rank[r] = report.by_rank.get(r, 0) + weight
 
 
+# largest H for which a sweep builds its minimal-base and radical tables
+# (H + 1 int64 entries each); its row arrays hold up to 2H entries
+_TABLE_CAP = 1 << 22
+
+
 def count_S(spec: HyperplaneSpec, domain: DomainSpec, stratify: bool = False) -> CountReport:
     """Exact count of multiplicatively dependent vectors on α·ν = J.
 
@@ -359,6 +370,8 @@ def count_S(spec: HyperplaneSpec, domain: DomainSpec, stratify: bool = False) ->
                     report.by_rank[0] = 1
         return report
 
+    if H > _TABLE_CAP:
+        raise RegimeError(f"height {H} needs lookup tables above the cap {_TABLE_CAP}")
     base = arith.power_base_table(H)
     rad = arith.radical_table(H)
     axes = {i: _axis_values(alpha[i], H, signed) for i in free}
@@ -392,7 +405,14 @@ def count_S(spec: HyperplaneSpec, domain: DomainSpec, stratify: bool = False) ->
 
 # ── curve systems: one multiplicative and one linear equation ────────────
 
-CURVE_VARIANTS = ("2var-a", "2var-b", "3var", "4var")
+# variant → (side of each ν_i in the power equation, +1 with A and −1 with B;
+# number of leading ν_i on the plane α·ν = J)
+CURVE_VARIANTS = {
+    "2var-a": ((1, 1, -1), 2),
+    "2var-b": ((1, -1, 1), 2),
+    "3var": ((1, 1, -1), 3),
+    "4var": ((1, 1, -1, -1), 4),
+}
 
 
 @dataclass(frozen=True)
@@ -416,10 +436,9 @@ class CurveSystemSpec:
 def _validate_curve(sys: CurveSystemSpec) -> None:
     if sys.variant not in CURVE_VARIANTS:
         raise RegimeError(f"unknown curve variant {sys.variant!r}")
-    arity = {"2var-a": (3, 2), "2var-b": (3, 2), "3var": (3, 3), "4var": (4, 4)}
-    nk, na = arity[sys.variant]
-    if len(sys.k) != nk or len(sys.alpha) != na:
-        raise RegimeError(f"variant {sys.variant} needs {nk} exponents and {na} coefficients")
+    sides, na = CURVE_VARIANTS[sys.variant]
+    if len(sys.k) != len(sides) or len(sys.alpha) != na:
+        raise RegimeError(f"variant {sys.variant} needs {len(sides)} exponents and {na} coefficients")
     if any(e < 1 for e in sys.k):
         raise RegimeError("exponents k_i must be positive integers")
     if sys.J == 0:
@@ -436,127 +455,62 @@ def _validate_curve(sys: CurveSystemSpec) -> None:
             raise RegimeError("linear coefficients must be nonzero for this variant")
 
 
-def _exp_of(m: int) -> dict[int, int]:
-    return dict(arith._abs_exponents(abs(m)))
+def _iroot(m: int, k: int) -> int:
+    """⌊m^(1/k)⌋ for m ≥ 0, by integer Newton steps from above."""
+    if k == 1 or m < 2:
+        return m
+    x = 1 << -(-m.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
-def _combine(*scaled_maps) -> dict[int, int]:
-    """Sum of exponent maps, each given as (coefficient, map)."""
-    out: dict[int, int] = {}
-    for c, m in scaled_maps:
-        for p, e in m.items():
-            out[p] = out.get(p, 0) + c * e
-    return {p: e for p, e in out.items() if e != 0}
+def curve_counts(sys: CurveSystemSpec, H: int) -> tuple[int, int]:
+    """(count, excluded) for the curve system with 0 < |ν_i| ≤ H.
 
-
-def _root_solutions(emap: dict[int, int], sign: int, k: int, H: int) -> int:
-    """#integers x with x**k = sign·∏ p^e and 0 < |x| ≤ H."""
-    if any(e < 0 or e % k for e in emap.values()):
-        return 0
-    root = 1
-    for p, e in emap.items():
-        root *= p ** (e // k)
-        if root > H:
-            return 0
-    if k % 2 == 1:
-        return 1
-    return 2 if sign == 1 else 0
-
-
-def _sgn(x: int) -> int:
-    return 1 if x > 0 else -1
-
-
-def _curve_counts(sys: CurveSystemSpec, H: int) -> tuple[int, int]:
-    """(count, excluded-by-precondition) for the curve system in [−H,H]."""
+    One sweep over the solutions of the linear equation.  Each side of the
+    power equation is multiplied out as a Python int; by unique factorization
+    the sides are equal exactly when their signs and exponent maps are.  In
+    the 2var variants ν3 is not on the line: a point adds the number of x
+    with x^k3 equal to the quotient of the two sides and 0 < |x| ≤ H.
+    ``excluded`` counts the 3var solutions that α1ν1 ≠ J ≠ α2ν2 drops; it is
+    0 for the other variants.
+    """
     _validate_curve(sys)
     if H < 1:
         raise ValueError("H must be >= 1")
-    eA, eB = _exp_of(sys.A), _exp_of(sys.B)
-    sA, sB = _sgn(sys.A), _sgn(sys.B)
+    sides, na = CURVE_VARIANTS[sys.variant]
     k = sys.k
-    total = 0
-    excluded = 0
-
-    def signed_range():
-        yield from range(-H, 0)
-        yield from range(1, H + 1)
-
-    if sys.variant in ("2var-a", "2var-b"):
-        a1, a2 = sys.alpha
-        for v1 in signed_range():
-            num = sys.J - a1 * v1
-            if num == 0 or num % a2:
-                continue
-            v2 = num // a2
-            if abs(v2) > H:
-                continue
-            e1, e2 = _exp_of(v1), _exp_of(v2)
-            if sys.variant == "2var-a":
-                emap = _combine((1, eA), (k[0], e1), (k[1], e2), (-1, eB))
-                sign = sA * sB * _sgn(v1) ** k[0] * _sgn(v2) ** k[1]
-                total += _root_solutions(emap, sign, k[2], H)
+    a1, a2, J = sys.alpha[0], sys.alpha[1], sys.J
+    e = k[-1]
+    top = H**e
+    count = excluded = 0
+    for nu in enumerate_solutions(HyperplaneSpec(sys.alpha, J), DomainSpec("signed", H)):
+        lhs, rhs = sys.A, sys.B
+        for s, v, ki in zip(sides, nu, k):
+            if s > 0:
+                lhs *= v**ki
             else:
-                emap = _combine((1, eB), (k[1], e2), (-1, eA), (-k[0], e1))
-                sign = sA * sB * _sgn(v1) ** k[0] * _sgn(v2) ** k[1]
-                total += _root_solutions(emap, sign, k[2], H)
-        return total, 0
-
-    if sys.variant == "3var":
-        a1, a2, a3 = sys.alpha
-        for v1 in signed_range():
-            e1 = _exp_of(v1)
-            lhs1 = a1 * v1
-            rem1 = sys.J - lhs1
-            for v2 in signed_range():
-                num = rem1 - a2 * v2
-                if num == 0 or num % a3:
-                    continue
-                v3 = num // a3
-                if abs(v3) > H:
-                    continue
-                if sA * _sgn(v1) ** k[0] * _sgn(v2) ** k[1] != sB * _sgn(v3) ** k[2]:
-                    continue
-                lhs = _combine((1, eA), (k[0], e1), (k[1], _exp_of(v2)))
-                rhs = _combine((1, eB), (k[2], _exp_of(v3)))
-                if lhs != rhs:
-                    continue
-                if lhs1 == sys.J or a2 * v2 == sys.J:
-                    excluded += 1
-                else:
-                    total += 1
-        return total, excluded
-
-    # 4var
-    alpha = sys.alpha
-    piv = max(i for i in range(4) if alpha[i] != 0)
-    free = [i for i in range(4) if i != piv]
-    ap = alpha[piv]
-    for combo in product(list(signed_range()), repeat=3):
-        vals = [0, 0, 0, 0]
-        for i, v in zip(free, combo):
-            vals[i] = v
-        num = sys.J - sum(alpha[i] * vals[i] for i in free)
-        if num % ap:
-            continue
-        q = num // ap
-        if q == 0 or abs(q) > H:
-            continue
-        vals[piv] = q
-        if _sgn(vals[0]) ** k[0] * _sgn(vals[1]) ** k[1] != _sgn(vals[2]) ** k[2] * _sgn(vals[3]) ** k[3]:
-            continue
-        lhs = _combine((k[0], _exp_of(vals[0])), (k[1], _exp_of(vals[1])))
-        rhs = _combine((k[2], _exp_of(vals[2])), (k[3], _exp_of(vals[3])))
-        if lhs == rhs:
-            total += 1
-    return total, 0
+                rhs *= v**ki
+        if na < len(sides):
+            # x = ν3 joins the den side: x^k3 = num/den
+            num, den = (lhs, rhs) if sides[na] < 0 else (rhs, lhs)
+            q, r = divmod(num, den)
+            if r or abs(q) > top:
+                continue
+            x = _iroot(abs(q), e)
+            if x**e == abs(q):
+                count += 1 if e % 2 else (2 if q > 0 else 0)
+        elif lhs == rhs:
+            if sys.variant == "3var" and (a1 * nu[0] == J or a2 * nu[1] == J):
+                excluded += 1
+            else:
+                count += 1
+    return count, excluded
 
 
 def count_curve_system(sys: CurveSystemSpec, H: int) -> int:
     """Exact solution count with 0 < |ν_i| ≤ H, variant exclusions applied."""
-    return _curve_counts(sys, H)[0]
-
-
-def count_curve_system_excluded(sys: CurveSystemSpec, H: int) -> int:
-    """Side count: 3var solutions dropped by the α1ν1 ≠ J ≠ α2ν2 exclusion."""
-    return _curve_counts(sys, H)[1]
+    return curve_counts(sys, H)[0]

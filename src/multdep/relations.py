@@ -279,6 +279,22 @@ def full_support_relation(nu):
         L += 1 + maxabs
 
 
+def fatal_triple(N: int) -> tuple[int, int, int, tuple[int, ...]] | None:
+    """First triple a < b < c with a + b + c = N that has a full-support relation.
+
+    Returns (a, b, c, k) for the first hit in increasing a, then b, or None.
+    """
+    for a in range(1, N // 3 + 1):
+        for b in range(a + 1, (N - a) // 2 + 1):
+            c = N - a - b
+            if c <= b:
+                continue
+            k = full_support_relation((a, b, c))
+            if k is not None:
+                return a, b, c, k
+    return None
+
+
 def has_full_support_relation(nu) -> bool:
     """True iff some relation uses every coordinate with nonzero exponent."""
     return full_support_relation(nu) is not None

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -114,7 +115,57 @@ def test_curve(capsys):
         capsys, "curve", "--variant", "3var", "--k", "1,1,1",
         "--alpha", "3,1,-1", "--J", "3", "--H", "5",
     )
-    assert code == 0 and out.startswith("count ") and "excluded" in out
+    assert code == 0 and out == "count 0\nexcluded 11\n"
+    code, out, _ = run(
+        capsys, "curve", "--variant", "3var", "--A", "2", "--k", "1,1,2",
+        "--alpha=-3,-1,3", "--J", "1", "--H", "20",
+    )
+    assert code == 0 and out == "count 3\nexcluded 1\n"
+
+
+CACHE_PROBES = [
+    ["count", "--alpha", "1,-2,3", "--J", "2", "--H", "12", "--by-rank"],
+    ["curve", "--variant", "2var-a", "--A", "4", "--B", "-2", "--k", "1,2,2",
+     "--alpha", "1,-1", "--J", "3", "--H", "300"],
+    ["curve", "--variant", "2var-b", "--A", "-3", "--B", "12", "--k", "2,1,1",
+     "--alpha", "2,1", "--J", "5", "--H", "300"],
+    ["curve", "--variant", "3var", "--A", "2", "--k", "1,1,2", "--alpha=-3,-1,3",
+     "--J", "1", "--H", "20"],
+    ["curve", "--variant", "4var", "--k", "1,2,1,1", "--alpha", "1,-2,1,2", "--J", "3",
+     "--H", "8"],
+    ["constant", "--alpha", "1,2,3", "--J", "6"],
+]
+
+
+def _clear_package_caches():
+    """Empty every lru_cache and private module-level dict of the package."""
+    for name, mod in list(sys.modules.items()):
+        if name != "multdep" and not name.startswith("multdep."):
+            continue
+        for attr, obj in vars(mod).items():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+            elif attr.startswith("_") and not attr.startswith("__") and isinstance(obj, dict):
+                obj.clear()
+
+
+def test_outputs_survive_cleared_caches(capsys):
+    first = [run(capsys, *argv) for argv in CACHE_PROBES]
+    assert all(code == 0 and out for code, out, _ in first)
+    _clear_package_caches()
+    again = [run(capsys, *argv) for argv in CACHE_PROBES]
+    assert again == first
+
+
+def test_count_height_above_table_cap_exits_1_at_once(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "count", "--alpha", "1,1", "--J", "1", "--H", "1000000000")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # a one-coordinate plane builds no tables, so its height is not capped
+    code, out, _ = run(capsys, "count", "--alpha", "3", "--J", "3", "--H", "2000000")
+    assert code == 0 and out == "total_on_plane 1\ndependent 1\n"
 
 
 def test_psi0_fbase(capsys):

@@ -13,9 +13,9 @@ from multdep.latticecount import (
     DomainSpec,
     HyperplaneSpec,
     count_curve_system,
-    count_curve_system_excluded,
     count_S,
     covolume_ratio,
+    curve_counts,
     enumerate_solutions,
     hyperplane_lattice_count,
 )
@@ -257,33 +257,65 @@ def test_curve_preconditions():
         count_curve_system(CurveSystemSpec("5var", 1, 1, (1,), (1,), 2), 5)
 
 
+def _root_branches(sys: CurveSystemSpec, H: int) -> set[str]:
+    """Which ways a 2var line point can fail to give ν3 with ν3^k3 = num/den."""
+    (a1, a2), k, out = sys.alpha, sys.k, set()
+    for v1 in [x for x in range(-H, H + 1) if x != 0]:
+        v2, r = divmod(sys.J - a1 * v1, a2)
+        if r or v2 == 0 or abs(v2) > H:
+            continue
+        if sys.variant == "2var-a":
+            num, den = sys.A * v1 ** k[0] * v2 ** k[1], sys.B
+        else:
+            num, den = sys.B * v2 ** k[1], sys.A * v1 ** k[0]
+        if num % den:
+            out.add("not integral")
+        elif k[2] % 2 == 0 and num // den < 0:
+            out.add("even root of a negative")
+        elif orc._iroot(abs(num // den), k[2]) ** k[2] == abs(num // den) > H ** k[2]:
+            out.add("root above H")
+    return out
+
+
 def test_curve_brute_random(rng):
-    for _ in range(25):
+    # composite |A|, |B| and k <= 4 drive the 2var root count through each way
+    # a quotient can fail to be a k3-th power in range
+    branches = set()
+    for _ in range(60):
         variant = rng.choice(["2var-a", "2var-b", "3var", "4var"])
         if variant == "4var":
             A = B = 1
-            k = tuple(rng.randint(1, 2) for _ in range(4))
+            k = tuple(rng.randint(1, 4) for _ in range(4))
             alpha = tuple(rng.randint(-2, 2) for _ in range(4))
             if sum(1 for a in alpha if a == 0) > 1:
                 alpha = (1, 1, 1, 1)
             H = rng.randint(1, 4)
         else:
-            A, B = rng.choice([-2, -1, 1, 2]), rng.choice([-2, -1, 1, 2])
-            k = tuple(rng.randint(1, 3) for _ in range(3))
+            A, B = (rng.choice([1, 2, 4, 8, 9, 12]) * rng.choice([-1, 1]) for _ in range(2))
+            k = tuple(rng.randint(1, 4) for _ in range(3))
             alpha = tuple(rng.choice([-2, -1, 1, 2]) for _ in range(2 if variant != "3var" else 3))
             H = rng.randint(1, 7)
         J = rng.choice([-3, -2, -1, 1, 2, 3])
         sys = CurveSystemSpec(variant, A, B, k, alpha, J)
-        got = count_curve_system(sys, H)
-        got_ex = count_curve_system_excluded(sys, H)
-        want, want_ex = brute_curve(sys, H)
-        assert (got, got_ex) == (want, want_ex), (sys, H)
+        if variant.startswith("2var"):
+            branches |= _root_branches(sys, H)
+        assert curve_counts(sys, H) == brute_curve(sys, H), (sys, H)
+    assert branches == {"not integral", "even root of a negative", "root above H"}
+
+
+def test_iroot_is_exact():
+    for k in range(1, 6):
+        for m in range(2000):
+            assert lc._iroot(m, k) == orc._iroot(m, k), (m, k)
+        for r in (10**6, 3**40, 2**90 + 1):
+            for m in (r**k - 1, r**k, r**k + 1):
+                assert lc._iroot(m, k) == orc._iroot(m, k), (m, k)
 
 
 def test_curve_excluded_side_count():
     # (1, x, x) solves ν1·ν2 = ν3 with J·ν1 + ν2 − ν3 = J but is excluded
     sys = CurveSystemSpec("3var", 1, 1, (1, 1, 1), (3, 1, -1), 3)
-    assert count_curve_system_excluded(sys, 10) > 0
+    assert curve_counts(sys, 10)[1] > 0
 
 
 def test_curve_even_exponent_sign_pairs():

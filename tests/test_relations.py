@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import _oracles as orc
 from multdep.relations import (
     exponent_matrix,
+    fatal_triple,
     full_support_relation,
     has_full_support_relation,
     is_dependent,
@@ -240,3 +241,11 @@ def test_rank_embedded_circuit():
     assert not is_dependent((6, 10, 15))
     assert mult_rank((6, 10, 15, 30)) == 3
     assert mult_rank((6, 10, 15, 7)) == 4
+
+
+def test_fatal_triple_first_hit():
+    assert fatal_triple(16) is None
+    a, b, c, k = fatal_triple(17)
+    assert (a, b, c) == (2, 3, 12)
+    assert all(k) and verify_relation((a, b, c), k)
+    assert fatal_triple(3) is None
