@@ -7,15 +7,16 @@ sparse integer polynomials.  Everything here is exact; nothing uses floats
 or probabilistic primality.
 
 The sieve starts at 4096 entries on first use and doubles when a value past
-its end is factorized, up to the limit given by the ``MULTDEP_SIEVE_LIMIT``
-environment variable (default 10**6); values above the limit use trial
-division.  A regrown table replaces the old one, which is never modified.
+its end is factorized, up to ``SIEVE_LIMIT`` (10**6); values above the limit
+use trial division.  A regrown table replaces the old one, which is never
+modified.  The factorization cache and the lookup tables are bounded: at most
+``_FACTOR_CACHE`` factorizations, and one power-base and one radical table,
+the largest built so far, whose prefixes serve smaller limits.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import repeat
@@ -24,33 +25,21 @@ import numpy as np
 
 from .errors import RegimeError
 
-DEFAULT_SIEVE_LIMIT = 10**6
+SIEVE_LIMIT = 10**6
 _SIEVE_START = 4096
+_FACTOR_CACHE = 1 << 16
 
 _spf_table: np.ndarray | None = None
-_spf_full = False  # the table reaches sieve_limit(): never regrow
-
-
-def sieve_limit() -> int:
-    """Configured sieve bound (inclusive); values above it use trial division."""
-    raw = os.environ.get("MULTDEP_SIEVE_LIMIT", "")
-    try:
-        limit = int(raw) if raw else DEFAULT_SIEVE_LIMIT
-    except ValueError:
-        limit = DEFAULT_SIEVE_LIMIT
-    return min(max(limit, 16), 2**31 - 2)
 
 
 def _grow_spf(a: int) -> np.ndarray:
     """Smallest-prime-factor table over [0, size), size doubled from the
-    current one (at least 4096) until it covers ``a`` or reaches sieve_limit()."""
-    global _spf_table, _spf_full
+    current one (at least 4096) until it covers ``a`` or reaches SIEVE_LIMIT."""
+    global _spf_table
     size = _SIEVE_START if _spf_table is None else 2 * _spf_table.shape[0]
     while size <= a:
         size *= 2
-    end = sieve_limit() + 1
-    if size >= end:
-        size, _spf_full = end, True
+    size = min(size, SIEVE_LIMIT + 1)
     spf = np.zeros(size, dtype=np.int32)
     for p in range(2, math.isqrt(size - 1) + 1):
         if spf[p] == 0:
@@ -81,12 +70,12 @@ class SignedFactorization:
         return m
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_FACTOR_CACHE)
 def _abs_exponents(a: int) -> tuple[tuple[int, int], ...]:
     """Prime-exponent pairs of ``a`` ≥ 1, ascending primes."""
     pairs = []
     spf = _spf_table
-    if spf is None or (a >= spf.shape[0] and not _spf_full):
+    if spf is None or (a >= spf.shape[0] and spf.shape[0] <= SIEVE_LIMIT):
         spf = _grow_spf(a)
     if a < spf.shape[0]:
         while a > 1:
@@ -200,19 +189,35 @@ def _extent(f) -> tuple[int, int]:
 def _dense_product(factors) -> np.ndarray:
     """int64 coefficients of ∏ factors, index 0 holding the lowest exponent.
 
-    Exact only while ∏ Σ|weights| < 2**63 (the caller checks).
+    Exact only while ∏ Σ|weights| < 2**63 (the caller checks).  A range
+    factor of length L and step ±s is a window sum of width L along each
+    residue class mod s: a running sum less the same sum L·s back, so it
+    costs O(length of the product), not L slice-adds.
     """
     acc = np.ones(1, dtype=np.int64)
     for f in factors:
         flo, fhi = _extent(f)
         n = acc.shape[0]
-        new = np.zeros(n + fhi - flo, dtype=np.int64)
-        for e, w in _terms(f):
-            pos = e - flo
-            if w == 1:
-                new[pos : pos + n] += acc
-            else:
-                new[pos : pos + n] += w * acc
+        size = n + fhi - flo
+        if isinstance(f, range):
+            # a one-term range spans nothing, so its step may dwarf the
+            # product; clamping keeps the rows within it (one row, no lag)
+            s = min(abs(f.step), size)
+            back = len(f) * s
+            rows = -(-size // s)
+            run = np.zeros(rows * s, dtype=np.int64)
+            run[:n] = acc
+            new = np.cumsum(run.reshape(rows, s), axis=0).ravel()[:size]
+            if size > back:  # numpy reads overlapping operands as copies
+                new[back:] -= new[: size - back]
+        else:
+            new = np.zeros(size, dtype=np.int64)
+            for e, w in f.items():
+                pos = e - flo
+                if w == 1:  # no temporary for the common unit weight
+                    new[pos : pos + n] += acc
+                else:
+                    new[pos : pos + n] += w * acc
         acc = new
     return acc
 
@@ -269,8 +274,45 @@ def poly_product(factors, at: int | None = None):
 
 # ── lookup tables for the counting kernels ───────────────────────────────
 
+# one table each, the largest built so far, keyed by its limit
 _base_tables: dict[int, np.ndarray] = {}
 _radical_tables: dict[int, np.ndarray] = {}
+
+
+def _largest(tables: dict[int, np.ndarray], limit: int, build) -> np.ndarray:
+    """table[:limit + 1] of the kept table, first replacing it by
+    ``build(limit)`` when it is shorter."""
+    if max(tables, default=-1) < limit:
+        tables.clear()
+        tables[limit] = build(limit)
+        tables[limit].setflags(write=False)  # callers share it through views
+    return tables[max(tables)][: limit + 1]
+
+
+def _build_base_table(limit: int) -> np.ndarray:
+    t = np.zeros(limit + 1, dtype=np.int64)
+    if limit >= 1:
+        t[1] = 1
+    for b in range(2, limit + 1):
+        if t[b] == 0:
+            v = b
+            while v <= limit:
+                t[v] = b
+                v *= b
+    return t
+
+
+def _build_radical_table(limit: int) -> np.ndarray:
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    rad = np.ones(limit + 1, dtype=np.int64)
+    rad[0] = 0
+    for p in np.nonzero(is_prime)[0]:
+        rad[p::p] *= p
+    return rad
 
 
 def power_base_table(limit: int) -> np.ndarray:
@@ -279,31 +321,9 @@ def power_base_table(limit: int) -> np.ndarray:
     Two values above 1 are multiplicatively dependent as a pair exactly when
     their table entries coincide.
     """
-    if limit not in _base_tables:
-        t = np.zeros(limit + 1, dtype=np.int64)
-        if limit >= 1:
-            t[1] = 1
-        for b in range(2, limit + 1):
-            if t[b] == 0:
-                v = b
-                while v <= limit:
-                    t[v] = b
-                    v *= b
-        _base_tables[limit] = t
-    return _base_tables[limit]
+    return _largest(_base_tables, limit, _build_base_table)
 
 
 def radical_table(limit: int) -> np.ndarray:
     """table[m] = radical(m) for 1 <= m <= limit (table[0] = 0)."""
-    if limit not in _radical_tables:
-        is_prime = np.ones(limit + 1, dtype=bool)
-        is_prime[:2] = False
-        for p in range(2, math.isqrt(limit) + 1):
-            if is_prime[p]:
-                is_prime[p * p :: p] = False
-        rad = np.ones(limit + 1, dtype=np.int64)
-        rad[0] = 0
-        for p in np.nonzero(is_prime)[0]:
-            rad[p::p] *= p
-        _radical_tables[limit] = rad
-    return _radical_tables[limit]
+    return _largest(_radical_tables, limit, _build_radical_table)

@@ -160,8 +160,8 @@ def _cmd_depcheck(args) -> None:
 def _cmd_count(args) -> None:
     spec = HyperplaneSpec(args.alpha, args.J)
     dom = DomainSpec("positive" if args.positive else "signed", args.H)
-    rep = latticecount.count_S(spec, dom, stratify=args.by_rank)
-    ranks = sorted(rep.by_rank)
+    rep = latticecount.count_S(spec, dom)
+    ranks = sorted(rep.by_rank) if args.by_rank else []
     if args.format == "text":
         if rep.degenerate:
             print("degenerate: all-zero alpha with J != 0 has no solutions")

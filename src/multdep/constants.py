@@ -24,7 +24,6 @@ multiplication, never with floating logs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -94,21 +93,49 @@ def _V_unit(beta) -> Fraction:
     return slicevol.V_alpha(beta, "unit", 0)
 
 
+def _V_simplex(beta) -> Fraction:
+    return slicevol.V_alpha_positive(beta, 1, 1)
+
+
+def _rank0_families(a: tuple[int, ...], J: int, signs) -> list:
+    """(α*_i, levels J − s·α_i) for each i: ν_i is pinned to s.  ``signs``
+    lists the s taken: ±1 in the signed domain, +1 in the positive orthant."""
+    return [(alpha_star(a, i), [J - s * a[i - 1] for s in signs]) for i in range(1, len(a) + 1)]
+
+
+def _rank1_families(a: tuple[int, ...], J: int, signs) -> list:
+    """(α±, [J]) for each pair i1 < i2 and s in ``signs``: ν_{i1} = s·ν_{i2},
+    and α± appends α_{i1} + s·α_{i2}."""
+    n = len(a)
+    return [
+        (alpha_pm(a, i1, i2, "plus" if s > 0 else "minus"), [J])
+        for i1 in range(1, n + 1) for i2 in range(i1 + 1, n + 1) for s in signs
+    ]
+
+
+def _family_sum(families, density, degenerate: str = "a family has no nonzero coefficient"):
+    """Σ δ·density(β) over (β, levels) families, δ counting the levels on
+    which β is solvable.  Raises RegimeError(degenerate) when a counted β is
+    all zero."""
+    total = Fraction(0)
+    for beta, levels in families:
+        d = sum(delta(beta, level) for level in levels)
+        if d:
+            if not any(beta):
+                raise RegimeError(degenerate)
+            total += d * density(beta)
+    return total
+
+
 def C0(alpha, J: int) -> Fraction:
     """Rank-0 constant: families with one coordinate pinned to ±1."""
     a = tuple(int(x) for x in alpha)
     n = len(a)
     if n < 2:
         raise RegimeError("C0 requires dimension n >= 2")
-    total = Fraction(0)
-    for i in range(1, n + 1):
-        star = alpha_star(a, i)
-        d = delta(star, J - a[i - 1]) + delta(star, J + a[i - 1])
-        if d:
-            if all(x == 0 for x in star):
-                raise RegimeError("C0 needs a second nonzero coefficient (k >= 2)")
-            total += d * _V_half(star)
-    return Fraction(2) ** (n - 2) * total
+    return Fraction(2) ** (n - 2) * _family_sum(
+        _rank0_families(a, J, (1, -1)), _V_half, "C0 needs a second nonzero coefficient (k >= 2)"
+    )
 
 
 def C1(alpha, J: int) -> Fraction:
@@ -117,16 +144,9 @@ def C1(alpha, J: int) -> Fraction:
     n = len(a)
     if n < 2:
         raise RegimeError("C1 requires dimension n >= 2")
-    total = Fraction(0)
-    for i1 in range(1, n + 1):
-        for i2 in range(i1 + 1, n + 1):
-            for sign in ("minus", "plus"):
-                beta = alpha_pm(a, i1, i2, sign)
-                if delta(beta, J):
-                    if all(x == 0 for x in beta):
-                        raise RegimeError("C1 with J = 0 needs a third nonzero coefficient")
-                    total += _V_half(beta)
-    return Fraction(2) ** (n - 2) * total
+    return Fraction(2) ** (n - 2) * _family_sum(
+        _rank1_families(a, J, (1, -1)), _V_half, "C1 with J = 0 needs a third nonzero coefficient"
+    )
 
 
 def _nonzero_indices(alpha) -> list[int]:
@@ -385,43 +405,15 @@ def C_positive(alpha, J: int) -> ConstantBreakdown:
     pos = sum(1 for x in a if x > 0)
     neg = sum(1 for x in a if x < 0)
     if all(x > 0 for x in a):
-        fact = math.factorial(n - 2)
-        c0 = Fraction(0)
-        for i in range(1, n + 1):
-            star = alpha_star(a, i)
-            if delta(star, J - a[i - 1]):
-                prod = 1
-                for x in star:
-                    prod *= x
-                c0 += Fraction(arith.gcd_vec(star), prod)
-        c0 /= fact
-        c1 = Fraction(0)
-        for i1 in range(1, n + 1):
-            for i2 in range(i1 + 1, n + 1):
-                beta = alpha_pm(a, i1, i2, "plus")
-                if delta(beta, J):
-                    prod = 1
-                    for j, x in enumerate(a, start=1):
-                        if j not in (i1, i2):
-                            prod *= x
-                    c1 += Fraction(arith.gcd_vec(beta), (a[i1 - 1] + a[i2 - 1]) * prod)
-        c1 /= fact
+        c0 = _family_sum(_rank0_families(a, J, (1,)), _V_simplex)
+        c1 = _family_sum(_rank1_families(a, J, (1,)), _V_simplex)
         return ConstantBreakdown(
             k=n, c0=c0, c1=c1, c2=Fraction(0), total=c0 + c1, h_exponent=n - 2,
             regime="all-positive coefficients, positive orthant; growth in J (J > max alpha_i)",
         )
     if pos >= 2 and neg >= 2:
-        c0 = Fraction(0)
-        for i in range(1, n + 1):
-            star = alpha_star(a, i)
-            if delta(star, J - a[i - 1]):
-                c0 += _V_unit(star)
-        c1 = Fraction(0)
-        for i1 in range(1, n + 1):
-            for i2 in range(i1 + 1, n + 1):
-                beta = alpha_pm(a, i1, i2, "plus")
-                if delta(beta, J):
-                    c1 += _V_unit(beta)
+        c0 = _family_sum(_rank0_families(a, J, (1,)), _V_unit)
+        c1 = _family_sum(_rank1_families(a, J, (1,)), _V_unit)
         return ConstantBreakdown(
             k=len(_nonzero_indices(a)), c0=c0, c1=c1, c2=Fraction(0), total=c0 + c1,
             h_exponent=n - 2,

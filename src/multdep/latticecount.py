@@ -1,9 +1,9 @@
 """Exact enumeration and counting of integer vectors on hyperplanes.
 
 The central object is the count of multiplicatively dependent vectors ν with
-nonzero coordinates, 0 < |ν_i| ≤ H, lying on α·ν = J, optionally stratified
-by multiplicative rank.  Counting is exhaustive: one coordinate with nonzero
-α is solved from the others, the innermost free coordinate is swept as a
+nonzero coordinates, 0 < |ν_i| ≤ H, lying on α·ν = J, always split by
+multiplicative rank.  Counting is exhaustive: one coordinate with nonzero α
+is solved from the others, the innermost free coordinate is swept as a
 vector, and each visited solution is classified exactly.
 
 Classification cascade per visited vector (cheapest first):
@@ -12,8 +12,9 @@ Classification cascade per visited vector (cheapest first):
            values above 1 is dependent exactly when their bases coincide);
   deeper   a subset of size ≥ 3 can only be dependent if each of its members
            has every prime factor shared with another member, so vectors with
-           fewer than three such "covered" coordinates are independent; the
-           few survivors get an exact exponent-matrix rank test.
+           fewer than three such "covered" coordinates are independent; each
+           survivor's rank is one less than the size of its smallest
+           dependent subset of exponent rows (``relations.rank_from_rows``).
 
 Sign symmetry: dependence and rank depend only on absolute values, so any
 free coordinate with α_i = 0 is swept over [1, H] with multiplicity 2 in the
@@ -29,6 +30,7 @@ Sweeps refuse H above ``_TABLE_CAP`` with RegimeError before building tables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -80,7 +82,7 @@ class DomainSpec:
 class CountReport:
     """Exact counts for one (spec, domain) pair.
 
-    ``by_rank`` is filled only for stratified counts and then sums to
+    ``by_rank`` maps each multiplicative rank met to its count and sums to
     ``dependent_total``.
     """
 
@@ -88,7 +90,6 @@ class CountReport:
     J: int
     domain: str
     H: int
-    stratify: bool
     total_on_plane: int = 0
     dependent_total: int = 0
     by_rank: dict[int, int] = field(default_factory=dict)
@@ -226,8 +227,7 @@ def _axis_values(a_i: int, H: int, signed: bool) -> tuple[np.ndarray, int]:
 def _classify_block(
     report: CountReport,
     outer_abs: tuple[int, ...],
-    inner_abs: np.ndarray,
-    pivot_abs: np.ndarray | None,
+    cols: list[np.ndarray],
     valid: np.ndarray,
     weight: int,
     base: np.ndarray,
@@ -236,53 +236,46 @@ def _classify_block(
 ) -> None:
     """Classify one block of rows and add its counts to ``report``.
 
+    ``outer_abs`` holds the absolute values shared by every row and ``cols``
+    one array of absolute values per remaining coordinate, each entry in
+    [1, H]; rows outside ``valid`` are not solutions and are skipped.
     ``base`` and ``rad`` are the minimal-base and radical tables up to H;
-    ``memo`` maps sorted absolute values to their deep rank test result.
+    ``memo`` maps sorted absolute values to their rank.
     """
     visited = int(valid.sum()) * weight
     if visited == 0:
         return
     report.total_on_plane += visited
-    stratify = report.stratify
-    n = len(outer_abs) + (2 if pivot_abs is not None else 1)
+    by_rank = report.by_rank
+    n = len(outer_abs) + len(cols)
 
-    if any(v == 1 for v in outer_abs):
+    if 1 in outer_abs:
         m0 = valid
     else:
-        m0 = valid & (inner_abs == 1)
-        if pivot_abs is not None:
-            m0 = m0 | (valid & (pivot_abs == 1))
+        m0 = np.zeros_like(valid)
+        for c in cols:
+            m0 |= c == 1
+        m0 &= valid
     c0 = int(m0.sum()) * weight
-    report.dependent_total += c0
-    if stratify and c0:
-        report.by_rank[0] = report.by_rank.get(0, 0) + c0
+    if c0:
+        by_rank[0] = by_rank.get(0, 0) + c0
     rest = valid & ~m0
     if not rest.any():
         return
 
     outer_base = [int(base[v]) for v in outer_abs]
-    scalar_pair = any(
-        outer_base[i] == outer_base[j]
-        for i in range(len(outer_base))
-        for j in range(i + 1, len(outer_base))
-    )
-    if scalar_pair:
+    if len(set(outer_base)) < len(outer_base):
         m1 = rest
     else:
-        inner_base = base[inner_abs]
         m1 = np.zeros_like(rest)
-        for b in outer_base:
-            m1 |= inner_base == b
-        if pivot_abs is not None:
-            pivot_base = base[np.where(rest, pivot_abs, 1)]
-            for b in outer_base:
-                m1 |= pivot_base == b
-            m1 |= inner_base == pivot_base
+        col_base = [base[c] for c in cols]
+        for i, cb in enumerate(col_base):
+            for b in outer_base + col_base[:i]:
+                m1 |= cb == b
         m1 &= rest
     c1 = int(m1.sum()) * weight
-    report.dependent_total += c1
-    if stratify and c1:
-        report.by_rank[1] = report.by_rank.get(1, 0) + c1
+    if c1:
+        by_rank[1] = by_rank.get(1, 0) + c1
     rest = rest & ~m1
     if n < 3 or not rest.any():
         return
@@ -290,44 +283,28 @@ def _classify_block(
     # cover filter: a dependent subset of size ≥ 3 needs each member's primes
     # to reappear among the other coordinates (else its exponent is forced 0)
     if report.H**n < 2**62:
-        prod_all = np.where(rest, inner_abs, 1).astype(np.int64)
-        if pivot_abs is not None:
-            prod_all = prod_all * np.where(rest, pivot_abs, 1)
-        for v in outer_abs:
-            prod_all = prod_all * v
+        prod_all = np.int64(math.prod(outer_abs))
+        for c in cols:
+            prod_all = prod_all * c
         cov = np.zeros(rest.shape, dtype=np.int8)
         for v in outer_abs:
-            cov += ((prod_all // v) % int(rad[v]) == 0).astype(np.int8)
-        safe_inner = np.where(rest, inner_abs, 1)
-        cov += ((prod_all // safe_inner) % rad[safe_inner] == 0).astype(np.int8)
-        if pivot_abs is not None:
-            safe_piv = np.where(rest, pivot_abs, 1)
-            cov += ((prod_all // safe_piv) % rad[safe_piv] == 0).astype(np.int8)
+            cov += (prod_all // v) % int(rad[v]) == 0
+        for c in cols:
+            cov += (prod_all // c) % rad[c] == 0
         candidates = rest & (cov >= 3)
     else:
         candidates = rest
 
     for i in np.nonzero(candidates)[0]:
-        vals = list(outer_abs)
-        vals.append(int(inner_abs[i]))
-        if pivot_abs is not None:
-            vals.append(int(pivot_abs[i]))
-        key = tuple(sorted(vals))
+        key = tuple(sorted(outer_abs + tuple(int(c[i]) for c in cols)))
         r = memo.get(key)
         if r is None:
             # no ±1 and no dependent pair here, so subsets start at size 3;
-            # an unstratified count needs only the full-rank test.  Either
-            # result is below n exactly when the vector is dependent.
+            # the rank is below n exactly when the vector is dependent
             rows = relations.exponent_matrix(key).rows
-            if stratify:
-                r = relations.rank_from_rows(rows, smallest=3)
-            else:
-                r = relations.rank_of_rows(rows)
-            memo[key] = r
+            r = memo[key] = relations.rank_from_rows(rows, smallest=3)
         if r < n:
-            report.dependent_total += weight
-            if stratify:
-                report.by_rank[r] = report.by_rank.get(r, 0) + weight
+            by_rank[r] = by_rank.get(r, 0) + weight
 
 
 # largest H for which a sweep builds its minimal-base and radical tables
@@ -335,16 +312,17 @@ def _classify_block(
 _TABLE_CAP = 1 << 22
 
 
-def count_S(spec: HyperplaneSpec, domain: DomainSpec, stratify: bool = False) -> CountReport:
-    """Exact count of multiplicatively dependent vectors on α·ν = J.
+def count_S(spec: HyperplaneSpec, domain: DomainSpec) -> CountReport:
+    """Exact count of multiplicatively dependent vectors on α·ν = J, by rank.
 
-    With ``stratify`` the count splits by multiplicative rank.  The all-zero
-    α with J = 0 counts unconstrained dependent vectors in the box; all-zero
-    α with J ≠ 0 has no solutions and returns a report flagged degenerate.
+    ``by_rank`` maps each multiplicative rank met to its count, and
+    ``dependent_total`` is their sum.  The all-zero α with J = 0 counts
+    unconstrained dependent vectors in the box; all-zero α with J ≠ 0 has no
+    solutions and returns a report flagged degenerate.
     """
     H = domain.H
     signed = domain.kind == "signed"
-    report = CountReport(spec.alpha, spec.J, domain.kind, H, stratify)
+    report = CountReport(spec.alpha, spec.J, domain.kind, H)
     if spec.nnz == 0 and spec.J != 0:
         report.degenerate = True
         return report
@@ -359,17 +337,24 @@ def count_S(spec: HyperplaneSpec, domain: DomainSpec, stratify: bool = False) ->
         pivot = _pivot_index(alpha)
         free = [i for i in range(n) if i != pivot]
 
-    if not free:
+    if free:
+        _sweep(report, spec, signed, pivot, free)
+    else:
         # n == 1 with a single constrained coordinate
         q, r = divmod(spec.J, alpha[pivot])
         if r == 0 and q != 0 and abs(q) <= H and (signed or q >= 1):
             report.total_on_plane = 1
             if abs(q) == 1:
-                report.dependent_total = 1
-                if stratify:
-                    report.by_rank[0] = 1
-        return report
+                report.by_rank[0] = 1
+    report.dependent_total = sum(report.by_rank.values())
+    return report
 
+
+def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool, pivot, free) -> None:
+    """Visit every solution, the pivot (if any) solved from the ``free``
+    coordinates, one block of rows per value of all but the last of them."""
+    H = report.H
+    alpha = spec.alpha
     if H > _TABLE_CAP:
         raise RegimeError(f"height {H} needs lookup tables above the cap {_TABLE_CAP}")
     base = arith.power_base_table(H)
@@ -384,7 +369,7 @@ def count_S(spec: HyperplaneSpec, domain: DomainSpec, stratify: bool = False) ->
     memo: dict = {}
     # without a pivot (α = 0, J = 0) every row is a solution
     valid = np.ones(inner_vals.shape, dtype=bool)
-    pivot_abs = None
+    cols = [inner_abs]
     for combo in product(*[axes[i][0].tolist() for i in outers]):
         if pivot is not None:
             rem = spec.J - sum(alpha[i] * v for i, v in zip(outers, combo))
@@ -397,10 +382,9 @@ def count_S(spec: HyperplaneSpec, domain: DomainSpec, stratify: bool = False) ->
                 valid &= (pv >= 1) & (pv <= H)
             if not valid.any():
                 continue
-            pivot_abs = np.where(valid, np.abs(pv), 1)
-        _classify_block(report, tuple(abs(v) for v in combo), inner_abs, pivot_abs,
-                        valid, weight, base, rad, memo)
-    return report
+            cols = [inner_abs, np.where(valid, np.abs(pv), 1)]
+        _classify_block(report, tuple(abs(v) for v in combo), cols, valid,
+                        weight, base, rad, memo)
 
 
 # ── curve systems: one multiplicative and one linear equation ────────────

@@ -2,6 +2,7 @@ import time
 from itertools import product
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -155,18 +156,23 @@ def test_radical_table_matches_radical():
         assert t[m] == arith.radical(m)
 
 
-def test_sieve_limit_env(monkeypatch):
-    monkeypatch.setenv("MULTDEP_SIEVE_LIMIT", "12345")
-    assert arith.sieve_limit() == 12345
-    monkeypatch.setenv("MULTDEP_SIEVE_LIMIT", "not-a-number")
-    assert arith.sieve_limit() == arith.DEFAULT_SIEVE_LIMIT
+def test_tables_keep_the_largest_and_slice_it(monkeypatch):
+    monkeypatch.setattr(arith, "_base_tables", {})
+    monkeypatch.setattr(arith, "_radical_tables", {})
+    for build in (arith.power_base_table, arith.radical_table):
+        big = build(500)
+        small = build(120)
+        assert small.shape == (121,) and np.shares_memory(small, big)
+        assert build(800).shape == (801,)
+        assert (build(120) == small).all()
+    assert list(arith._base_tables) == [800] == list(arith._radical_tables)
+    assert not arith._base_tables[800].flags.writeable
 
 
 @pytest.fixture
 def fresh_sieve(monkeypatch):
     """No SPF table yet; the module's table and cache come back after the test."""
     monkeypatch.setattr(arith, "_spf_table", None)
-    monkeypatch.setattr(arith, "_spf_full", False)
     arith._abs_exponents.cache_clear()
     yield
     arith._abs_exponents.cache_clear()
@@ -176,18 +182,17 @@ def test_sieve_starts_small_and_doubles_on_demand(fresh_sieve):
     assert arith.factorize(12).exponents == {2: 2, 3: 1}
     assert arith._spf_table.shape[0] == 4096
     assert arith.factorize(5003 * 2).exponents == {2: 1, 5003: 1}
-    assert arith._spf_table.shape[0] == 16384 and not arith._spf_full
+    assert arith._spf_table.shape[0] == 16384
     assert arith.factorize(4093).exponents == {4093: 1}  # no regrowth below the end
     assert arith._spf_table.shape[0] == 16384
 
 
 def test_sieve_stops_at_the_limit(fresh_sieve, monkeypatch):
-    monkeypatch.setenv("MULTDEP_SIEVE_LIMIT", "20000")
+    monkeypatch.setattr(arith, "SIEVE_LIMIT", 20000)
     m = 1_000_003 * 999_983
     assert arith.factorize(m).exponents == {999_983: 1, 1_000_003: 1}
-    assert arith._spf_table.shape[0] == 20001 and arith._spf_full
-    monkeypatch.setenv("MULTDEP_SIEVE_LIMIT", "50000")  # read only while regrowing
-    assert arith.factorize(40_000).exponents == {2: 6, 5: 4}
+    assert arith._spf_table.shape[0] == 20001
+    assert arith.factorize(40_000).exponents == {2: 6, 5: 4}  # trial division
     assert arith._spf_table.shape[0] == 20001
     for v in range(2, 3000):
         assert arith.factorize(v).value() == v
@@ -214,7 +219,7 @@ def test_poly_product_matches_expansion(rng):
         factors = []
         for _ in range(rng.randint(0, 5)):
             if rng.random() < 0.3:
-                step = rng.choice([-3, -1, 1, 2])
+                step = rng.choice([-7, -3, -1, 1, 2, 5])
                 start = rng.randint(-6, 6)
                 factors.append(range(start, start + step * rng.randint(1, 5), step))
             else:
@@ -228,6 +233,16 @@ def test_poly_product_matches_expansion(rng):
             low = sum(min(f) for f in factors)
             dense = arith._dense_product(factors)
             assert {low + i: int(c) for i, c in enumerate(dense) if c} == want
+    # range factors of step |a| > 1, some applied to a product shorter than
+    # their length times their step
+    for factors in ([range(3, 13, 5)], [range(0, -22, -7)], [{0: 1, 1: -2}, range(4, -5, -4)],
+                    [range(0, 3), range(1, 40, 9), {0: 2, 5: 1}], [range(2, 3, 6), range(-1, 2)],
+                    [range(-1, 2), range(5, 6, 10**12), range(0, -10**12, -10**12)]):
+        want = _expand(factors)
+        assert arith.poly_product(factors) == want
+        low = sum(min(f) for f in factors)
+        dense = arith._dense_product(factors)
+        assert {low + i: int(c) for i, c in enumerate(dense) if c} == want
 
 
 def test_poly_product_int64_switch_boundary(monkeypatch):

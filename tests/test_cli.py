@@ -51,6 +51,18 @@ def test_count_by_rank_json(capsys):
     assert data["dependent"] == 10 and data["by_rank"] == {"0": 9, "1": 1}
 
 
+def test_count_prints_ranks_only_with_by_rank(capsys):
+    argv = ("count", "--alpha", "1,1,1", "--J", "6", "--H", "6", "--positive", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == (
+        '{\n  "alpha": [\n    1,\n    1,\n    1\n  ],\n  "J": 6,\n  "H": 6,\n'
+        '  "domain": "positive",\n  "total_on_plane": 10,\n  "dependent": 10,\n'
+        '  "by_rank": {},\n  "degenerate": false\n}\n'
+    )
+    code, out, _ = run(capsys, "count", "--alpha", "1,2,3", "--J", "1", "--H", "9")
+    assert code == 0 and out == "total_on_plane 99\ndependent 68\n"
+
+
 def test_count_csv(capsys):
     code, out, _ = run(
         capsys, "count", "--alpha", "1,1", "--J", "2", "--H", "12", "--format", "csv"

@@ -62,7 +62,7 @@ def test_C2_k3_empirical_rank2_mass():
     # (4, -2t, t) and (-2t, 4, t) with t not a power of two contribute
     # exactly 2·(#t) vectors, and everything else is a √H·log H fringe
     H = 400
-    rep = count_S(HyperplaneSpec((1, 1, 2), 4), DomainSpec("signed", H), stratify=True)
+    rep = count_S(HyperplaneSpec((1, 1, 2), 4), DomainSpec("signed", H))
     powers = {2**e for e in range(1, 10)}
     per_family = 2 * sum(1 for t in range(2, H // 2 + 1) if t not in powers)
     forced = 2 * per_family

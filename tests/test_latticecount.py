@@ -2,9 +2,11 @@ import time
 from fractions import Fraction as F
 from itertools import product
 
+import numpy as np
 import pytest
 
 import _oracles as orc
+from multdep import arith
 from multdep import latticecount as lc
 from multdep import slicevol
 from multdep.errors import RegimeError
@@ -72,6 +74,19 @@ def test_lattice_count_oversized_box_raises_at_once():
     assert hyperplane_lattice_count(HyperplaneSpec((1, 2), 10**10), [(-10**9, 10**9)] * 2) == 0
 
 
+def test_lattice_count_is_linear_in_box_width():
+    # each range factor is one running sum, not one slice-add per value
+    H = 10**5
+    t0 = time.perf_counter()
+    got = hyperplane_lattice_count(HyperplaneSpec((1, 1, 1), 0), [(-H, H)] * 3)
+    assert time.perf_counter() - t0 < 1
+    assert got == 3 * H * H + 3 * H + 1
+    # a one-point coordinate with a huge coefficient is a single shift
+    t0 = time.perf_counter()
+    assert hyperplane_lattice_count(HyperplaneSpec((10**12, 1), 10**12 + 3), [(1, 1), (-5, 5)]) == 1
+    assert time.perf_counter() - t0 < 1
+
+
 def test_lattice_count_all_zero_alpha():
     assert hyperplane_lattice_count(HyperplaneSpec((0, 0), 0), [(-2, 2)] * 2) == 25
     assert hyperplane_lattice_count(HyperplaneSpec((0, 0), 3), [(-2, 2)] * 2) == 0
@@ -132,7 +147,7 @@ def test_enumeration_exact_and_unique(rng):
 def test_count_examples():
     rep = count_S(HyperplaneSpec((1, 0, 0), 1), DomainSpec("signed", 5))
     assert rep.dependent_total == 100 and rep.total_on_plane == 100
-    rep = count_S(HyperplaneSpec((1, 1, 1), 6), DomainSpec("positive", 6), stratify=True)
+    rep = count_S(HyperplaneSpec((1, 1, 1), 6), DomainSpec("positive", 6))
     assert rep.dependent_total == 10
     assert rep.by_rank == {0: 9, 1: 1}
     rep = count_S(HyperplaneSpec((0, 0), 0), DomainSpec("signed", 1))
@@ -160,7 +175,7 @@ def test_count_matches_brute_enumeration(rng):
                 dep += 1
                 r = orc.subset_rank_oracle(v)
                 by_rank[r] = by_rank.get(r, 0) + 1
-        rep = count_S(spec, ds, stratify=True)
+        rep = count_S(spec, ds)
         if spec.nnz == 0 and J != 0:
             assert rep.degenerate
             continue
@@ -174,7 +189,7 @@ def test_count_rank_sum_identity(rng):
         alpha = tuple(rng.randint(-2, 2) for _ in range(3))
         J = rng.randint(-4, 4)
         spec = HyperplaneSpec(alpha, J)
-        rep = count_S(spec, DomainSpec("signed", 8), stratify=True)
+        rep = count_S(spec, DomainSpec("signed", 8))
         if rep.degenerate:
             continue
         assert sum(rep.by_rank.values()) == rep.dependent_total
@@ -326,7 +341,7 @@ def test_curve_even_exponent_sign_pairs():
 
 
 def test_count_single_coordinate():
-    rep = count_S(HyperplaneSpec((3,), 3), DomainSpec("signed", 5), stratify=True)
+    rep = count_S(HyperplaneSpec((3,), 3), DomainSpec("signed", 5))
     assert (rep.total_on_plane, rep.dependent_total, rep.by_rank) == (1, 1, {0: 1})
     rep = count_S(HyperplaneSpec((3,), 6), DomainSpec("signed", 5))
     assert (rep.total_on_plane, rep.dependent_total) == (1, 0)
@@ -358,10 +373,38 @@ def test_count_matches_brute_high_dimension(rng):
                     dep += 1
                     r = orc.subset_rank_oracle(v)
                     by_rank[r] = by_rank.get(r, 0) + 1
-            rep = count_S(spec, ds, stratify=True)
+            rep = count_S(spec, ds)
             assert rep.total_on_plane == total
             assert rep.dependent_total == dep
             assert rep.by_rank == by_rank
+
+
+def test_cover_filter_boundary_on_hand_built_blocks(rng):
+    # the cover filter runs while H**3 < 2**62 and is off from H = 1664511 on;
+    # either way the block's ranks equal the oracle's, and only the filter
+    # keeps rows out of the deep test
+    top = 2000
+    base, rad = arith.power_base_table(top), arith.radical_table(top)
+    inner = np.arange(1, 301, dtype=np.int64)
+    pivot = np.array([rng.choice([6 * i, 36 * i, 6 * i * i, rng.randint(1, top)]) for i in range(1, 301)])
+    valid = (pivot <= top) & (np.array([rng.random() for _ in range(300)]) < 0.9)
+    pivot = np.where(valid, pivot, 1)
+    want = {}
+    for i, p, ok in zip(inner.tolist(), pivot.tolist(), valid.tolist()):
+        if ok and orc.dependent_oracle((6, i, p)):
+            r = orc.subset_rank_oracle((6, i, p))
+            want[r] = want.get(r, 0) + 2
+    assert want.get(2, 0) > 0
+    deep_tests = []
+    for H in (1664510, 1664511):
+        assert (H**3 >= 2**62) == (H == 1664511)
+        rep = lc.CountReport((1, 1, 1), 0, "signed", H)
+        memo = {}
+        lc._classify_block(rep, (6,), [inner, pivot], valid, 2, base, rad, memo)
+        assert rep.total_on_plane == 2 * int(valid.sum())
+        assert rep.by_rank == want
+        deep_tests.append(len(memo))
+    assert 0 < deep_tests[0] < deep_tests[1]
 
 
 # ── oracle recounts behind acceptance criteria 02–04 ──────────────────────
