@@ -3,10 +3,12 @@
 The central object is the count of multiplicatively dependent vectors ν with
 nonzero coordinates, 0 < |ν_i| ≤ H, lying on α·ν = J, always split by
 multiplicative rank.  Counting is exhaustive: one coordinate with nonzero α
-is solved from the others, the innermost free coordinate is swept as a
-vector, and each visited solution is classified exactly.
+(the pivot) is solved from the others on a grid of consecutive combinations
+of the outer free coordinates times the last free coordinate, and the grid
+cells that solve the plane are classified exactly, one block of at most
+``_BLOCK_ROWS`` solutions at a time, each coordinate one column.
 
-Classification cascade per visited vector (cheapest first):
+Classification cascade per solution (cheapest first):
   rank 0   some coordinate is ±1;
   rank 1   two coordinates share the same minimal power base (a pair of
            values above 1 is dependent exactly when their bases coincide);
@@ -25,7 +27,8 @@ Curve systems (one power-product equation with one linear equation) run one
 loop for every variant: ``enumerate_solutions`` walks the plane, and each
 point's power equation is tested by multiplying both sides out in integers.
 ``curve_counts`` returns the count and the 3var exclusions of that one pass.
-Sweeps refuse H above ``_TABLE_CAP`` with RegimeError before building tables.
+Sweeps refuse H above ``_TABLE_CAP``, and planes whose int64 arithmetic could
+wrap (Σ|α_i|·H + |J| ≥ 2⁶²), with RegimeError before building tables.
 """
 
 from __future__ import annotations
@@ -114,16 +117,10 @@ def covolume_ratio(alpha) -> Fraction:
 def _dp_solution_count(terms, target: int) -> int:
     """Exact #solutions of Σ a_i t_i = target with t_i in [lo_i, hi_i].
 
-    ``terms`` is a list of (a, lo, hi, skip_zero); the count is the
-    coefficient of z**target in ∏_i Σ_{t_i} z^{a_i·t_i} (``arith.poly_product``).
+    ``terms`` is a list of (a, lo, hi); the count is the coefficient of
+    z**target in ∏_i Σ_{t_i} z^{a_i·t_i} (``arith.poly_product``).
     """
-    factors = []
-    for a, lo, hi, skip in terms:
-        f = range(a * lo, a * hi + (1 if a > 0 else -1), a)
-        if skip and lo <= 0 <= hi:
-            f = dict.fromkeys(f, 1)
-            del f[0]
-        factors.append(f)
+    factors = [range(a * lo, a * hi + (1 if a > 0 else -1), a) for a, lo, hi in terms]
     return arith.poly_product(factors, at=target)
 
 
@@ -145,7 +142,7 @@ def hyperplane_lattice_count(spec: HyperplaneSpec, box) -> int:
         if a == 0:
             factor *= hi - lo + 1
         else:
-            terms.append((a, lo, hi, False))
+            terms.append((a, lo, hi))
     if not terms:
         return factor if spec.J == 0 else 0
     g = arith.gcd_vec([t[0] for t in terms])
@@ -226,90 +223,84 @@ def _axis_values(a_i: int, H: int, signed: bool) -> tuple[np.ndarray, int]:
 
 def _classify_block(
     report: CountReport,
-    outer_abs: tuple[int, ...],
     cols: list[np.ndarray],
-    valid: np.ndarray,
     weight: int,
     base: np.ndarray,
     rad: np.ndarray,
     memo: dict,
 ) -> None:
-    """Classify one block of rows and add its counts to ``report``.
+    """Classify one block of solutions and add its counts to ``report``.
 
-    ``outer_abs`` holds the absolute values shared by every row and ``cols``
-    one array of absolute values per remaining coordinate, each entry in
-    [1, H]; rows outside ``valid`` are not solutions and are skipped.
-    ``base`` and ``rad`` are the minimal-base and radical tables up to H;
-    ``memo`` maps sorted absolute values to their rank.
+    ``cols`` holds one array of absolute values per coordinate, each entry in
+    [1, H]; row i is the solution (cols[0][i], cols[1][i], …) and stands for
+    ``weight`` vectors.  ``base`` and ``rad`` are the minimal-base and radical
+    tables up to H; ``memo`` maps sorted absolute values to their rank.
     """
-    visited = int(valid.sum()) * weight
-    if visited == 0:
+    rows = len(cols[0])
+    if rows == 0:
         return
-    report.total_on_plane += visited
+    report.total_on_plane += rows * weight
     by_rank = report.by_rank
-    n = len(outer_abs) + len(cols)
+    n = len(cols)
 
-    if 1 in outer_abs:
-        m0 = valid
-    else:
-        m0 = np.zeros_like(valid)
-        for c in cols:
-            m0 |= c == 1
-        m0 &= valid
-    c0 = int(m0.sum()) * weight
+    m0 = cols[0] == 1
+    for c in cols[1:]:
+        m0 |= c == 1
+    c0 = int(np.count_nonzero(m0)) * weight
     if c0:
         by_rank[0] = by_rank.get(0, 0) + c0
-    rest = valid & ~m0
+    rest = ~m0
     if not rest.any():
         return
 
-    outer_base = [int(base[v]) for v in outer_abs]
-    if len(set(outer_base)) < len(outer_base):
-        m1 = rest
-    else:
-        m1 = np.zeros_like(rest)
-        col_base = [base[c] for c in cols]
-        for i, cb in enumerate(col_base):
-            for b in outer_base + col_base[:i]:
-                m1 |= cb == b
-        m1 &= rest
-    c1 = int(m1.sum()) * weight
+    bases = [base[c] for c in cols]
+    m1 = np.zeros(rows, dtype=bool)
+    for i in range(1, n):
+        for j in range(i):
+            m1 |= bases[i] == bases[j]
+    m1 &= rest
+    c1 = int(np.count_nonzero(m1)) * weight
     if c1:
         by_rank[1] = by_rank.get(1, 0) + c1
-    rest = rest & ~m1
+    rest &= ~m1
     if n < 3 or not rest.any():
         return
 
     # cover filter: a dependent subset of size ≥ 3 needs each member's primes
     # to reappear among the other coordinates (else its exponent is forced 0)
     if report.H**n < 2**62:
-        prod_all = np.int64(math.prod(outer_abs))
-        for c in cols:
-            prod_all = prod_all * c
-        cov = np.zeros(rest.shape, dtype=np.int8)
-        for v in outer_abs:
-            cov += (prod_all // v) % int(rad[v]) == 0
+        prod_all = cols[0].copy()
+        for c in cols[1:]:
+            prod_all *= c
+        cov = np.zeros(rows, dtype=np.int8)
         for c in cols:
             cov += (prod_all // c) % rad[c] == 0
-        candidates = rest & (cov >= 3)
-    else:
-        candidates = rest
+        rest &= cov >= 3
 
-    for i in np.nonzero(candidates)[0]:
-        key = tuple(sorted(outer_abs + tuple(int(c[i]) for c in cols)))
+    idx = np.nonzero(rest)[0]
+    if idx.size == 0:
+        return
+    keys = np.sort(np.stack([c[idx] for c in cols], axis=1), axis=1).tolist()
+    for key in map(tuple, keys):
         r = memo.get(key)
         if r is None:
             # no ±1 and no dependent pair here, so subsets start at size 3;
             # the rank is below n exactly when the vector is dependent
-            rows = relations.exponent_matrix(key).rows
-            r = memo[key] = relations.rank_from_rows(rows, smallest=3)
+            exps = relations.exponent_matrix(key).rows
+            r = memo[key] = relations.rank_from_rows(exps, smallest=3)
         if r < n:
             by_rank[r] = by_rank.get(r, 0) + weight
 
 
 # largest H for which a sweep builds its minimal-base and radical tables
-# (H + 1 int64 entries each); its row arrays hold up to 2H entries
+# (H + 1 int64 entries each)
 _TABLE_CAP = 1 << 22
+
+# most (outer combo, inner value) cells a sweep block solves, so also the
+# most rows one ``_classify_block`` call gets; each int64 column of a block
+# then stays at 64 KiB, so many combos share one block's numpy calls while
+# peak memory barely moves
+_BLOCK_ROWS = 1 << 13
 
 
 def count_S(spec: HyperplaneSpec, domain: DomainSpec) -> CountReport:
@@ -351,40 +342,68 @@ def count_S(spec: HyperplaneSpec, domain: DomainSpec) -> CountReport:
 
 
 def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool, pivot, free) -> None:
-    """Visit every solution, the pivot (if any) solved from the ``free``
-    coordinates, one block of rows per value of all but the last of them."""
+    """Classify every solution, the pivot (if any) solved from the ``free``
+    coordinates, in blocks of at most ``_BLOCK_ROWS`` grid cells.
+
+    The last free coordinate is the inner one, the others are outer.  A block
+    is a run of consecutive outer combos (``product`` order, decoded from
+    their flat index) times the inner axis, or times a slice of it when the
+    axis alone is longer than a block.  The pivot is solved on that
+    (combo × inner) grid, and only the cells that solve the plane become rows.
+    """
     H = report.H
     alpha = spec.alpha
     if H > _TABLE_CAP:
         raise RegimeError(f"height {H} needs lookup tables above the cap {_TABLE_CAP}")
+    if sum(abs(a) for a in alpha) * H + abs(spec.J) >= 2**62:
+        raise RegimeError("sum of |alpha_i|*H plus |J| reaches 2^62, beyond the sweep's int64 arithmetic")
     base = arith.power_base_table(H)
     rad = arith.radical_table(H)
-    axes = {i: _axis_values(alpha[i], H, signed) for i in free}
-    weight = 1
-    for i in free:
-        weight *= axes[i][1]
-    inner, outers = free[-1], free[:-1]
-    inner_vals = axes[inner][0]
+    axes = [_axis_values(alpha[i], H, signed) for i in free]
+    weight = math.prod(w for _, w in axes)
+    outer_vals = [v for v, _ in axes[:-1]]
+    outer_coef = [alpha[i] for i in free[:-1]]
+    inner_vals = axes[-1][0]
     inner_abs = np.abs(inner_vals)
+    combos = math.prod(len(v) for v in outer_vals)
+    width = min(len(inner_vals), _BLOCK_ROWS)
+    step = _BLOCK_ROWS // width
     memo: dict = {}
-    # without a pivot (α = 0, J = 0) every row is a solution
-    valid = np.ones(inner_vals.shape, dtype=bool)
-    cols = [inner_abs]
-    for combo in product(*[axes[i][0].tolist() for i in outers]):
-        if pivot is not None:
-            rem = spec.J - sum(alpha[i] * v for i, v in zip(outers, combo))
-            num = rem - alpha[inner] * inner_vals
-            pv = num // alpha[pivot]
-            valid = num % alpha[pivot] == 0
-            if signed:
-                valid &= (pv != 0) & (np.abs(pv) <= H)
+    for start in range(0, combos, step):
+        flat = np.arange(start, min(start + step, combos))
+        rem = np.full(len(flat), spec.J, dtype=np.int64)
+        outer_abs = []
+        for a, v in zip(reversed(outer_coef), reversed(outer_vals)):
+            flat, d = np.divmod(flat, len(v))
+            rem -= a * v[d]
+            outer_abs.append(np.abs(v[d]))
+        for lo in range(0, len(inner_vals), width):
+            vals = inner_vals[lo:lo + width]
+            if pivot is None:
+                ok = np.ones((len(rem), len(vals)), dtype=bool)
+                solved = []
             else:
-                valid &= (pv >= 1) & (pv <= H)
-            if not valid.any():
-                continue
-            cols = [inner_abs, np.where(valid, np.abs(pv), 1)]
-        _classify_block(report, tuple(abs(v) for v in combo), cols, valid,
-                        weight, base, rad, memo)
+                ok, pivot_abs = _solve_pivot(rem, alpha[free[-1]] * vals, alpha[pivot], H, signed)
+                solved = [pivot_abs]
+            cols = [np.broadcast_to(o[:, None], ok.shape)[ok] for o in outer_abs]
+            cols.append(np.broadcast_to(inner_abs[lo:lo + width], ok.shape)[ok])
+            _classify_block(report, cols + solved, weight, base, rad, memo)
+
+
+def _solve_pivot(rem, terms, ap: int, H: int, signed: bool):
+    """Solve ap·p = rem[i] − terms[j] on the (combo × inner) grid.
+
+    Returns the mask of cells whose p is an integer coordinate of the domain,
+    and |p| at those cells in row-major order.  The grid's temporaries are
+    freed on return, before the block is classified.
+    """
+    p, r = np.divmod(rem[:, None] - terms, ap)
+    if signed:
+        np.abs(p, out=p)
+    ok = r == 0
+    ok &= p >= 1
+    ok &= p <= H
+    return ok, p[ok]
 
 
 # ── curve systems: one multiplicative and one linear equation ────────────

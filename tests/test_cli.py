@@ -180,6 +180,14 @@ def test_count_height_above_table_cap_exits_1_at_once(capsys):
     assert code == 0 and out == "total_on_plane 1\ndependent 1\n"
 
 
+def test_count_int64_overflow_exits_1(capsys):
+    # α·ν wraps in int64 here; the sweep would print total_on_plane 2, not 8
+    code, out, err = run(capsys, "count", "--alpha=1,6917529027641081856,6917529027641081857",
+                         "--J", "0", "--H", "4")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "2^62" in err and err.count("\n") == 1
+
+
 def test_psi0_fbase(capsys):
     code, out, _ = run(capsys, "psi0", "--x", "100", "--y", "6")
     assert code == 0 and out == "20\n"

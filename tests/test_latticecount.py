@@ -159,6 +159,17 @@ def test_count_degenerate():
     assert rep.degenerate and rep.dependent_total == 0 and rep.total_on_plane == 0
 
 
+def _oracle_report(spec, ds):
+    """(total, by_rank) by plain enumeration and the brute-force rank oracle."""
+    total, by_rank = 0, {}
+    for v in enumerate_solutions(spec, ds):
+        total += 1
+        if orc.dependent_oracle(v):
+            r = orc.subset_rank_oracle(v)
+            by_rank[r] = by_rank.get(r, 0) + 1
+    return total, by_rank
+
+
 def test_count_matches_brute_enumeration(rng):
     for _ in range(50):
         n = rng.randint(1, 4)
@@ -167,20 +178,13 @@ def test_count_matches_brute_enumeration(rng):
         H = rng.randint(1, 6)
         dom = rng.choice(["signed", "positive"])
         spec, ds = HyperplaneSpec(alpha, J), DomainSpec(dom, H)
-        total = dep = 0
-        by_rank = {}
-        for v in enumerate_solutions(spec, ds):
-            total += 1
-            if orc.dependent_oracle(v):
-                dep += 1
-                r = orc.subset_rank_oracle(v)
-                by_rank[r] = by_rank.get(r, 0) + 1
+        total, by_rank = _oracle_report(spec, ds)
         rep = count_S(spec, ds)
         if spec.nnz == 0 and J != 0:
             assert rep.degenerate
             continue
         assert rep.total_on_plane == total
-        assert rep.dependent_total == dep
+        assert rep.dependent_total == sum(by_rank.values())
         assert rep.by_rank == by_rank
 
 
@@ -213,11 +217,14 @@ def test_total_on_plane_matches_dp(rng):
             continue
         J = rng.randint(-5, 5)
         H = rng.randint(2, 7)
-        rep = count_S(HyperplaneSpec(alpha, J), DomainSpec("signed", H))
-        terms = [(a, -H, H, True) for a in alpha if a != 0]
-        zeros = sum(1 for a in alpha if a == 0)
-        dp = lc._dp_solution_count(terms, J) * (2 * H) ** zeros
-        assert rep.total_on_plane == dp
+        spec = HyperplaneSpec(alpha, J)
+        rep = count_S(spec, DomainSpec("signed", H))
+        # inclusion–exclusion over the coordinates pinned to 0
+        nonzero = 0
+        for pinned in product((False, True), repeat=n):
+            box = [(0, 0) if z else (-H, H) for z in pinned]
+            nonzero += (-1) ** sum(pinned) * hyperplane_lattice_count(spec, box)
+        assert rep.total_on_plane == nonzero
 
 
 # ── curve systems ─────────────────────────────────────────────────────────
@@ -365,17 +372,10 @@ def test_count_matches_brute_high_dimension(rng):
             J = rng.randint(-3, 3)
             H = 3
             spec, ds = HyperplaneSpec(alpha, J), DomainSpec("signed", H)
-            total = dep = 0
-            by_rank = {}
-            for v in enumerate_solutions(spec, ds):
-                total += 1
-                if orc.dependent_oracle(v):
-                    dep += 1
-                    r = orc.subset_rank_oracle(v)
-                    by_rank[r] = by_rank.get(r, 0) + 1
+            total, by_rank = _oracle_report(spec, ds)
             rep = count_S(spec, ds)
             assert rep.total_on_plane == total
-            assert rep.dependent_total == dep
+            assert rep.dependent_total == sum(by_rank.values())
             assert rep.by_rank == by_rank
 
 
@@ -388,10 +388,11 @@ def test_cover_filter_boundary_on_hand_built_blocks(rng):
     inner = np.arange(1, 301, dtype=np.int64)
     pivot = np.array([rng.choice([6 * i, 36 * i, 6 * i * i, rng.randint(1, top)]) for i in range(1, 301)])
     valid = (pivot <= top) & (np.array([rng.random() for _ in range(300)]) < 0.9)
-    pivot = np.where(valid, pivot, 1)
+    inner, pivot = inner[valid], pivot[valid]
+    outer = np.full(len(inner), 6, dtype=np.int64)
     want = {}
-    for i, p, ok in zip(inner.tolist(), pivot.tolist(), valid.tolist()):
-        if ok and orc.dependent_oracle((6, i, p)):
+    for i, p in zip(inner.tolist(), pivot.tolist()):
+        if orc.dependent_oracle((6, i, p)):
             r = orc.subset_rank_oracle((6, i, p))
             want[r] = want.get(r, 0) + 2
     assert want.get(2, 0) > 0
@@ -400,11 +401,66 @@ def test_cover_filter_boundary_on_hand_built_blocks(rng):
         assert (H**3 >= 2**62) == (H == 1664511)
         rep = lc.CountReport((1, 1, 1), 0, "signed", H)
         memo = {}
-        lc._classify_block(rep, (6,), [inner, pivot], valid, 2, base, rad, memo)
-        assert rep.total_on_plane == 2 * int(valid.sum())
+        lc._classify_block(rep, [outer, inner, pivot], 2, base, rad, memo)
+        assert rep.total_on_plane == 2 * len(inner)
         assert rep.by_rank == want
         deep_tests.append(len(memo))
     assert 0 < deep_tests[0] < deep_tests[1]
+
+
+# n = 1..5; J = 0, α = 0 boxes, zero coefficients and composite α
+BLOCK_GRID = [
+    ((3,), 6), ((0,), 0), ((2, -4), 0), ((0, 0), 0), ((0, 6), 12), ((4, 6), 10),
+    ((1, 1, 1), 1), ((2, 3, 4), 5), ((0, 0, 0), 0), ((6, 0, -4), 2), ((1, -1, 9), 0),
+    ((1, 2, -1, 1), 3), ((0, 4, 6, 1), 0), ((0, 0, 0, 0), 0), ((1, 1, 1, 2), -1),
+    ((1, 1, 1, 1, 1), 1), ((0, 2, -2, 3, 0), 0), ((6, 4, 1, -9, 2), 4),
+]
+
+
+def test_block_boundaries_do_not_change_counts(monkeypatch):
+    # every count is the same whatever the block size, by rank, and at small
+    # H it equals plain enumeration with the brute-force rank oracle
+    default = lc._BLOCK_ROWS
+    for alpha, J in BLOCK_GRID:
+        spec = HyperplaneSpec(alpha, J)
+        n = len(alpha)
+        for dom in ("signed", "positive"):
+            for H in ((1, 3, 7) if n <= 3 else (1, 3) if n == 4 else (1, 2)):
+                ds = DomainSpec(dom, H)
+                got = set()
+                for rows in (1, 7, default):
+                    monkeypatch.setattr(lc, "_BLOCK_ROWS", rows)
+                    rep = count_S(spec, ds)
+                    got.add((rep.total_on_plane, rep.dependent_total,
+                             tuple(sorted(rep.by_rank.items())), rep.degenerate))
+                assert len(got) == 1, (alpha, J, dom, H, got)
+                total, by_rank = _oracle_report(spec, ds)
+                assert got.pop()[:3] == (total, sum(by_rank.values()), tuple(sorted(by_rank.items())))
+    # and at heights where blocks hold many combos and the inner axis splits
+    for alpha, J, H in [((1, 1, 1), 1, 600), ((2, 3, 4), 5, 300), ((1, 2, -1, 1), 3, 20), ((0, 0, 0), 0, 40)]:
+        spec, ds = HyperplaneSpec(alpha, J), DomainSpec("signed", H)
+        got = set()
+        for rows in (997, default):
+            monkeypatch.setattr(lc, "_BLOCK_ROWS", rows)
+            rep = count_S(spec, ds)
+            got.add((rep.total_on_plane, tuple(sorted(rep.by_rank.items()))))
+        assert len(got) == 1, (alpha, J, H, got)
+
+
+def test_count_refuses_int64_overflow():
+    # the eight solutions (t, t, −t) exist, but α·ν wraps in int64 here and
+    # the sweep would count 2 of them
+    spec = HyperplaneSpec((1, 6917529027641081856, 6917529027641081857), 0)
+    assert sum(1 for _ in enumerate_solutions(spec, DomainSpec("signed", 4))) == 8
+    with pytest.raises(RegimeError, match="2\\^62"):
+        count_S(spec, DomainSpec("signed", 4))
+    # the bound is on Σ|α_i|·H + |J|: 2^62 − 2 still runs, 2^62 is refused
+    rep = count_S(HyperplaneSpec((1, 2**61 - 2), 2**61 - 1), DomainSpec("positive", 1))
+    assert (rep.total_on_plane, rep.by_rank) == (1, {0: 1})
+    with pytest.raises(RegimeError):
+        count_S(HyperplaneSpec((1, 2**61 - 1), 2**61), DomainSpec("positive", 1))
+    with pytest.raises(RegimeError):
+        count_S(HyperplaneSpec((2**61, 0), 0), DomainSpec("signed", 2))
 
 
 # ── oracle recounts behind acceptance criteria 02–04 ──────────────────────
