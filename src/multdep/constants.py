@@ -113,17 +113,34 @@ def _rank1_families(a: tuple[int, ...], J: int, signs) -> list:
     ]
 
 
-def _family_sum(families, density, degenerate: str = "a family has no nonzero coefficient"):
+def _sorted(beta) -> tuple[int, ...]:
+    """Every density here is a box-slice volume and the boxes are cubes, so
+    permuting β's coordinates leaves it unchanged."""
+    return tuple(sorted(beta))
+
+
+def _sorted_abs(beta) -> tuple[int, ...]:
+    """The half box is also symmetric under x_i → −x_i, so a level-0 slice
+    does not change when one β_i changes sign."""
+    return tuple(sorted(abs(b) for b in beta))
+
+
+def _family_sum(families, density, degenerate: str = "a family has no nonzero coefficient", key=_sorted):
     """Σ δ·density(β) over (β, levels) families, δ counting the levels on
     which β is solvable.  Raises RegimeError(degenerate) when a counted β is
-    all zero."""
+    all zero.  The density is evaluated once per distinct ``key(β)``, on
+    that key, which must leave its value unchanged."""
     total = Fraction(0)
+    seen: dict[tuple[int, ...], Fraction] = {}
     for beta, levels in families:
         d = sum(delta(beta, level) for level in levels)
         if d:
             if not any(beta):
                 raise RegimeError(degenerate)
-            total += d * density(beta)
+            k = key(beta)
+            if k not in seen:
+                seen[k] = density(k)
+            total += d * seen[k]
     return total
 
 
@@ -134,7 +151,7 @@ def C0(alpha, J: int) -> Fraction:
     if n < 2:
         raise RegimeError("C0 requires dimension n >= 2")
     return Fraction(2) ** (n - 2) * _family_sum(
-        _rank0_families(a, J, (1, -1)), _V_half, "C0 needs a second nonzero coefficient (k >= 2)"
+        _rank0_families(a, J, (1, -1)), _V_half, "C0 needs a second nonzero coefficient (k >= 2)", _sorted_abs
     )
 
 
@@ -145,7 +162,7 @@ def C1(alpha, J: int) -> Fraction:
     if n < 2:
         raise RegimeError("C1 requires dimension n >= 2")
     return Fraction(2) ** (n - 2) * _family_sum(
-        _rank1_families(a, J, (1, -1)), _V_half, "C1 with J = 0 needs a third nonzero coefficient"
+        _rank1_families(a, J, (1, -1)), _V_half, "C1 with J = 0 needs a third nonzero coefficient", _sorted_abs
     )
 
 

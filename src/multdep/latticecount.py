@@ -18,6 +18,12 @@ Classification cascade per solution (cheapest first):
            survivor's rank is one less than the size of its smallest
            dependent subset of exponent rows (``relations.rank_from_rows``).
 
+The deep stage is batched per count: survivors of every block wait, each
+sorted, in one buffer of ``_BLOCK_ROWS`` rows.  When it is full, and once at
+the end, equal rows are merged with their multiplicities, and the distinct
+rows are ranked in integer stacks by ``relations.rank_from_rows``.  Nothing
+is remembered between flushes.
+
 Sign symmetry: dependence and rank depend only on absolute values, so any
 free coordinate with α_i = 0 is swept over [1, H] with multiplicity 2 in the
 signed domain.  The linear constraint never involves those coordinates, so
@@ -227,21 +233,22 @@ def _classify_block(
     weight: int,
     base: np.ndarray,
     rad: np.ndarray,
-    memo: dict,
-) -> None:
-    """Classify one block of solutions and add its counts to ``report``.
+) -> np.ndarray:
+    """Classify one block of solutions and add its settled counts to ``report``.
 
     ``cols`` holds one array of absolute values per coordinate, each entry in
     [1, H]; row i is the solution (cols[0][i], cols[1][i], …) and stands for
     ``weight`` vectors.  ``base`` and ``rad`` are the minimal-base and radical
-    tables up to H; ``memo`` maps sorted absolute values to their rank.
+    tables up to H.  Returns the rows the cascade leaves for the deep stage,
+    each sorted ascending, as an (r, n) array for ``_rank_deep``.
     """
     rows = len(cols[0])
+    n = len(cols)
+    none = np.empty((0, n), dtype=np.int64)
     if rows == 0:
-        return
+        return none
     report.total_on_plane += rows * weight
     by_rank = report.by_rank
-    n = len(cols)
 
     m0 = cols[0] == 1
     for c in cols[1:]:
@@ -251,7 +258,7 @@ def _classify_block(
         by_rank[0] = by_rank.get(0, 0) + c0
     rest = ~m0
     if not rest.any():
-        return
+        return none
 
     bases = [base[c] for c in cols]
     m1 = np.zeros(rows, dtype=bool)
@@ -264,7 +271,7 @@ def _classify_block(
         by_rank[1] = by_rank.get(1, 0) + c1
     rest &= ~m1
     if n < 3 or not rest.any():
-        return
+        return none
 
     # cover filter: a dependent subset of size ≥ 3 needs each member's primes
     # to reappear among the other coordinates (else its exponent is forced 0)
@@ -279,17 +286,62 @@ def _classify_block(
 
     idx = np.nonzero(rest)[0]
     if idx.size == 0:
+        return none
+    return np.sort(np.stack([c[idx] for c in cols], axis=1), axis=1)
+
+
+def _exponent_rows(keys: np.ndarray) -> np.ndarray:
+    """Exponent rows of each row of ``keys`` (values ≥ 2), as a stack
+    (m, n, n·w), w the most primes of one value.
+
+    Column (j, t) of a row is its prime slot t of value j; a prime that
+    several values share goes in the first of its slots, so the other
+    columns are zero, which changes no rank.  Each distinct value is
+    factorized once.
+    """
+    m, n = keys.shape
+    vals = np.sort(keys, axis=None)
+    vals = vals[np.flatnonzero(np.diff(vals, prepend=0))]
+    facts = [arith._abs_exponents(v) for v in vals.tolist()]
+    w = max(map(len, facts))
+    table = np.array([f + ((0, 0),) * (w - len(f)) for f in facts], dtype=np.int64)
+    primes, exps = table[:, :, 0], table[:, :, 1]
+    at = np.searchsorted(vals, keys)
+    row_primes = primes[at].reshape(m, n * w)
+    first = (row_primes[:, :, None] == row_primes[:, None, :]).argmax(axis=2)
+    out = np.zeros((m, n, n * w), dtype=np.int64)
+    # within one value the primes differ, so no two slots meet in one cell
+    # (padding slots write 0 over 0)
+    np.put_along_axis(out, first.reshape(m, n, w), exps[at], axis=2)
+    return out
+
+
+def _rank_deep(report: CountReport, rows: np.ndarray, weight: int) -> None:
+    """Rank deep-stage rows from ``_classify_block`` and add the dependent
+    ones to ``report``.
+
+    Equal rows are ranked once, ``_RANK_ROWS`` distinct rows to a
+    ``relations.rank_from_rows`` stack.  They have no ±1 and no dependent
+    pair, so subsets start at size 3, and the rank is below n exactly when
+    the vector is dependent.
+    """
+    if len(rows) == 0:
         return
-    keys = np.sort(np.stack([c[idx] for c in cols], axis=1), axis=1).tolist()
-    for key in map(tuple, keys):
-        r = memo.get(key)
-        if r is None:
-            # no ±1 and no dependent pair here, so subsets start at size 3;
-            # the rank is below n exactly when the vector is dependent
-            exps = relations.exponent_matrix(key).rows
-            r = memo[key] = relations.rank_from_rows(exps, smallest=3)
-        if r < n:
-            by_rank[r] = by_rank.get(r, 0) + weight
+    rows = rows[np.lexsort(rows.T)]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    start = np.flatnonzero(first)
+    counts = np.diff(start, append=len(rows))
+    n = rows.shape[1]
+    by_rank = report.by_rank
+    for lo in range(0, len(start), _RANK_ROWS):
+        keys = rows[start[lo:lo + _RANK_ROWS]]
+        ranks = relations.rank_from_rows(_exponent_rows(keys), smallest=3)
+        part = counts[lo:lo + _RANK_ROWS]
+        for r in range(2, n):
+            c = int(part[ranks == r].sum()) * weight
+            if c:
+                by_rank[r] = by_rank.get(r, 0) + c
 
 
 # largest H for which a sweep builds its minimal-base and radical tables
@@ -301,6 +353,11 @@ _TABLE_CAP = 1 << 22
 # then stays at 64 KiB, so many combos share one block's numpy calls while
 # peak memory barely moves
 _BLOCK_ROWS = 1 << 13
+
+# most distinct deep-stage rows ranked in one stack; exponent rows and the
+# kernel's int64 temporaries take 2–3 KiB per 4-coordinate row, so this
+# keeps them near 300 KiB
+_RANK_ROWS = 1 << 7
 
 
 def count_S(spec: HyperplaneSpec, domain: DomainSpec) -> CountReport:
@@ -368,7 +425,10 @@ def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool, pivot, free)
     combos = math.prod(len(v) for v in outer_vals)
     width = min(len(inner_vals), _BLOCK_ROWS)
     step = _BLOCK_ROWS // width
-    memo: dict = {}
+    # deep-stage rows wait here, across blocks, until the buffer is full; one
+    # buffer for the whole count, so no small arrays outlive their block
+    deep = np.empty((_BLOCK_ROWS, spec.n), dtype=np.int64)
+    held = 0
     for start in range(0, combos, step):
         flat = np.arange(start, min(start + step, combos))
         rem = np.full(len(flat), spec.J, dtype=np.int64)
@@ -387,7 +447,13 @@ def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool, pivot, free)
                 solved = [pivot_abs]
             cols = [np.broadcast_to(o[:, None], ok.shape)[ok] for o in outer_abs]
             cols.append(np.broadcast_to(inner_abs[lo:lo + width], ok.shape)[ok])
-            _classify_block(report, cols + solved, weight, base, rad, memo)
+            rows = _classify_block(report, cols + solved, weight, base, rad)
+            if held + len(rows) > _BLOCK_ROWS:
+                _rank_deep(report, deep[:held], weight)
+                held = 0
+            deep[held:held + len(rows)] = rows
+            held += len(rows)
+    _rank_deep(report, deep[:held], weight)
 
 
 def _solve_pivot(rem, terms, ap: int, H: int, signed: bool):

@@ -11,6 +11,15 @@ repaired by doubling, since −1 is 2-torsion.
 Witnesses are verified symbolically (per-prime exponent sums and the sign
 product), never by evaluating integer powers, so huge exponents are safe.
 
+Ranks come from one kernel that works on stacks, like
+``np.linalg.matrix_rank``: ``rank_of_rows`` and ``rank_from_rows`` take one
+matrix of rows or a stack (..., n, k) of them.  A set of rows is dependent
+exactly when its Gram matrix G = E·Eᵀ is singular, so every subset's test is
+a principal block of one G, and fraction-free elimination ranks a whole stack
+of blocks at once: in int64 while a bound on the data keeps it exact, in
+Python ints past it.  ``mult_rank``, ``is_dependent`` and the deep stage of
+``latticecount.count_S`` all use it.
+
 Vectors must have nonzero coordinates throughout.
 """
 
@@ -20,6 +29,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 from . import arith
 
@@ -98,29 +109,107 @@ def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return mat[:top], pivots
 
 
-def rank_of_rows(rows) -> int:
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return 0
-    return len(_echelon(rows)[0])
+def _gram(rows) -> np.ndarray:
+    """Gram matrices rows·rowsᵀ of a stack (..., n, k) of integer rows, exact.
 
-
-def rank_from_rows(rows, smallest: int = 2) -> int:
-    """Multiplicative rank from the exponent rows of a vector with no ±1.
-
-    One full-rank test first: independent rows give n.  Otherwise the rank is
-    one less than the size of the smallest dependent subset, scanned in
-    increasing size from ``smallest`` (the caller vouches that smaller
-    subsets are independent); the whole set being dependent caps it at n − 1.
+    int64 while every entry is provably below 2⁶², Python ints otherwise.
     """
-    n = len(rows)
-    if rank_of_rows(rows) == n:
-        return n
+    try:
+        a = np.asarray(rows, dtype=np.int64)
+    except OverflowError:
+        a = np.asarray(rows, dtype=object)
+    if a.ndim < 2:
+        a = a.reshape(0, 0)  # no rows at all
+    if a.dtype != object:
+        top = max(int(a.max(initial=0)), -int(a.min(initial=0)))
+        if top * top * a.shape[-1] >= 2**62:
+            a = a.astype(object)
+    return np.matmul(a, np.swapaxes(a, -1, -2))
+
+
+def _psd_rank(g: np.ndarray) -> np.ndarray:
+    """Rank of each matrix in a stack (m, s, s) of integer Gram matrices.
+
+    Fraction-free (Bareiss) elimination on the whole stack at once, pivoting
+    on the largest remaining diagonal entry.  After t steps every entry is a
+    (t+1)-minor on the pivot set, exactly divisible by the last pivot.  A
+    Gram matrix stays positive semidefinite under this elimination, so once
+    the largest remaining diagonal entry is 0 the rest is 0 and the pivots
+    taken are the rank.  A t-minor of a PSD matrix is at most D^t in size,
+    D its largest diagonal entry, and the last step only reads its pivot, so
+    no product passes D^(2(s−1)): int64 is exact below 2⁶², and the stack
+    is eliminated in Python ints from there on.
+    """
+    m, s = g.shape[0], g.shape[-1]
+    if s and g.dtype != object:
+        top = int(np.diagonal(g, axis1=1, axis2=2).max(initial=0))
+        if top ** (2 * (s - 1)) >= 2**62:
+            g = g.astype(object)
+    g = g.copy()
+    rank = np.zeros(m, dtype=np.int64)
+    prev = np.ones(m, dtype=g.dtype)
+    at = np.arange(m)
+    for step in range(s):
+        j = np.argmax(np.diagonal(g, axis1=1, axis2=2), axis=1)
+        piv = g[at, j, j]
+        live = piv > 0
+        rank += live
+        if step == s - 1 or not live.any():
+            break
+        col = g[at, :, j]
+        g *= piv[:, None, None]
+        g -= col[:, :, None] * col[:, None, :]
+        g //= prev[:, None, None]
+        prev = np.where(live, piv, prev)
+    return rank
+
+
+def _stacked(f, g: np.ndarray, *args):
+    """Apply a stack kernel to (..., n, n) and give back the batch shape:
+    a Python int for a single matrix, like ``np.linalg.matrix_rank``."""
+    batch = g.shape[:-2]
+    out = f(g.reshape((math.prod(batch),) + g.shape[-2:]), *args).reshape(batch)
+    return int(out) if not batch else out
+
+
+def rank_of_rows(rows):
+    """Rank over Q of integer rows, for one matrix (n, k) or a stack (..., n, k).
+
+    Returns an int for one matrix and an int64 array of the batch shape for a
+    stack.  Rows of width 0 and all-zero rows have rank 0.
+    """
+    return _stacked(_psd_rank, _gram(rows))
+
+
+def _subset_rank(g: np.ndarray, smallest: int) -> np.ndarray:
+    """``rank_from_rows`` on a stack (m, n, n) of Gram matrices."""
+    n = g.shape[-1]
+    rank = np.full(len(g), n, dtype=np.int64)
+    todo = np.flatnonzero(_psd_rank(g) < n)
+    rank[todo] = n - 1
     for size in range(smallest, n):
-        for sub in combinations(range(n), size):
-            if rank_of_rows([rows[i] for i in sub]) < size:
-                return size - 1
-    return n - 1
+        if todo.size == 0:
+            break
+        subs = np.array(list(combinations(range(n), size)))
+        sub = g[todo][:, subs[:, :, None], subs[:, None, :]]
+        hit = (_psd_rank(sub.reshape(-1, size, size)) < size).reshape(len(todo), -1).any(axis=1)
+        rank[todo[hit]] = size - 1
+        todo = todo[~hit]
+    return rank
+
+
+def rank_from_rows(rows, smallest: int = 2):
+    """Multiplicative rank from the exponent rows of vectors with no ±1.
+
+    ``rows`` is one matrix (n, k) or a stack (..., n, k); the result is an
+    int or an int64 array of the batch shape.  Independent rows give n.
+    Otherwise the rank is one less than the size of the smallest dependent
+    subset, scanned in increasing size from ``smallest`` (the caller vouches
+    that smaller subsets are independent); the whole set being dependent caps
+    it at n − 1.  A subset S is dependent exactly when its principal Gram
+    block G_S = E_S·E_Sᵀ is singular, so one Gram stack serves every subset.
+    """
+    return _stacked(_subset_rank, _gram(rows), smallest)
 
 
 def right_kernel_basis(rows, ncols: int) -> list[tuple[int, ...]]:

@@ -203,6 +203,35 @@ def test_nonnegative_components(rng):
         assert bd.total == bd.c0 + bd.c1 + bd.c2
 
 
+def test_family_sum_evaluates_each_density_key_once(rng):
+    # the memo keys on sorted β (sorted |β| for the half box); the sums equal
+    # one density evaluation per family, and each key is evaluated once
+    for _ in range(30):
+        a = [1, 1, 2, 1, 3, 1, -2, 1, 1, 2][: rng.randint(3, 10)]
+        rng.shuffle(a)
+        a = tuple(x * rng.choice([1, -1]) for x in a)
+        J = rng.randint(-4, 4)
+        half = cn._sorted_abs, lambda b: tuple(sorted(abs(x) for x in b))
+        unit = cn._sorted, lambda b: tuple(sorted(b))
+        for families, density, (key, expect) in [
+            (cn._rank0_families(a, J, (1, -1)), cn._V_half, half),
+            (cn._rank1_families(a, J, (1, -1)), cn._V_half, half),
+            (cn._rank0_families(a, J, (1,)), cn._V_unit, unit),
+            (cn._rank1_families(a, J, (1,)), cn._V_unit, unit),
+        ]:
+            counted = [(b, sum(cn.delta(b, lv) for lv in levels)) for b, levels in families]
+            counted = [(b, d) for b, d in counted if d and any(b)]
+            direct = sum((d * density(b) for b, d in counted), F(0))
+            calls = []
+
+            def counting(b):
+                calls.append(b)
+                return density(b)
+
+            assert cn._family_sum(families, counting, key=key) == direct
+            assert len(calls) == len({expect(b) for b, _ in counted})
+
+
 def test_sign_invariance(rng):
     for _ in range(40):
         n = rng.randint(2, 4)

@@ -379,7 +379,7 @@ def test_count_matches_brute_high_dimension(rng):
             assert rep.by_rank == by_rank
 
 
-def test_cover_filter_boundary_on_hand_built_blocks(rng):
+def test_cover_filter_boundary_on_hand_built_blocks(rng, monkeypatch):
     # the cover filter runs while H**3 < 2**62 and is off from H = 1664511 on;
     # either way the block's ranks equal the oracle's, and only the filter
     # keeps rows out of the deep test
@@ -396,15 +396,23 @@ def test_cover_filter_boundary_on_hand_built_blocks(rng):
             r = orc.subset_rank_oracle((6, i, p))
             want[r] = want.get(r, 0) + 2
     assert want.get(2, 0) > 0
+    ranked = []  # rows of each stack the deep stage hands to relations
+    rank_from_rows = lc.relations.rank_from_rows
+
+    def counting(rows, smallest=2):
+        ranked.append(len(rows))
+        return rank_from_rows(rows, smallest)
+
+    monkeypatch.setattr(lc.relations, "rank_from_rows", counting)
     deep_tests = []
     for H in (1664510, 1664511):
         assert (H**3 >= 2**62) == (H == 1664511)
         rep = lc.CountReport((1, 1, 1), 0, "signed", H)
-        memo = {}
-        lc._classify_block(rep, [outer, inner, pivot], 2, base, rad, memo)
+        ranked.clear()
+        lc._rank_deep(rep, lc._classify_block(rep, [outer, inner, pivot], 2, base, rad), 2)
         assert rep.total_on_plane == 2 * len(inner)
         assert rep.by_rank == want
-        deep_tests.append(len(memo))
+        deep_tests.append(sum(ranked))
     assert 0 < deep_tests[0] < deep_tests[1]
 
 

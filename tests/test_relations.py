@@ -1,5 +1,6 @@
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +13,8 @@ from multdep.relations import (
     has_full_support_relation,
     is_dependent,
     mult_rank,
+    rank_from_rows,
+    rank_of_rows,
     relation,
     verify_relation,
 )
@@ -126,10 +129,11 @@ def test_independence_distinct_primes():
 
 
 def test_rank_matches_exhaustive_oracle(rng):
-    for _ in range(250):
+    for _ in range(3000):
         n = rng.randint(1, 6)
-        v = tuple(rng.choice([1, -1]) * rng.randint(1, 50) for _ in range(n))
-        assert mult_rank(v) == orc.subset_rank_oracle(v)
+        v = tuple(rng.choice([1, -1]) * rng.randint(1, 64) for _ in range(n))
+        assert mult_rank(v) == orc.subset_rank_oracle(v), v
+        assert is_dependent(v) == orc.dependent_oracle(v), v
 
 
 def test_rank_definition_consistency(rng):
@@ -249,3 +253,73 @@ def test_fatal_triple_first_hit():
     assert (a, b, c) == (2, 3, 12)
     assert all(k) and verify_relation((a, b, c), k)
     assert fatal_triple(3) is None
+
+
+def _row_stack(vectors):
+    """Exponent rows of equal-length vectors over their shared primes, stacked."""
+    ems = [exponent_matrix(v) for v in vectors]
+    primes = sorted({p for em in ems for p in em.primes})
+    at = {p: j for j, p in enumerate(primes)}
+    out = np.zeros((len(vectors), len(vectors[0]), len(primes)), dtype=np.int64)
+    for b, em in enumerate(ems):
+        for i, row in enumerate(em.rows):
+            for p, e in zip(em.primes, row):
+                out[b, i, at[p]] = e
+    return out
+
+
+def test_stacked_rank_of_rows_matches_rref_oracle(rng):
+    # one stack per shape, compared element by element; width 0, all-zero
+    # rows, negative entries and repeated rows included
+    for _ in range(150):
+        n, k, m = rng.randint(1, 6), rng.randint(0, 6), rng.randint(1, 12)
+        stack = [[[rng.choice([0, 0, 0, 1, -1, 2, 3, -5]) for _ in range(k)] for _ in range(n)] for _ in range(m)]
+        for rows in stack:
+            if n > 1 and rng.random() < 0.3:
+                rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1])]
+        got = rank_of_rows(stack)
+        assert got.shape == (m,)
+        for rows, r in zip(stack, got):
+            assert r == (orc.rref_rank(rows) if k else 0)
+            assert rank_of_rows(rows) == r
+    # entries whose Gram passes int64, and entries past int64 themselves
+    for big in (2**40, 2**70):
+        rows = [[big, 3 * big, 1], [2 * big, 6 * big, 2], [big, 0, 7]]
+        assert rank_of_rows(rows) == 2 and rank_of_rows([rows, rows[:2] + [[0, 0, 0]]]).tolist() == [2, 1]
+    assert rank_of_rows(np.zeros((3, 4, 0), dtype=np.int64)).tolist() == [0, 0, 0]
+    assert rank_of_rows([[0, 0], [0, 0]]) == 0
+    assert rank_of_rows([[], [], []]) == 0
+
+
+def test_stacked_rank_from_rows_matches_subset_oracle(rng):
+    for n in range(1, 7):
+        vectors = [tuple(rng.randint(2, 60) for _ in range(n)) for _ in range(120)]
+        ranks = rank_from_rows(_row_stack(vectors))
+        assert ranks.shape == (len(vectors),)
+        for v, r in zip(vectors, ranks):
+            assert r == orc.subset_rank_oracle(v), v
+    # all-zero and zero-width rows: dependent at every size from 2 on
+    assert rank_from_rows(np.zeros((2, 3, 0), dtype=np.int64)).tolist() == [1, 1]
+    assert rank_from_rows([[0, 0], [0, 0], [0, 0]]) == 1
+    assert rank_from_rows([[1, 0], [0, 1]], smallest=3) == 2
+
+
+def test_large_exponents_take_the_python_int_path():
+    # exponents up to 48 put Gram diagonals past 441, and 441^(2·4) passes
+    # 2^62 at n = 5, so these stacks are eliminated in Python ints because of
+    # their data; their 4-minors reach ~10^13, so int64 products would wrap
+    vectors = [
+        (2**21, 3**13, 2**10 * 3**7, 6**6, 5**9),
+        (2**48, 3**40, 5**35, 7**30, 2**12 * 3**10 * 5**9 * 7**8),
+        (2**44 * 3, 3**41, 5**33 * 2, 7**29 * 3, 11**27),
+        (2**47, 3**43, 6**20 * 5**30, 5**31 * 7**25, 2**17 * 7**29),
+        (2**45 * 5**3, 3**39 * 7, 5**36, 7**31 * 2**9, 2**36 * 3**29 * 5**27 * 7**23),
+        (2**19, 3**11, 5**8, 7**7, 11**6),
+    ]
+    stack = _row_stack(vectors)
+    gram = np.einsum("bik,bjk->bij", stack, stack)
+    assert int(np.diagonal(gram, axis1=1, axis2=2).max()) ** 8 >= 2**62
+    for v, r, d in zip(vectors, rank_from_rows(stack), rank_of_rows(stack)):
+        assert r == orc.subset_rank_oracle(v) == mult_rank(v)
+        assert d == orc.rref_rank(exponent_matrix(v).rows)
+        assert (d < 5) == orc.dependent_oracle(v)
