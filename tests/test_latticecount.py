@@ -426,9 +426,10 @@ BLOCK_GRID = [
 
 
 def test_block_boundaries_do_not_change_counts(monkeypatch):
-    # every count is the same whatever the block size, by rank, and at small
-    # H it equals plain enumeration with the brute-force rank oracle
-    default = lc._BLOCK_ROWS
+    # every count is the same whatever the block size (and so the deep
+    # stage's flush points) and the deep stage's stack size, by rank, and at
+    # small H it equals plain enumeration with the brute-force rank oracle
+    default, stack = lc._BLOCK_ROWS, lc._RANK_ROWS
     for alpha, J in BLOCK_GRID:
         spec = HyperplaneSpec(alpha, J)
         n = len(alpha)
@@ -436,8 +437,9 @@ def test_block_boundaries_do_not_change_counts(monkeypatch):
             for H in ((1, 3, 7) if n <= 3 else (1, 3) if n == 4 else (1, 2)):
                 ds = DomainSpec(dom, H)
                 got = set()
-                for rows in (1, 7, default):
+                for rows, ranked in ((1, 1), (7, 3), (default, stack)):
                     monkeypatch.setattr(lc, "_BLOCK_ROWS", rows)
+                    monkeypatch.setattr(lc, "_RANK_ROWS", ranked)
                     rep = count_S(spec, ds)
                     got.add((rep.total_on_plane, rep.dependent_total,
                              tuple(sorted(rep.by_rank.items())), rep.degenerate))
@@ -448,8 +450,9 @@ def test_block_boundaries_do_not_change_counts(monkeypatch):
     for alpha, J, H in [((1, 1, 1), 1, 600), ((2, 3, 4), 5, 300), ((1, 2, -1, 1), 3, 20), ((0, 0, 0), 0, 40)]:
         spec, ds = HyperplaneSpec(alpha, J), DomainSpec("signed", H)
         got = set()
-        for rows in (997, default):
+        for rows, ranked in ((997, 5), (default, stack)):
             monkeypatch.setattr(lc, "_BLOCK_ROWS", rows)
+            monkeypatch.setattr(lc, "_RANK_ROWS", ranked)
             rep = count_S(spec, ds)
             got.add((rep.total_on_plane, tuple(sorted(rep.by_rank.items()))))
         assert len(got) == 1, (alpha, J, H, got)
