@@ -21,8 +21,8 @@ Classification cascade per solution (cheapest first):
 The deep stage is batched per count: survivors of every block wait, each
 sorted, in one buffer of ``_BLOCK_ROWS`` rows.  When it is full, and once at
 the end, equal rows are merged with their multiplicities, and the distinct
-rows are ranked in integer stacks by ``relations.rank_from_rows``.  Nothing
-is remembered between flushes.
+rows are laid out by ``relations.exponent_stack`` and ranked in integer stacks
+by ``relations.rank_from_rows``.  Nothing is remembered between flushes.
 
 Sign symmetry: dependence and rank depend only on absolute values, so any
 free coordinate with α_i = 0 is swept over [1, H] with multiplicity 2 in the
@@ -290,35 +290,9 @@ def _classify_block(
     return np.sort(np.stack([c[idx] for c in cols], axis=1), axis=1)
 
 
-def _exponent_rows(keys: np.ndarray) -> np.ndarray:
-    """Exponent rows of each row of ``keys`` (values ≥ 2), as a stack
-    (m, n, n·w), w the most primes of one value.
-
-    Column (j, t) of a row is its prime slot t of value j; a prime that
-    several values share goes in the first of its slots, so the other
-    columns are zero, which changes no rank.  Each distinct value is
-    factorized once.
-    """
-    m, n = keys.shape
-    vals = np.sort(keys, axis=None)
-    vals = vals[np.flatnonzero(np.diff(vals, prepend=0))]
-    facts = [arith._abs_exponents(v) for v in vals.tolist()]
-    w = max(map(len, facts))
-    table = np.array([f + ((0, 0),) * (w - len(f)) for f in facts], dtype=np.int64)
-    primes, exps = table[:, :, 0], table[:, :, 1]
-    at = np.searchsorted(vals, keys)
-    row_primes = primes[at].reshape(m, n * w)
-    first = (row_primes[:, :, None] == row_primes[:, None, :]).argmax(axis=2)
-    out = np.zeros((m, n, n * w), dtype=np.int64)
-    # within one value the primes differ, so no two slots meet in one cell
-    # (padding slots write 0 over 0)
-    np.put_along_axis(out, first.reshape(m, n, w), exps[at], axis=2)
-    return out
-
-
 def _rank_deep(report: CountReport, rows: np.ndarray, weight: int) -> None:
     """Rank deep-stage rows from ``_classify_block`` and add the dependent
-    ones to ``report``.
+    ones to ``report``; ``rows`` is reordered in place.
 
     Equal rows are ranked once, ``_RANK_ROWS`` distinct rows to a
     ``relations.rank_from_rows`` stack.  They have no ±1 and no dependent
@@ -327,7 +301,9 @@ def _rank_deep(report: CountReport, rows: np.ndarray, weight: int) -> None:
     """
     if len(rows) == 0:
         return
-    rows = rows[np.lexsort(rows.T)]
+    # sort in place as opaque byte strings: equal rows become adjacent, which
+    # is all the merge needs
+    rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).sort(axis=0)
     first = np.ones(len(rows), dtype=bool)
     first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     start = np.flatnonzero(first)
@@ -336,7 +312,7 @@ def _rank_deep(report: CountReport, rows: np.ndarray, weight: int) -> None:
     by_rank = report.by_rank
     for lo in range(0, len(start), _RANK_ROWS):
         keys = rows[start[lo:lo + _RANK_ROWS]]
-        ranks = relations.rank_from_rows(_exponent_rows(keys), smallest=3)
+        ranks = relations.rank_from_rows(relations.exponent_stack(keys), smallest=3)
         part = counts[lo:lo + _RANK_ROWS]
         for r in range(2, n):
             c = int(part[ranks == r].sum()) * weight
@@ -426,8 +402,9 @@ def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool, pivot, free)
     width = min(len(inner_vals), _BLOCK_ROWS)
     step = _BLOCK_ROWS // width
     # deep-stage rows wait here, across blocks, until the buffer is full; one
-    # buffer for the whole count, so no small arrays outlive their block
-    deep = np.empty((_BLOCK_ROWS, spec.n), dtype=np.int64)
+    # buffer for the whole count, so no small arrays outlive their block.
+    # Rows reach the deep stage only from three coordinates on
+    deep = np.empty((_BLOCK_ROWS if spec.n >= 3 else 0, spec.n), dtype=np.int64)
     held = 0
     for start in range(0, combos, step):
         flat = np.arange(start, min(start + step, combos))

@@ -17,8 +17,9 @@ matrix of rows or a stack (..., n, k) of them.  A set of rows is dependent
 exactly when its Gram matrix G = E·Eᵀ is singular, so every subset's test is
 a principal block of one G, and fraction-free elimination ranks a whole stack
 of blocks at once: in int64 while a bound on the data keeps it exact, in
-Python ints past it.  ``mult_rank``, ``is_dependent`` and the deep stage of
-``latticecount.count_S`` all use it.
+Python ints past it.  ``exponent_stack`` lays out the exponent rows of many
+vectors as one such stack; ``mult_rank``, ``is_dependent`` and the deep stage
+of ``latticecount.count_S`` build their rows with it and rank them there.
 
 Vectors must have nonzero coordinates throughout.
 """
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -66,6 +67,38 @@ def exponent_matrix(nu) -> ExponentMatrix:
         rows.append(tuple(row))
     signs = tuple(1 if x > 0 else -1 for x in nu)
     return ExponentMatrix(tuple(primes), tuple(rows), signs)
+
+
+def exponent_stack(keys) -> np.ndarray:
+    """Exponent rows of each row of ``keys``, a nonempty (m, n) array of
+    absolute values ≥ 2, as a stack (m, n, n·w), w the most primes of one
+    value.
+
+    Column (j, t) of a row is prime slot t of value j; a prime that several
+    values of the row share goes in the first of its slots, so the other
+    columns are zero, which changes no rank.  Each distinct value is
+    factorized once.  Values past int64 are kept as Python ints.
+    """
+    try:
+        keys = np.asarray(keys, dtype=np.int64)
+    except OverflowError:
+        keys = np.asarray(keys, dtype=object)
+    m, n = keys.shape
+    vals = np.sort(keys, axis=None)
+    vals = vals[np.flatnonzero(np.diff(vals, prepend=0))]
+    facts = [arith._abs_exponents(v) for v in vals.tolist()]
+    w = max(map(len, facts))
+    facts = [f + ((0, 0),) * (w - len(f)) for f in facts]
+    table = np.array(facts, dtype=keys.dtype)  # a prime is at most its value
+    primes, exps = table[:, :, 0], table[:, :, 1]
+    at = np.searchsorted(vals, keys)
+    row_primes = primes[at].reshape(m, n * w)
+    first = (row_primes[:, :, None] == row_primes[:, None, :]).argmax(axis=2)
+    out = np.zeros((m, n, n * w), dtype=np.int64)
+    # within one value the primes differ, so no two slots meet in one cell
+    # (padding slots write 0 over 0)
+    np.put_along_axis(out, first.reshape(m, n, w), exps[at], axis=2)
+    return out
 
 
 # ── exact integer linear algebra ─────────────────────────────────────────
@@ -127,6 +160,10 @@ def _gram(rows) -> np.ndarray:
     return np.matmul(a, np.swapaxes(a, -1, -2))
 
 
+# 2⁰ … 2⁶¹, for ⌈log₂ x⌉ of int64 entries by search
+_POW2 = 1 << np.arange(62, dtype=np.int64)
+
+
 def _psd_rank(g: np.ndarray) -> np.ndarray:
     """Rank of each matrix in a stack (m, s, s) of integer Gram matrices.
 
@@ -135,16 +172,21 @@ def _psd_rank(g: np.ndarray) -> np.ndarray:
     (t+1)-minor on the pivot set, exactly divisible by the last pivot.  A
     Gram matrix stays positive semidefinite under this elimination, so once
     the largest remaining diagonal entry is 0 the rest is 0 and the pivots
-    taken are the rank.  A t-minor of a PSD matrix is at most D^t in size,
-    D its largest diagonal entry, and the last step only reads its pivot, so
-    no product passes D^(2(s−1)): int64 is exact below 2⁶², and the stack
-    is eliminated in Python ints from there on.
+    taken are the rank.  A minor of G = E·Eᵀ on rows A and columns B is at
+    most √(∏_A G_kk · ∏_B G_kk) in size (Cauchy–Binet and Hadamard), and
+    the products formed multiply two minors of at most s − 1 rows, so none
+    passes M², M the product of every diagonal entry but the smallest (each
+    taken at least 1).  int64 is exact while M² < 2⁶², checked first with
+    M ≤ D^(s−1), D the largest diagonal entry, then with ⌈log₂⌉ of each
+    entry; a stack past that is eliminated in Python ints.
     """
     m, s = g.shape[0], g.shape[-1]
     if s and g.dtype != object:
-        top = int(np.diagonal(g, axis1=1, axis2=2).max(initial=0))
-        if top ** (2 * (s - 1)) >= 2**62:
-            g = g.astype(object)
+        diag = np.diagonal(g, axis1=1, axis2=2)
+        if int(diag.max(initial=0)) ** (2 * (s - 1)) >= 2**62:
+            bits = np.searchsorted(_POW2, np.maximum(diag, 1) - 1, side="right")
+            if int((bits.sum(axis=1) - bits.min(axis=1)).max(initial=0)) > 30:
+                g = g.astype(object)
     g = g.copy()
     rank = np.zeros(m, dtype=np.int64)
     prev = np.ones(m, dtype=g.dtype)
@@ -181,20 +223,32 @@ def rank_of_rows(rows):
     return _stacked(_psd_rank, _gram(rows))
 
 
+# most Gram-block entries one elimination of the subset scan takes (256 KiB
+# of int64), so a long vector's scan never holds all C(n, s) blocks at once
+_SCAN_CELLS = 1 << 15
+
+
 def _subset_rank(g: np.ndarray, smallest: int) -> np.ndarray:
-    """``rank_from_rows`` on a stack (m, n, n) of Gram matrices."""
+    """``rank_from_rows`` on a stack (m, n, n) of Gram matrices.
+
+    Subsets of one size are taken in chunks of at most ``_SCAN_CELLS`` block
+    entries, and a matrix leaves the scan at its first dependent subset.
+    """
     n = g.shape[-1]
     rank = np.full(len(g), n, dtype=np.int64)
     todo = np.flatnonzero(_psd_rank(g) < n)
     rank[todo] = n - 1
     for size in range(smallest, n):
-        if todo.size == 0:
-            break
-        subs = np.array(list(combinations(range(n), size)))
-        sub = g[todo][:, subs[:, :, None], subs[:, None, :]]
-        hit = (_psd_rank(sub.reshape(-1, size, size)) < size).reshape(len(todo), -1).any(axis=1)
-        rank[todo[hit]] = size - 1
-        todo = todo[~hit]
+        subsets = combinations(range(n), size)
+        while todo.size:
+            step = max(1, _SCAN_CELLS // (len(todo) * size * size))
+            subs = np.array(list(islice(subsets, step)), dtype=np.intp).reshape(-1, size)
+            if len(subs) == 0:
+                break
+            sub = g[todo][:, subs[:, :, None], subs[:, None, :]]
+            hit = (_psd_rank(sub.reshape(-1, size, size)) < size).reshape(len(todo), -1).any(axis=1)
+            rank[todo[hit]] = size - 1
+            todo = todo[~hit]
     return rank
 
 
@@ -276,8 +330,7 @@ def is_dependent(nu) -> bool:
     nu = validate_vector(nu)
     if any(abs(x) == 1 for x in nu):
         return True
-    em = exponent_matrix(nu)
-    return rank_of_rows(em.rows) < len(nu)
+    return rank_of_rows(exponent_stack([[abs(x) for x in nu]])[0]) < len(nu)
 
 
 def _primitive(k) -> tuple[int, ...]:
@@ -332,7 +385,7 @@ def mult_rank(nu) -> int:
     nu = validate_vector(nu)
     if any(abs(x) == 1 for x in nu):
         return 0
-    return rank_from_rows(exponent_matrix(nu).rows)
+    return rank_from_rows(exponent_stack([[abs(x) for x in nu]])[0])
 
 
 def full_support_relation(nu):

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 import _oracles as orc
 from multdep.relations import (
     exponent_matrix,
+    exponent_stack,
     fatal_triple,
     full_support_relation,
     has_full_support_relation,
@@ -305,9 +308,10 @@ def test_stacked_rank_from_rows_matches_subset_oracle(rng):
 
 
 def test_large_exponents_take_the_python_int_path():
-    # exponents up to 48 put Gram diagonals past 441, and 441^(2·4) passes
-    # 2^62 at n = 5, so these stacks are eliminated in Python ints because of
-    # their data; their 4-minors reach ~10^13, so int64 products would wrap
+    # exponents up to 48 put Gram diagonals past 441, so the product M of all
+    # diagonal entries but the smallest has M² ≥ 2^62 at n = 5, and these
+    # stacks are eliminated in Python ints because of their data; their
+    # 4-minors reach ~10^13, so int64 products would wrap
     vectors = [
         (2**21, 3**13, 2**10 * 3**7, 6**6, 5**9),
         (2**48, 3**40, 5**35, 7**30, 2**12 * 3**10 * 5**9 * 7**8),
@@ -318,8 +322,50 @@ def test_large_exponents_take_the_python_int_path():
     ]
     stack = _row_stack(vectors)
     gram = np.einsum("bik,bjk->bij", stack, stack)
-    assert int(np.diagonal(gram, axis1=1, axis2=2).max()) ** 8 >= 2**62
+    assert max(math.prod(sorted(d)[1:]) for d in np.diagonal(gram, axis1=1, axis2=2).tolist()) ** 2 >= 2**62
     for v, r, d in zip(vectors, rank_from_rows(stack), rank_of_rows(stack)):
         assert r == orc.subset_rank_oracle(v) == mult_rank(v)
         assert d == orc.rref_rank(exponent_matrix(v).rows)
         assert (d < 5) == orc.dependent_oracle(v)
+
+
+def test_int64_elimination_is_exact_on_both_sides_of_the_switch(rng):
+    # entries from 2 to 2^13 put the stacks on both sides of the switch to
+    # Python ints; dependent rows included, the rank equals the echelon rank
+    for _ in range(600):
+        n, k = rng.randint(2, 6), rng.randint(1, 6)
+        top = 2 ** rng.randint(1, 13)
+        rows = [[rng.randint(-top, top) for _ in range(k)] for _ in range(n)]
+        if rng.random() < 0.5:
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+        assert rank_of_rows(rows) == orc.rref_rank(rows), rows
+
+
+def test_exponent_stack_has_the_gram_of_the_exponent_matrix(rng):
+    for n in range(1, 6):
+        keys = [[rng.randint(2, 5000) for _ in range(n)] for _ in range(50)]
+        stack = exponent_stack(keys)
+        for key, rows in zip(keys, stack):
+            e = np.array(exponent_matrix(key).rows, dtype=np.int64)
+            assert (rows @ rows.T == e @ e.T).all(), key
+    # values past int64 keep Python ints
+    big = exponent_stack([[2**64 * 3, 5, 6]])
+    assert big.tolist() == [[[64, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [1, 1, 0, 0, 0, 0]]]
+
+
+def test_long_vector_subset_scan_runs_in_bounded_chunks():
+    # 15 primes and their product: only the whole vector is dependent, so
+    # the scan tests all 32 766 subsets of sizes 2 to 15 and finds none.
+    # Size 8 alone is C(16, 8)·8·8 int64 entries (6.6 MB), so the scan
+    # must not hold one size's blocks at once
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+    v = primes + (math.prod(primes),)
+    assert mult_rank(v) == 15  # factorization tables are built here
+    tracemalloc.start()
+    try:
+        assert mult_rank(v) == 15
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
