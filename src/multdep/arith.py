@@ -1,10 +1,10 @@
 """Shared exact integer arithmetic.
 
 Factorization (smallest-prime-factor sieve with deterministic trial division
-beyond the sieve bound), radicals, smooth-number counting, minimal perfect
-power bases, vector gcds, and the signed convolution kernel that multiplies
-sparse integer polynomials.  Everything here is exact; nothing uses floats
-or probabilistic primality.
+beyond the sieve bound), radicals, the smooth-number walk and its count ψ₀,
+minimal perfect power bases, vector gcds, and the signed convolution kernel
+that multiplies sparse integer polynomials.  Everything here is exact;
+nothing uses floats or probabilistic primality.
 
 The sieve starts at 4096 entries on first use and doubles when a value past
 its end is factorized, up to ``SIEVE_LIMIT`` (10**6); values above the limit
@@ -130,26 +130,34 @@ def radical(m: int) -> int:
     return r
 
 
+def smooth_numbers(x: int, primes):
+    """Yield each integer in [1, x] whose primes all lie in ``primes``, once
+    each, in no set order; 1 (the empty product) always comes.  A depth-first
+    walk: a value is extended only by primes at least its largest, so the
+    cost follows the values yielded, never a scan of [1, x]."""
+    ps = sorted(set(primes))
+    if ps and ps[0] < 2:
+        raise ValueError("smooth_numbers needs primes >= 2")
+    stack = [(1, 0)] if x >= 1 else []
+    while stack:
+        cur, i = stack.pop()
+        yield cur
+        for j in range(i, len(ps)):
+            v = cur * ps[j]
+            if v > x:
+                break
+            stack.append((v, j))
+
+
 def psi0(x: int, y: int) -> int:
     """Number of integers in [1, x] whose prime factors all divide y.
 
-    Counts by depth-first search over products of the distinct primes of y,
-    so it stays cheap even for x up to ~10**12; 1 always counts.
+    Counts the ``smooth_numbers`` walk over the distinct primes of y, so it
+    stays cheap even for x up to ~10**12; 1 always counts.
     """
     if x < 1 or y < 1:
         raise ValueError("psi0 requires x >= 1 and y >= 1")
-    primes = [p for p, _ in _abs_exponents(y)]
-
-    def walk(i: int, cur: int) -> int:
-        total = 1
-        for j in range(i, len(primes)):
-            v = cur * primes[j]
-            while v <= x:
-                total += walk(j + 1, v)
-                v *= primes[j]
-        return total
-
-    return walk(0, 1)
+    return sum(1 for _ in smooth_numbers(x, (p for p, _ in _abs_exponents(y))))
 
 
 def f_base(A: int) -> int:

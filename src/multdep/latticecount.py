@@ -30,9 +30,9 @@ signed domain.  The linear constraint never involves those coordinates, so
 the folding is exact, for the total count as well as per rank.
 
 Curve systems (one power-product equation with one linear equation) run one
-loop for every variant: ``enumerate_solutions`` walks the plane, and each
-point's power equation is tested by multiplying both sides out in integers.
-``curve_counts`` returns the count and the 3var exclusions of that one pass.
+loop for every variant, ``curve_counts``: it solves the inner pair of plane
+coordinates from candidates drawn by ``arith.smooth_numbers`` and tests the
+power equation in exact integers (the lemma behind it is in its docstring).
 Sweeps refuse H above ``_TABLE_CAP``, and planes whose int64 arithmetic could
 wrap (Σ|α_i|·H + |J| ≥ 2⁶²), with RegimeError before building tables.
 """
@@ -516,44 +516,63 @@ def _iroot(m: int, k: int) -> int:
 def curve_counts(sys: CurveSystemSpec, H: int) -> tuple[int, int]:
     """(count, excluded) for the curve system with 0 < |ν_i| ≤ H.
 
-    One sweep over the solutions of the linear equation.  Each side of the
-    power equation is multiplied out as a Python int; by unique factorization
-    the sides are equal exactly when their signs and exponent maps are.  In
-    the 2var variants ν3 is not on the line: a point adds the number of x
-    with x^k3 equal to the quotient of the two sides and 0 < |x| ≤ H.
-    ``excluded`` counts the 3var solutions that α1ν1 ≠ J ≠ α2ν2 drops; it is
-    0 for the other variants.
+    One loop for every variant.  The last two plane coordinates with nonzero
+    α are the inner pair (c, d), the others the outer ones o, and the pair
+    lies on α_c·c + α_d·d = m = J − Σ α_o·o.  Each candidate c solves d from
+    that line, and both sides of the power equation are multiplied out as
+    Python ints.  In the 2var variants ν3 is off the plane: a point adds the
+    number of x with x^k3 equal to the quotient of the sides, 0 < |x| ≤ H.
+
+    Candidates are the whole signed axis in 2var and where m = 0, else only
+    ±(rad(A·B·∏o·m)-smooth integers in [1, H]).  Lemma: take m ≠ 0 and a
+    prime p | c with p ∤ A·B·∏o.  In the power equation only d can carry p
+    on the side opposite c, so p | d, and then p | α_c·c + α_d·d = m.  Hence
+    rad(c) | rad(A·B·∏o·m); c = ±1 is the empty product.  ``excluded``
+    counts the 3var solutions that α1ν1 ≠ J ≠ α2ν2 drops, 0 elsewhere.
     """
     _validate_curve(sys)
     if H < 1:
         raise ValueError("H must be >= 1")
     sides, na = CURVE_VARIANTS[sys.variant]
-    k = sys.k
-    a1, a2, J = sys.alpha[0], sys.alpha[1], sys.J
+    k, alpha, J = sys.k, sys.alpha, sys.J
+    ci, di = [i for i in range(na) if alpha[i]][-2:]
+    outer = [i for i in range(na) if i not in (ci, di)]
     e = k[-1]
-    top = H**e
+    fixed = [p for p, _ in arith._abs_exponents(abs(sys.A * sys.B))]
+    axis = (*range(-H, 0), *range(1, H + 1)) if outer else ()
     count = excluded = 0
-    for nu in enumerate_solutions(HyperplaneSpec(sys.alpha, J), DomainSpec("signed", H)):
-        lhs, rhs = sys.A, sys.B
-        for s, v, ki in zip(sides, nu, k):
-            if s > 0:
-                lhs *= v**ki
-            else:
-                rhs *= v**ki
-        if na < len(sides):
-            # x = ν3 joins the den side: x^k3 = num/den
-            num, den = (lhs, rhs) if sides[na] < 0 else (rhs, lhs)
-            q, r = divmod(num, den)
-            if r or abs(q) > top:
-                continue
-            x = _iroot(abs(q), e)
-            if x**e == abs(q):
-                count += 1 if e % 2 else (2 if q > 0 else 0)
-        elif lhs == rhs:
-            if sys.variant == "3var" and (a1 * nu[0] == J or a2 * nu[1] == J):
-                excluded += 1
-            else:
-                count += 1
+    for o in product(*[axis] * len(outer)):
+        m = J - sum(alpha[i] * v for i, v in zip(outer, o))
+        lhs = sys.A * math.prod(v ** k[i] for i, v in zip(outer, o) if sides[i] > 0)
+        rhs = sys.B * math.prod(v ** k[i] for i, v in zip(outer, o) if sides[i] < 0)
+        if na < len(sides) or m == 0:
+            mags = range(1, H + 1)
+        else:
+            primes = fixed + [p for v in (m, *o) for p, _ in arith._abs_exponents(abs(v))]
+            mags = arith.smooth_numbers(H, primes)
+        for s in mags:
+            for c in (s, -s):
+                d, r = divmod(m - alpha[ci] * c, alpha[di])
+                if r or not d or abs(d) > H:
+                    continue
+                cp, dp = c ** k[ci], d ** k[di]
+                left = lhs * (cp if sides[ci] > 0 else 1) * (dp if sides[di] > 0 else 1)
+                right = rhs * (1 if sides[ci] > 0 else cp) * (1 if sides[di] > 0 else dp)
+                if na < len(sides):
+                    # x = ν3 joins the den side: x^k3 = num/den
+                    num, den = (left, right) if sides[na] < 0 else (right, left)
+                    q, r = divmod(num, den)
+                    if r or abs(q) > H**e:
+                        continue
+                    x = _iroot(abs(q), e)
+                    if x**e == abs(q):
+                        count += 1 if e % 2 else (2 if q > 0 else 0)
+                elif left == right:
+                    nu = {**dict(zip(outer, o)), ci: c, di: d}
+                    if sys.variant == "3var" and J in (alpha[0] * nu[0], alpha[1] * nu[1]):
+                        excluded += 1
+                    else:
+                        count += 1
     return count, excluded
 
 

@@ -5,7 +5,10 @@ piecewise-polynomial convolution of box densities, from the signed vertex sum
 over all 2^n cube vertices, and, for all-ones α, from Eulerian numbers; ranks
 from plain Fraction Gaussian elimination, dependence from a bounded exponent
 search, and the n = 2 same-base pair count from integer roots and repeated
-multiplication.
+multiplication.  The curve-system oracle is the exception: it walks the plane
+with the package's ``enumerate_solutions``, which the tests check against a
+brute product-and-filter of the box, and reads the variants' sides from
+``CURVE_VARIANTS``.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
+
+from multdep.latticecount import CURVE_VARIANTS, DomainSpec, HyperplaneSpec, enumerate_solutions
 
 
 # ── exact piecewise-polynomial convolution of box densities ──────────────
@@ -328,3 +333,48 @@ def same_base_pairs(H: int) -> int:
             total += m * (m - 1)
         b += 1
     return total
+
+
+# ── curve systems by a sweep over the whole plane ────────────────────────
+
+def curve_sweep_points(sys, H: int):
+    """Yield (ν, solutions, excluded) for every point ν of the plane α·ν = J
+    with 0 < |ν_i| ≤ H that gives at least one solution of the curve system.
+
+    Each side of the power equation is multiplied out in integers.  In the
+    2var variants ν3 is off the plane, and a point gives the number of x with
+    x^k3 equal to the quotient of the two sides and 0 < |x| ≤ H; otherwise it
+    gives 1 when the sides are equal.  ``excluded`` marks the 3var points that
+    α1ν1 ≠ J ≠ α2ν2 drops.
+    """
+    sides, na = CURVE_VARIANTS[sys.variant]
+    k, e = sys.k, sys.k[-1]
+    plane = enumerate_solutions(HyperplaneSpec(sys.alpha, sys.J), DomainSpec("signed", H))
+    for nu in plane:
+        lhs, rhs = sys.A, sys.B
+        for s, v, ki in zip(sides, nu, k):
+            if s > 0:
+                lhs *= v**ki
+            else:
+                rhs *= v**ki
+        if na < len(sides):
+            num, den = (lhs, rhs) if sides[na] < 0 else (rhs, lhs)
+            q, r = divmod(num, den)
+            if r or abs(q) > H**e or _iroot(abs(q), e) ** e != abs(q):
+                continue
+            sols = 1 if e % 2 else (2 if q > 0 else 0)
+            if sols:
+                yield nu, sols, False
+        elif lhs == rhs:
+            yield nu, 1, sys.variant == "3var" and sys.J in (sys.alpha[0] * nu[0], sys.alpha[1] * nu[1])
+
+
+def curve_sweep_oracle(sys, H: int) -> tuple[int, int]:
+    """(count, excluded) of a curve system by ``curve_sweep_points``."""
+    count = excluded = 0
+    for _, sols, dropped in curve_sweep_points(sys, H):
+        if dropped:
+            excluded += sols
+        else:
+            count += sols
+    return count, excluded

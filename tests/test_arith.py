@@ -63,6 +63,33 @@ def test_radical_examples():
         arith.radical(0)
 
 
+def test_smooth_numbers_yield_each_smooth_integer_once():
+    def brute(x, primes):
+        out = []
+        for m in range(1, x + 1):
+            r = m
+            for p in primes:
+                while r % p == 0:
+                    r //= p
+            if r == 1:
+                out.append(m)
+        return out
+
+    cases = [(50, ()), (1, (2, 3)), (0, (2,)), (97, (2, 3, 5)), (200, (3, 7, 11, 13)),
+             (60, (2, 61, 67)), (30, (31, 37)), (500, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
+             (64, (2, 2, 3))]
+    for x, primes in cases:
+        got = list(arith.smooth_numbers(x, primes))
+        assert len(got) == len(set(got)), (x, primes)
+        assert sorted(got) == brute(x, set(primes)), (x, primes)
+    assert list(arith.smooth_numbers(10, ())) == [1]
+    assert list(arith.smooth_numbers(10, (11, 13))) == [1]
+    # 1 (or 0) as a "prime" would extend a value by itself forever
+    for bad in ((1,), (0, 2), (-3,)):
+        with pytest.raises(ValueError):
+            next(arith.smooth_numbers(10, bad))
+
+
 def test_psi0_examples():
     assert arith.psi0(100, 6) == 20
     assert arith.psi0(10, 2) == 4

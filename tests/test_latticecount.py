@@ -122,23 +122,32 @@ def test_enumeration_examples():
 
 
 def test_enumeration_exact_and_unique(rng):
-    for _ in range(30):
-        n = rng.randint(2, 3)
-        alpha = tuple(rng.randint(-3, 3) for _ in range(n))
-        J = rng.randint(-5, 5)
-        H = rng.randint(1, 5)
-        dom = rng.choice(["signed", "positive"])
-        sols = list(enumerate_solutions(HyperplaneSpec(alpha, J), DomainSpec(dom, H)))
-        assert len(sols) == len(set(sols))
-        lo = -H if dom == "signed" else 1
-        brute = set()
-        for v in product(*[range(lo, H + 1)] * n):
-            if 0 in v:
-                continue
-            if sum(a * x for a, x in zip(alpha, v)) == J or (not any(alpha) and J == 0):
-                if sum(a * x for a, x in zip(alpha, v)) == J:
-                    brute.add(v)
-        assert set(sols) == brute
+    # fixed cases first: J = 0, a zero α in either position, all-zero α
+    cases = [((1, 1), 0), ((0, 2), 4), ((3, 0), -3), ((0, 0), 0), ((2, -1, 0), 0), ((0, 1, -1), 2)]
+    cases += [
+        (tuple(rng.randint(-3, 3) for _ in range(rng.randint(2, 3))), rng.randint(-5, 5))
+        for _ in range(30)
+    ]
+    for alpha, J in cases:
+        n = len(alpha)
+        spec = HyperplaneSpec(alpha, J)
+        for dom in ("signed", "positive"):
+            H = rng.randint(1, 5)
+            sols = list(enumerate_solutions(spec, DomainSpec(dom, H)))
+            axis = [x for x in range(-H, H + 1) if x] if dom == "signed" else range(1, H + 1)
+            brute = [v for v in product(axis, repeat=n) if sum(a * x for a, x in zip(alpha, v)) == J]
+            assert sorted(sols) == brute, (alpha, J, dom, H)
+            # the number of points: a lattice count of the box, less the
+            # points with a zero coordinate by inclusion–exclusion
+            if dom == "positive":
+                want = hyperplane_lattice_count(spec, [(1, H)] * n)
+            else:
+                want = sum(
+                    (-1) ** sum(pinned)
+                    * hyperplane_lattice_count(spec, [(0, 0) if z else (-H, H) for z in pinned])
+                    for pinned in product((False, True), repeat=n)
+                )
+            assert len(sols) == want, (alpha, J, dom, H)
 
 
 # ── dependent-vector counting ─────────────────────────────────────────────
@@ -323,6 +332,71 @@ def test_curve_brute_random(rng):
             branches |= _root_branches(sys, H)
         assert curve_counts(sys, H) == brute_curve(sys, H), (sys, H)
     assert branches == {"not integral", "even root of a negative", "root above H"}
+
+
+def _curve_cases(rng):
+    """Systems for the differential test, with the hand-picked ones first.
+
+    The 2var heights reach 300, 3var 60 and 4var 12, beyond
+    ``test_curve_brute_random``; the last case is the benchmark's
+    4var (1, 1, −1, 2) shape at H = 28.
+    """
+    cases = [
+        # m = 0 along ν1 = 2: every point of ν2 = ν3 solves, and is excluded
+        (CurveSystemSpec("3var", 1, 2, (1, 1, 1), (1, 1, -1), 2), 40),
+        (CurveSystemSpec("3var", -6, 12, (1, 2, 2), (2, 1, -1), 4), 60),
+        (CurveSystemSpec("2var-a", -12, 9, (2, 1, 2), (1, -2), 3), 300),
+        (CurveSystemSpec("2var-b", 4, -6, (1, 2, 1), (2, 1), -4), 300),
+    ]
+    for z in range(4):
+        alpha = [1, -1, 2, 1]
+        alpha[z] = 0
+        cases.append((CurveSystemSpec("4var", 1, 1, (1, 1, 1, 1), tuple(alpha), 2), 12))
+    for _ in range(36):
+        variant = rng.choice(["2var-a", "2var-b", "3var", "4var"])
+        J = rng.choice([-6, -4, -3, -2, -1, 1, 2, 3, 4, 6, 12])
+        if variant == "4var":
+            alpha = [rng.choice([-2, -1, 1, 2]) for _ in range(4)]
+            if rng.random() < 0.3:
+                alpha[rng.randrange(4)] = 0
+            k = tuple(rng.randint(1, 3) for _ in range(4))
+            cases.append((CurveSystemSpec(variant, 1, 1, k, tuple(alpha), J), rng.randint(1, 12)))
+        else:
+            A, B = (rng.choice([1, 2, 4, 6, 9, 12]) * rng.choice([-1, 1]) for _ in range(2))
+            alpha = tuple(rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(2 if variant != "3var" else 3))
+            k = tuple(rng.randint(1, 4) for _ in range(3))
+            H = rng.randint(1, 60 if variant == "3var" else 300)
+            cases.append((CurveSystemSpec(variant, A, B, k, alpha, J), H))
+    cases.append((CurveSystemSpec("4var", 1, 1, (1, 1, 3, 1), (1, 1, -1, 2), -3), 28))
+    return cases
+
+
+def test_curve_matches_sweep_oracle(rng):
+    seen = set()
+    for sys, H in _curve_cases(rng):
+        points = list(orc.curve_sweep_points(sys, H))
+        assert curve_counts(sys, H) == orc.curve_sweep_oracle(sys, H), (sys, H)
+        if not points:
+            continue
+        # the inner pair is the last two plane coordinates with nonzero α;
+        # on m = 0 its line passes through the origin
+        c, d = [i for i, a in enumerate(sys.alpha) if a][-2:]
+        if len(sys.alpha) > 2 and any(sys.alpha[c] * v[c] + sys.alpha[d] * v[d] == 0 for v, _, _ in points):
+            seen.add("m = 0")
+        if 0 in sys.alpha:
+            seen.add(f"zero alpha at {sys.alpha.index(0)}")
+        for name, v in (("A", sys.A), ("B", sys.B)):
+            if v < 0 and sum(arith.factorize(v).exponents.values()) > 1:
+                seen.add(f"negative composite {name}")
+        if any(e % 2 == 0 for e in sys.k):
+            seen.add("even exponent")
+        if any(dropped for _, _, dropped in points):
+            seen.add("excluded")
+        seen.add(sys.variant)
+    assert seen == {
+        "m = 0", "even exponent", "excluded", "negative composite A", "negative composite B",
+        "2var-a", "2var-b", "3var", "4var", *(f"zero alpha at {z}" for z in range(4)),
+    }
 
 
 def test_iroot_is_exact():
