@@ -2,11 +2,13 @@
 
 The central object is the count of multiplicatively dependent vectors ν with
 nonzero coordinates, 0 < |ν_i| ≤ H, lying on α·ν = J, always split by
-multiplicative rank.  Counting is exhaustive: one coordinate with nonzero α
-(the pivot) is solved from the others on a grid of consecutive combinations
-of the outer free coordinates times the last free coordinate, and the grid
-cells that solve the plane are classified exactly, one block of at most
-``_BLOCK_ROWS`` solutions at a time, each coordinate one column.
+multiplicative rank.  Counting is exhaustive: one coordinate p with nonzero
+α (the pivot) is solved from the others.  Each combination of the outer free
+coordinates leaves the last free coordinate c and p on a line
+a_c·c + a_p·p = rem; its integer points have c in one residue class mod
+|a_p|/g, and there are none unless g = gcd(a_c, a_p) divides rem.  The sweep
+steps c along that class, so every cell of its grid solves the plane, and
+classifies the cells in range exactly, at most ``_BLOCK_ROWS`` at a time.
 
 Classification cascade per solution (cheapest first):
   rank 0   some coordinate is ±1;
@@ -31,10 +33,11 @@ the folding is exact, for the total count as well as per rank.
 
 Curve systems (one power-product equation with one linear equation) run one
 loop for every variant, ``curve_counts``: it solves the inner pair of plane
-coordinates from candidates drawn by ``arith.smooth_numbers`` and tests the
-power equation in exact integers (the lemma behind it is in its docstring).
-Sweeps refuse H above ``_TABLE_CAP``, and planes whose int64 arithmetic could
-wrap (Σ|α_i|·H + |J| ≥ 2⁶²), with RegimeError before building tables.
+coordinates from candidates drawn by ``arith.smooth_numbers``, or from the
+same residue class where no smoothness holds, and tests the power equation
+in exact integers (the lemma behind it is in its docstring).  Sweeps refuse
+H above ``_TABLE_CAP``, and planes whose int64 arithmetic could wrap
+(Σ|α_i|·H + |J| ≥ 2⁶²), with RegimeError before building tables.
 """
 
 from __future__ import annotations
@@ -270,24 +273,25 @@ def _classify_block(
     if c1:
         by_rank[1] = by_rank.get(1, 0) + c1
     rest &= ~m1
+    del bases  # not needed past rank 1; freed before the cover filter copies
     if n < 3 or not rest.any():
         return none
 
+    cols = [c[rest] for c in cols]
     # cover filter: a dependent subset of size ≥ 3 needs each member's primes
-    # to reappear among the other coordinates (else its exponent is forced 0)
+    # to reappear among the other coordinates (else its exponent is forced 0).
+    # A row drops once more than n − 3 of its coordinates are uncovered
     if report.H**n < 2**62:
-        prod_all = cols[0].copy()
-        for c in cols[1:]:
-            prod_all *= c
-        cov = np.zeros(rows, dtype=np.int8)
-        for c in cols:
-            cov += (prod_all // c) % rad[c] == 0
-        rest &= cov >= 3
-
-    idx = np.nonzero(rest)[0]
-    if idx.size == 0:
-        return none
-    return np.sort(np.stack([c[idx] for c in cols], axis=1), axis=1)
+        prod_all = math.prod(cols)
+        miss = np.zeros(len(prod_all), dtype=np.int8)
+        for i in range(n):
+            c = cols[i]
+            miss += prod_all // c % rad[c] != 0
+            if i >= n - 3:
+                keep = np.flatnonzero(miss <= n - 3)
+                cols = [c[keep] for c in cols]
+                prod_all, miss = prod_all[keep], miss[keep]
+    return np.sort(np.stack(cols, axis=1), axis=1)
 
 
 def _rank_deep(report: CountReport, rows: np.ndarray, weight: int) -> None:
@@ -324,10 +328,10 @@ def _rank_deep(report: CountReport, rows: np.ndarray, weight: int) -> None:
 # (H + 1 int64 entries each)
 _TABLE_CAP = 1 << 22
 
-# most (outer combo, inner value) cells a sweep block solves, so also the
-# most rows one ``_classify_block`` call gets; each int64 column of a block
-# then stays at 64 KiB, so many combos share one block's numpy calls while
-# peak memory barely moves
+# most (outer combo, class step) cells in a sweep block, so also the most
+# rows one ``_classify_block`` call gets, and the most outer combos whose
+# congruence is solved at once; each int64 column then stays at 64 KiB, so
+# many combos share one block's numpy calls while peak memory barely moves
 _BLOCK_ROWS = 1 << 13
 
 # most distinct deep-stage rows ranked in one stack; exponent rows and the
@@ -374,15 +378,33 @@ def count_S(spec: HyperplaneSpec, domain: DomainSpec) -> CountReport:
     return report
 
 
+def _line_class(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, u) for a·c + b·d = m, b ≠ 0: g = gcd(a, b), s = |b|/g, u = (a/g)⁻¹
+    mod s.  Integer points exist only when g | m, at c ≡ (m/g)·u (mod s); from
+    one to the next c grows by s and d moves by −(a/g)·sign(b)."""
+    g = math.gcd(a, b)
+    s = abs(b) // g
+    return g, s, pow(a // g, -1, s)
+
+
 def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool, pivot, free) -> None:
-    """Classify every solution, the pivot (if any) solved from the ``free``
+    """Classify every solution, the pivot p (if any) solved from the ``free``
     coordinates, in blocks of at most ``_BLOCK_ROWS`` grid cells.
 
-    The last free coordinate is the inner one, the others are outer.  A block
-    is a run of consecutive outer combos (``product`` order, decoded from
-    their flat index) times the inner axis, or times a slice of it when the
-    axis alone is longer than a block.  The pivot is solved on that
-    (combo × inner) grid, and only the cells that solve the plane become rows.
+    The last free coordinate c is the inner one, the others are outer.  An
+    outer combo leaves a_c·c + a_p·p = rem, rem = J − Σ a_o·o, with solutions
+    only when g | rem ((g, s, u) from ``_line_class``).  Then c steps by s
+    from the first axis member of its class (rem/g)·u mod s, and p by a fixed
+    step, so no cell needs a division, only the masks c ≤ H, c ≠ 0 and
+    1 ≤ |p| ≤ H.  Without a pivot (all-zero α) a unit stand-in for a_p makes
+    the whole axis one class.  Combos are decoded (``product`` order) and
+    solved ``_BLOCK_ROWS`` at a time; a block is a run of those with
+    solutions times the steps, or a slice of the steps.
+
+    Exact in int64: |rem| and |a_c·c| for |c| ≤ H stay below the 2⁶² checked
+    here; rem/g is reduced mod s before the product with u < s, which takes
+    Python ints once s² could pass 2⁶³; a combo whose first class member
+    exceeds H is dropped before p is formed.
     """
     H = report.H
     alpha = spec.alpha
@@ -392,61 +414,64 @@ def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool, pivot, free)
         raise RegimeError("sum of |alpha_i|*H plus |J| reaches 2^62, beyond the sweep's int64 arithmetic")
     base = arith.power_base_table(H)
     rad = arith.radical_table(H)
-    axes = [_axis_values(alpha[i], H, signed) for i in free]
-    weight = math.prod(w for _, w in axes)
-    outer_vals = [v for v, _ in axes[:-1]]
+    axes = [_axis_values(alpha[i], H, signed) for i in free[:-1]]
+    outer_vals = [v for v, _ in axes]
     outer_coef = [alpha[i] for i in free[:-1]]
-    inner_vals = axes[-1][0]
-    inner_abs = np.abs(inner_vals)
+    ac = alpha[free[-1]]
+    # inner axis: [−H, H] with c = 0 masked, or [1, H] folded as in ``_axis_values``
+    lo, fold = (-H, 1) if signed and ac else (1, 2 if signed else 1)
+    weight = fold * math.prod(w for _, w in axes)
+    ap = 1 if pivot is None else alpha[pivot]
+    g, s, u = _line_class(ac, ap)
+    dp = -(ac // g) if ap > 0 else ac // g
+    steps = (H - lo) // s + 1
     combos = math.prod(len(v) for v in outer_vals)
-    width = min(len(inner_vals), _BLOCK_ROWS)
-    step = _BLOCK_ROWS // width
+    width = min(steps, _BLOCK_ROWS)
+    chunk = _BLOCK_ROWS // width
     # deep-stage rows wait here, across blocks, until the buffer is full; one
     # buffer for the whole count, so no small arrays outlive their block.
     # Rows reach the deep stage only from three coordinates on
     deep = np.empty((_BLOCK_ROWS if spec.n >= 3 else 0, spec.n), dtype=np.int64)
     held = 0
-    for start in range(0, combos, step):
-        flat = np.arange(start, min(start + step, combos))
+    cs, ps = s * np.arange(width), dp * np.arange(width)
+    for start in range(0, combos, _BLOCK_ROWS):
+        flat = np.arange(start, min(start + _BLOCK_ROWS, combos))
         rem = np.full(len(flat), spec.J, dtype=np.int64)
         outer_abs = []
         for a, v in zip(reversed(outer_coef), reversed(outer_vals)):
             flat, d = np.divmod(flat, len(v))
             rem -= a * v[d]
             outer_abs.append(np.abs(v[d]))
-        for lo in range(0, len(inner_vals), width):
-            vals = inner_vals[lo:lo + width]
-            if pivot is None:
-                ok = np.ones((len(rem), len(vals)), dtype=bool)
-                solved = []
-            else:
-                ok, pivot_abs = _solve_pivot(rem, alpha[free[-1]] * vals, alpha[pivot], H, signed)
-                solved = [pivot_abs]
-            cols = [np.broadcast_to(o[:, None], ok.shape)[ok] for o in outer_abs]
-            cols.append(np.broadcast_to(inner_abs[lo:lo + width], ok.shape)[ok])
-            rows = _classify_block(report, cols + solved, weight, base, rad)
-            if held + len(rows) > _BLOCK_ROWS:
-                _rank_deep(report, deep[:held], weight)
-                held = 0
-            deep[held:held + len(rows)] = rows
-            held += len(rows)
+        c0 = rem // g % s
+        c0 = (c0.astype(object) * u % s).astype(np.int64) if s * s >= 2**63 else c0 * u % s
+        first = lo + (c0 - lo) % s
+        keep = np.flatnonzero((rem % g == 0) & (first <= H))
+        first = first[keep]
+        outer_abs = [o[keep] for o in outer_abs]
+        p0 = (rem[keep] - ac * first) // ap
+        for k0 in range(0, len(keep), chunk):
+            sl = slice(k0, k0 + chunk)
+            for t0 in range(0, steps, width):
+                k = min(width, steps - t0)
+                c = (first[sl] + s * t0)[:, None] + cs[:k]
+                ok = c <= H
+                if lo < 0:
+                    ok &= c != 0
+                cols = [np.broadcast_to(o[sl, None], ok.shape) for o in outer_abs] + [np.abs(c, out=c)]
+                if pivot is not None:
+                    p = (p0[sl] + dp * t0)[:, None] + ps[:k]
+                    if signed:
+                        np.abs(p, out=p)
+                    ok &= p >= 1
+                    ok &= p <= H
+                    cols.append(p)
+                rows = _classify_block(report, [x[ok] for x in cols], weight, base, rad)
+                if held + len(rows) > _BLOCK_ROWS:
+                    _rank_deep(report, deep[:held], weight)
+                    held = 0
+                deep[held:held + len(rows)] = rows
+                held += len(rows)
     _rank_deep(report, deep[:held], weight)
-
-
-def _solve_pivot(rem, terms, ap: int, H: int, signed: bool):
-    """Solve ap·p = rem[i] − terms[j] on the (combo × inner) grid.
-
-    Returns the mask of cells whose p is an integer coordinate of the domain,
-    and |p| at those cells in row-major order.  The grid's temporaries are
-    freed on return, before the block is classified.
-    """
-    p, r = np.divmod(rem[:, None] - terms, ap)
-    if signed:
-        np.abs(p, out=p)
-    ok = r == 0
-    ok &= p >= 1
-    ok &= p <= H
-    return ok, p[ok]
 
 
 # ── curve systems: one multiplicative and one linear equation ────────────
@@ -523,7 +548,8 @@ def curve_counts(sys: CurveSystemSpec, H: int) -> tuple[int, int]:
     Python ints.  In the 2var variants ν3 is off the plane: a point adds the
     number of x with x^k3 equal to the quotient of the sides, 0 < |x| ≤ H.
 
-    Candidates are the whole signed axis in 2var and where m = 0, else only
+    In 2var and where m = 0, c runs along the residue class that solves the
+    line (``_line_class``; none when gcd(α_c, α_d) ∤ m), elsewhere only over
     ±(rad(A·B·∏o·m)-smooth integers in [1, H]).  Lemma: take m ≠ 0 and a
     prime p | c with p ∤ A·B·∏o.  In the power equation only d can carry p
     on the side opposite c, so p | d, and then p | α_c·c + α_d·d = m.  Hence
@@ -540,39 +566,41 @@ def curve_counts(sys: CurveSystemSpec, H: int) -> tuple[int, int]:
     e = k[-1]
     fixed = [p for p, _ in arith._abs_exponents(abs(sys.A * sys.B))]
     axis = (*range(-H, 0), *range(1, H + 1)) if outer else ()
+    g, step, u = _line_class(alpha[ci], alpha[di])
     count = excluded = 0
     for o in product(*[axis] * len(outer)):
         m = J - sum(alpha[i] * v for i, v in zip(outer, o))
         lhs = sys.A * math.prod(v ** k[i] for i, v in zip(outer, o) if sides[i] > 0)
         rhs = sys.B * math.prod(v ** k[i] for i, v in zip(outer, o) if sides[i] < 0)
         if na < len(sides) or m == 0:
-            mags = range(1, H + 1)
+            if m % g:
+                continue
+            cs = range(-H + (m // g * u + H) % step, H + 1, step)
         else:
             primes = fixed + [p for v in (m, *o) for p, _ in arith._abs_exponents(abs(v))]
-            mags = arith.smooth_numbers(H, primes)
-        for s in mags:
-            for c in (s, -s):
-                d, r = divmod(m - alpha[ci] * c, alpha[di])
-                if r or not d or abs(d) > H:
+            cs = [c for s in arith.smooth_numbers(H, primes) for c in (s, -s)]
+        for c in cs:
+            d, r = divmod(m - alpha[ci] * c, alpha[di])
+            if r or not c or not d or abs(d) > H:
+                continue
+            cp, dp = c ** k[ci], d ** k[di]
+            left = lhs * (cp if sides[ci] > 0 else 1) * (dp if sides[di] > 0 else 1)
+            right = rhs * (1 if sides[ci] > 0 else cp) * (1 if sides[di] > 0 else dp)
+            if na < len(sides):
+                # x = ν3 joins the den side: x^k3 = num/den
+                num, den = (left, right) if sides[na] < 0 else (right, left)
+                q, r = divmod(num, den)
+                if r or abs(q) > H**e:
                     continue
-                cp, dp = c ** k[ci], d ** k[di]
-                left = lhs * (cp if sides[ci] > 0 else 1) * (dp if sides[di] > 0 else 1)
-                right = rhs * (1 if sides[ci] > 0 else cp) * (1 if sides[di] > 0 else dp)
-                if na < len(sides):
-                    # x = ν3 joins the den side: x^k3 = num/den
-                    num, den = (left, right) if sides[na] < 0 else (right, left)
-                    q, r = divmod(num, den)
-                    if r or abs(q) > H**e:
-                        continue
-                    x = _iroot(abs(q), e)
-                    if x**e == abs(q):
-                        count += 1 if e % 2 else (2 if q > 0 else 0)
-                elif left == right:
-                    nu = {**dict(zip(outer, o)), ci: c, di: d}
-                    if sys.variant == "3var" and J in (alpha[0] * nu[0], alpha[1] * nu[1]):
-                        excluded += 1
-                    else:
-                        count += 1
+                x = _iroot(abs(q), e)
+                if x**e == abs(q):
+                    count += 1 if e % 2 else (2 if q > 0 else 0)
+            elif left == right:
+                nu = {**dict(zip(outer, o)), ci: c, di: d}
+                if sys.variant == "3var" and J in (alpha[0] * nu[0], alpha[1] * nu[1]):
+                    excluded += 1
+                else:
+                    count += 1
     return count, excluded
 
 

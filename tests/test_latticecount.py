@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction as F
 from itertools import product
@@ -347,6 +348,9 @@ def _curve_cases(rng):
         (CurveSystemSpec("3var", -6, 12, (1, 2, 2), (2, 1, -1), 4), 60),
         (CurveSystemSpec("2var-a", -12, 9, (2, 1, 2), (1, -2), 3), 300),
         (CurveSystemSpec("2var-b", 4, -6, (1, 2, 1), (2, 1), -4), 300),
+        # gcd(α1, α2) = 2: ν1 steps by 3 along its class, or no class at all
+        (CurveSystemSpec("2var-a", 3, -2, (1, 2, 1), (-4, 6), 2), 300),
+        (CurveSystemSpec("2var-b", 1, 1, (1, 1, 1), (4, 6), 3), 300),
     ]
     for z in range(4):
         alpha = [1, -1, 2, 1]
@@ -385,6 +389,8 @@ def test_curve_matches_sweep_oracle(rng):
             seen.add("m = 0")
         if 0 in sys.alpha:
             seen.add(f"zero alpha at {sys.alpha.index(0)}")
+        if math.gcd(sys.alpha[c], sys.alpha[d]) > 1:
+            seen.add("gcd > 1")
         for name, v in (("A", sys.A), ("B", sys.B)):
             if v < 0 and sum(arith.factorize(v).exponents.values()) > 1:
                 seen.add(f"negative composite {name}")
@@ -394,7 +400,7 @@ def test_curve_matches_sweep_oracle(rng):
             seen.add("excluded")
         seen.add(sys.variant)
     assert seen == {
-        "m = 0", "even exponent", "excluded", "negative composite A", "negative composite B",
+        "m = 0", "gcd > 1", "even exponent", "excluded", "negative composite A", "negative composite B",
         "2var-a", "2var-b", "3var", "4var", *(f"zero alpha at {z}" for z in range(4)),
     }
 
@@ -490,11 +496,92 @@ def test_cover_filter_boundary_on_hand_built_blocks(rng, monkeypatch):
     assert 0 < deep_tests[0] < deep_tests[1]
 
 
-# n = 1..5; J = 0, α = 0 boxes, zero coefficients and composite α
+def _cover_rule_by_row(cols, base, rad):
+    """The cascade's deep-stage rows, one row at a time: no ±1, no two equal
+    power bases, and at least three coordinates whose primes all divide the
+    other coordinates (``cov >= 3``), each row sorted."""
+    left = []
+    for row in zip(*(c.tolist() for c in cols)):
+        bases = [int(base[x]) for x in row]
+        if 1 in row or len(set(bases)) < len(bases):
+            continue
+        prod_all = math.prod(row)
+        if sum((prod_all // x) % int(rad[x]) == 0 for x in row) >= 3:
+            left.append(sorted(row))
+    return left
+
+
+def test_cover_filter_matches_the_covered_count_rule(rng):
+    # hand-built blocks, mostly smooth values so that many rows survive; the
+    # filter is on (H**n < 2**62) for every n here
+    top = 1000
+    base, rad = arith.power_base_table(top), arith.radical_table(top)
+    smooth = [x for x in range(2, top + 1) if max(arith._abs_exponents(x))[0] <= 7]
+    for n in range(3, 7):
+        cols = [np.array([rng.choice(smooth) if rng.random() < 0.8 else rng.randint(1, top)
+                          for _ in range(400)], dtype=np.int64) for _ in range(n)]
+        rep = lc.CountReport((1,) * n, 0, "signed", top)
+        got = lc._classify_block(rep, cols, 1, base, rad).tolist()
+        want = _cover_rule_by_row(cols, base, rad)
+        assert got == want, n
+        passed_ranks = 400 - sum(rep.by_rank.values())
+        assert 0 < len(want) < passed_ranks, (n, len(want), passed_ranks)
+
+
+def test_line_class_is_the_solving_residue_class():
+    for a in range(-6, 7):
+        for b in (-6, -4, -3, -1, 1, 2, 5, 6):
+            g, s, u = lc._line_class(a, b)
+            for m in range(-12, 13):
+                solving = [c for c in range(-20, 21) if (m - a * c) % b == 0]
+                want = [] if m % g else [c for c in range(-20, 21) if (c - m // g * u) % s == 0]
+                assert solving == want, (a, b, m)
+                # from one point to the next c grows by s, d by −(a/g)·sign(b)
+                if len(solving) > 1:
+                    d0, d1 = ((m - a * c) // b for c in solving[:2])
+                    assert solving[1] - solving[0] == s
+                    assert d1 - d0 == -(a // g) * (1 if b > 0 else -1)
+
+
+def test_count_exact_with_huge_coefficients():
+    # the residue of the inner coordinate needs (rem/g)·u mod s with s near
+    # 2^40: in int64 that product wraps, so the sweep would lose solutions
+    cases = [
+        ((1, 3, 2**38 + 1), 2**38 + 6, 3, (2, 2), (1, 1)),
+        ((4, 6, 2**40 + 3), 2**40 + 23, 2, (1, 1), (1, 1)),
+        ((2**39, 3, 2**40 + 1), 2**41 - 2, 2, (1, 1), (0, 0)),
+    ]
+    for alpha, J, H, signed, positive in cases:
+        spec = HyperplaneSpec(alpha, J)
+        for dom, want in (("signed", signed), ("positive", positive)):
+            ds = DomainSpec(dom, H)
+            sols = list(enumerate_solutions(spec, ds))
+            assert (len(sols), sum(orc.dependent_oracle(v) for v in sols)) == want
+            rep = count_S(spec, ds)
+            assert (rep.total_on_plane, rep.dependent_total) == want, (alpha, dom)
+
+
+def test_count_pinned_at_moderate_heights():
+    # |α_pivot| ≥ 3, or gcd(α_inner, α_pivot) > 1 so that some outer combos
+    # have no solutions; counts taken from a sweep that divided on every cell
+    # of the full (combos × axis) grid
+    for alpha, J, H, dom, total, by_rank in [
+        ((-2, 3, -4), 3, 758, "signed", 550183, {0: 3278, 1: 3554, 2: 146}),  # 6978 dependent
+        ((-1, -1, -2), -12, 407, "signed", 330463, {0: 3218, 1: 4855, 2: 470}),
+        ((3, 2, -1), 10, 1016, "positive", 87376, {0: 847, 1: 411, 2: 51}),
+        ((3, 4, 6), 7, 500, "signed", 163263, {0: 1662, 1: 1353, 2: 43}),
+    ]:
+        rep = count_S(HyperplaneSpec(alpha, J), DomainSpec(dom, H))
+        assert (rep.total_on_plane, rep.by_rank) == (total, by_rank), alpha
+        assert rep.dependent_total == sum(by_rank.values())
+
+
+# n = 1..5; J = 0, α = 0 boxes, zero coefficients (inner one included, as in
+# (2, 3, 0)) and composite α, some with gcd(α_inner, α_pivot) > 1
 BLOCK_GRID = [
     ((3,), 6), ((0,), 0), ((2, -4), 0), ((0, 0), 0), ((0, 6), 12), ((4, 6), 10),
     ((1, 1, 1), 1), ((2, 3, 4), 5), ((0, 0, 0), 0), ((6, 0, -4), 2), ((1, -1, 9), 0),
-    ((1, 2, -1, 1), 3), ((0, 4, 6, 1), 0), ((0, 0, 0, 0), 0), ((1, 1, 1, 2), -1),
+    ((2, 3, 0), 4), ((1, 2, -1, 1), 3), ((0, 4, 6, 1), 0), ((0, 0, 0, 0), 0), ((1, 1, 1, 2), -1),
     ((1, 1, 1, 1, 1), 1), ((0, 2, -2, 3, 0), 0), ((6, 4, 1, -9, 2), 4),
 ]
 
