@@ -8,8 +8,6 @@ counts converge to.
 from .errors import RegimeError
 from .arith import SignedFactorization, f_base, factorize, gcd_vec, psi0, radical
 from .relations import (
-    ExponentMatrix,
-    exponent_matrix,
     full_support_relation,
     has_full_support_relation,
     is_dependent,
@@ -23,7 +21,6 @@ from .latticecount import (
     CurveSystemSpec,
     DomainSpec,
     HyperplaneSpec,
-    count_curve_system,
     count_S,
     covolume_ratio,
     enumerate_solutions,
@@ -50,12 +47,12 @@ __version__ = "0.1.0"
 __all__ = [
     "RegimeError",
     "SignedFactorization", "factorize", "radical", "psi0", "f_base", "gcd_vec",
-    "ExponentMatrix", "exponent_matrix", "is_dependent", "relation", "mult_rank",
+    "is_dependent", "relation", "mult_rank",
     "has_full_support_relation", "full_support_relation", "verify_relation",
     "mm_unit_cube_Q", "mm_half_cube_Q", "simplex_Q", "V_alpha", "V_alpha_positive",
     "HyperplaneSpec", "DomainSpec", "CountReport", "CurveSystemSpec",
     "covolume_ratio", "hyperplane_lattice_count", "enumerate_solutions",
-    "count_S", "count_curve_system",
+    "count_S",
     "alpha_star", "alpha_pm", "delta", "C0", "C1", "C2_k3", "C1_k3",
     "S2prime", "C_k2", "C_e1", "C_total", "C_positive", "ConstantBreakdown",
     "__version__",

@@ -239,9 +239,11 @@ def S2prime(J: int, a1: int, a2: int) -> list[tuple[int, int]]:
     (x, y) multiplicatively dependent.  The set is finite: such a pair has
     |x| = w^s, |y| = w^t for a common base w ≥ 2, and w^{min(s,t)} | J.
 
-    Enumerates every w | J, every w^m | J, both roles of the minimal-exponent
-    coordinate and both signs, solving the other coordinate and keeping it
-    when it is ± a power of w.  Returned sorted for determinism.
+    Fixes each divisor d > 1 of |J| as ±d in either role and solves the
+    other coordinate from the line; the pair is kept when the other is ± a
+    power of f(d), the minimal base of d.  That is every pair: the one of
+    smaller exponent is ±w^m with w^m | J, and f(d) = f(w).  Returned sorted
+    for determinism.
     """
     if J == 0 or a1 == 0 or a2 == 0:
         raise ValueError("S2prime requires nonzero J, a1, a2")
@@ -251,32 +253,20 @@ def S2prime(J: int, a1: int, a2: int) -> list[tuple[int, int]]:
             m //= w
         return m == 1
 
+    divisors = [1]
+    for p, e in arith.factorize(J).exponents.items():
+        divisors = [d * p**i for d in divisors for i in range(e + 1)]
     found: set[tuple[int, int]] = set()
-    aJ = abs(J)
-    for w in range(2, aJ + 1):
-        if aJ % w != 0:
-            continue
-        pw = w
-        while aJ % pw == 0:
-            for s in (1, -1):
-                for role_x in (True, False):
-                    fixed = s * pw
-                    if role_x:
-                        num = J - a1 * fixed
-                        if num % a2:
-                            continue
-                        x, y = fixed, num // a2
-                    else:
-                        num = J - a2 * fixed
-                        if num % a1:
-                            continue
-                        x, y = num // a1, fixed
-                    if abs(x) <= 1 or abs(y) <= 1 or abs(x) == abs(y):
-                        continue
-                    other = abs(y) if role_x else abs(x)
-                    if power_of(other, w):
-                        found.add((x, y))
-            pw *= w
+    for d in divisors[1:]:
+        w = arith.f_base(d)
+        for fixed in (d, -d):
+            for a_fixed, a_other, fixed_is_x in ((a1, a2, True), (a2, a1, False)):
+                num = J - a_fixed * fixed
+                if num % a_other:
+                    continue
+                other = num // a_other
+                if abs(other) > 1 and abs(other) != d and power_of(abs(other), w):
+                    found.add((fixed, other) if fixed_is_x else (other, fixed))
     return sorted(found)
 
 

@@ -602,8 +602,3 @@ def curve_counts(sys: CurveSystemSpec, H: int) -> tuple[int, int]:
                 else:
                     count += 1
     return count, excluded
-
-
-def count_curve_system(sys: CurveSystemSpec, H: int) -> int:
-    """Exact solution count with 0 < |ν_i| ≤ H, variant exclusions applied."""
-    return curve_counts(sys, H)[0]

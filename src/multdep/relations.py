@@ -3,10 +3,11 @@
 A vector of nonzero integers (ν_1, ..., ν_n) is multiplicatively dependent
 when some nonzero integer vector k satisfies ν_1**k_1 · ... · ν_n**k_n = 1.
 Everything here decides that exactly, through linear algebra on the matrix of
-prime exponents: row i lists the exponents of |ν_i| over the primes occurring
-in the vector.  A relation is an integer vector annihilating every prime
-column whose sign product is +1; a kernel vector with sign product −1 is
-repaired by doubling, since −1 is 2-torsion.
+prime exponents, laid out by ``exponent_stack``: row i lists the exponents of
+|ν_i|, and each prime occurring in the vector owns one column.  A relation is
+an integer vector annihilating every column whose sign product is +1; a
+kernel vector with sign product −1 is repaired by doubling, since −1 is
+2-torsion.
 
 Witnesses are verified symbolically (per-prime exponent sums and the sign
 product), never by evaluating integer powers, so huge exponents are safe.
@@ -18,8 +19,8 @@ exactly when its Gram matrix G = E·Eᵀ is singular, so every subset's test is
 a principal block of one G, and fraction-free elimination ranks a whole stack
 of blocks at once: in int64 while a bound on the data keeps it exact, in
 Python ints past it.  ``exponent_stack`` lays out the exponent rows of many
-vectors as one such stack; ``mult_rank``, ``is_dependent`` and the deep stage
-of ``latticecount.count_S`` build their rows with it and rank them there.
+vectors as one such stack, for the deep stage of ``latticecount.count_S``,
+and of one vector for the decisions and witnesses here.
 
 Vectors must have nonzero coordinates throughout.
 """
@@ -27,7 +28,6 @@ Vectors must have nonzero coordinates throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 
@@ -45,39 +45,16 @@ def validate_vector(nu) -> tuple[int, ...]:
     return v
 
 
-@dataclass(frozen=True)
-class ExponentMatrix:
-    """Per-coordinate prime exponent rows (ascending primes) plus sign bits."""
-
-    primes: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
-    signs: tuple[int, ...]
-
-
-def exponent_matrix(nu) -> ExponentMatrix:
-    nu = validate_vector(nu)
-    facts = [arith._abs_exponents(abs(x)) for x in nu]
-    primes = sorted({p for f in facts for p, _ in f})
-    index = {p: i for i, p in enumerate(primes)}
-    rows = []
-    for f in facts:
-        row = [0] * len(primes)
-        for p, e in f:
-            row[index[p]] = e
-        rows.append(tuple(row))
-    signs = tuple(1 if x > 0 else -1 for x in nu)
-    return ExponentMatrix(tuple(primes), tuple(rows), signs)
-
-
 def exponent_stack(keys) -> np.ndarray:
     """Exponent rows of each row of ``keys``, a nonempty (m, n) array of
-    absolute values ≥ 2, as a stack (m, n, n·w), w the most primes of one
-    value.
+    absolute values ≥ 1, as a stack (m, n, n·w), w the most primes of one
+    value (at least 1).
 
     Column (j, t) of a row is prime slot t of value j; a prime that several
     values of the row share goes in the first of its slots, so the other
-    columns are zero, which changes no rank.  Each distinct value is
-    factorized once.  Values past int64 are kept as Python ints.
+    columns are zero, which changes no rank, and each prime of the row owns
+    exactly one column.  A value 1 has an all-zero row.  Each distinct value
+    is factorized once.  Values past int64 are kept as Python ints.
     """
     try:
         keys = np.asarray(keys, dtype=np.int64)
@@ -87,7 +64,7 @@ def exponent_stack(keys) -> np.ndarray:
     vals = np.sort(keys, axis=None)
     vals = vals[np.flatnonzero(np.diff(vals, prepend=0))]
     facts = [arith._abs_exponents(v) for v in vals.tolist()]
-    w = max(map(len, facts))
+    w = max(1, *map(len, facts))
     facts = [f + ((0, 0),) * (w - len(f)) for f in facts]
     table = np.array(facts, dtype=keys.dtype)  # a prime is at most its value
     primes, exps = table[:, :, 0], table[:, :, 1]
@@ -290,12 +267,14 @@ def right_kernel_basis(rows, ncols: int) -> list[tuple[int, ...]]:
     return basis
 
 
+def _exponent_rows(nu) -> np.ndarray:
+    """The ``exponent_stack`` rows (n, k) of one vector's absolute values."""
+    return exponent_stack([[abs(x) for x in nu]])[0]
+
+
 def _relation_lattice_basis(nu) -> list[tuple[int, ...]]:
     """Kernel of the exponent rows (sign ignored): transpose and solve."""
-    em = exponent_matrix(nu)
-    n = len(em.rows)
-    cols = [[em.rows[i][j] for i in range(n)] for j in range(len(em.primes))]
-    return right_kernel_basis(cols, n)
+    return right_kernel_basis(_exponent_rows(nu).T.tolist(), len(nu))
 
 
 def _sign_product(nu, k) -> int:
@@ -312,9 +291,8 @@ def verify_relation(nu, k) -> bool:
     k = tuple(int(e) for e in k)
     if len(k) != len(nu) or not any(k):
         return False
-    em = exponent_matrix(nu)
-    for col in range(len(em.primes)):
-        if sum(e * em.rows[i][col] for i, e in enumerate(k)) != 0:
+    for col in _exponent_rows(nu).T.tolist():  # one column per prime
+        if sum(e * c for e, c in zip(k, col)) != 0:
             return False
     return _sign_product(nu, k) == 1
 
@@ -330,7 +308,7 @@ def is_dependent(nu) -> bool:
     nu = validate_vector(nu)
     if any(abs(x) == 1 for x in nu):
         return True
-    return rank_of_rows(exponent_stack([[abs(x) for x in nu]])[0]) < len(nu)
+    return rank_of_rows(_exponent_rows(nu)) < len(nu)
 
 
 def _primitive(k) -> tuple[int, ...]:
@@ -345,7 +323,12 @@ def _primitive(k) -> tuple[int, ...]:
     return tuple(k)
 
 
-def _verified(nu, k) -> tuple[int, ...]:
+def _repaired(nu, k) -> tuple[int, ...]:
+    """Kernel vector k as a verified witness: primitive, doubled when its
+    sign product is −1."""
+    k = _primitive(k)
+    if _sign_product(nu, k) == -1:
+        k = tuple(2 * a for a in k)
     if not verify_relation(nu, k):
         raise ArithmeticError(f"relation witness {k} fails verification for {nu}")
     return k
@@ -359,20 +342,12 @@ def relation(nu):
     primitive form, doubled when its sign product is −1.
     """
     nu = validate_vector(nu)
-    n = len(nu)
-    for i, x in enumerate(nu):
-        if x == 1:
-            return _verified(nu, tuple(1 if j == i else 0 for j in range(n)))
-    for i, x in enumerate(nu):
-        if x == -1:
-            return _verified(nu, tuple(2 if j == i else 0 for j in range(n)))
+    for unit in (1, -1):
+        if unit in nu:
+            i = nu.index(unit)
+            return _repaired(nu, [int(j == i) for j in range(len(nu))])
     basis = _relation_lattice_basis(nu)
-    if not basis:
-        return None
-    k = _primitive(basis[0])
-    if _sign_product(nu, k) == -1:
-        k = tuple(2 * a for a in k)
-    return _verified(nu, k)
+    return _repaired(nu, basis[0]) if basis else None
 
 
 def mult_rank(nu) -> int:
@@ -385,7 +360,7 @@ def mult_rank(nu) -> int:
     nu = validate_vector(nu)
     if any(abs(x) == 1 for x in nu):
         return 0
-    return rank_from_rows(exponent_stack([[abs(x) for x in nu]])[0])
+    return rank_from_rows(_exponent_rows(nu))
 
 
 def full_support_relation(nu):
@@ -413,11 +388,7 @@ def full_support_relation(nu):
                 k[i] += w * b[i]
             w *= L
         if all(k):
-            k = _primitive(k)
-            if _sign_product(nu, k) == -1:
-                k = tuple(2 * a for a in k)
-            if all(k) and verify_relation(nu, k):
-                return tuple(k)
+            return _repaired(nu, k)
         L += 1 + maxabs
 
 

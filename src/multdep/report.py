@@ -35,8 +35,7 @@ class ConvergenceRow:
 
     ``grid`` is H (or J for all-positive studies); ``normalized`` is
     count/grid^e exactly; ``residual`` = normalized − predicted exactly;
-    ``residual_scaled`` multiplies by the error-shape factor grid^{1/2}
-    (optionally divided by (log grid)^16 for the log-carrying regimes).
+    ``residual_scaled`` multiplies by the error-shape factor grid^{1/2}.
     """
 
     grid: int
@@ -57,20 +56,7 @@ class ConvergenceRow:
         }
 
 
-def _scale(residual: Fraction, grid: int, log_correction: bool) -> float:
-    s = float(residual) * math.sqrt(grid)
-    if log_correction:
-        s /= math.log(grid) ** 16
-    return s
-
-
-def convergence_study(
-    alpha,
-    J: int,
-    grid,
-    domain: str = "signed",
-    log_correction: bool = False,
-) -> list[ConvergenceRow]:
+def convergence_study(alpha, J: int, grid, domain: str = "signed") -> list[ConvergenceRow]:
     """One row per grid value, ascending.
 
     For all-positive α in the positive domain the grid is read as J values
@@ -103,7 +89,7 @@ def convergence_study(
         residual = normalized - predicted
         rows.append(
             ConvergenceRow(g, rep.dependent_total, normalized, predicted,
-                           residual, _scale(residual, g, log_correction))
+                           residual, float(residual) * math.sqrt(g))
         )
     return rows
 
@@ -138,7 +124,7 @@ def curve_bound_study(sys: CurveSystemSpec, grid) -> dict:
     rows = []
     max_ratio = 0.0
     for H in (int(g) for g in grid):
-        count = latticecount.count_curve_system(sys, H)
+        count = latticecount.curve_counts(sys, H)[0]
         ratio = count / (math.sqrt(H) * (math.log(H) + 2))
         max_ratio = max(max_ratio, ratio)
         rows.append({"H": H, "count": count, "ratio": ratio})

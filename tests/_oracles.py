@@ -4,8 +4,9 @@ Deliberately share no code with the package: slice densities come from exact
 piecewise-polynomial convolution of box densities, from the signed vertex sum
 over all 2^n cube vertices, and, for all-ones α, from Eulerian numbers; ranks
 from plain Fraction Gaussian elimination, dependence from a bounded exponent
-search, and the n = 2 same-base pair count from integer roots and repeated
-multiplication.  The curve-system oracle is the exception: it walks the plane
+search, the n = 2 same-base pair count from integer roots and repeated
+multiplication, and the S'₂ line pairs from a walk over every base
+w ≤ |J|.  The curve-system oracle is the exception: it walks the plane
 with the package's ``enumerate_solutions``, which the tests check against a
 brute product-and-filter of the box, and reads the variants' sides from
 ``CURVE_VARIANTS``.
@@ -333,6 +334,41 @@ def same_base_pairs(H: int) -> int:
             total += m * (m - 1)
         b += 1
     return total
+
+
+def s2prime_oracle(J: int, a1: int, a2: int) -> list[tuple[int, int]]:
+    """``constants.S2prime`` by a walk over every w in 2..|J|: each w^m | J,
+    with both signs, fixed in either role, keeps the pair when the other
+    coordinate is ± a power of w.  O(|J|) steps."""
+
+    def power_of(m: int, w: int) -> bool:
+        while m % w == 0:
+            m //= w
+        return m == 1
+
+    found: set[tuple[int, int]] = set()
+    aJ = abs(J)
+    for w in range(2, aJ + 1):
+        pw = w
+        while aJ % pw == 0:
+            for fixed in (pw, -pw):
+                for role_x in (True, False):
+                    if role_x:
+                        num = J - a1 * fixed
+                        if num % a2:
+                            continue
+                        x, y = fixed, num // a2
+                    else:
+                        num = J - a2 * fixed
+                        if num % a1:
+                            continue
+                        x, y = num // a1, fixed
+                    if abs(x) <= 1 or abs(y) <= 1 or abs(x) == abs(y):
+                        continue
+                    if power_of(abs(y) if role_x else abs(x), w):
+                        found.add((x, y))
+            pw *= w
+    return sorted(found)
 
 
 # ── curve systems by a sweep over the whole plane ────────────────────────

@@ -33,7 +33,7 @@ from multdep.latticecount import (
     DomainSpec,
     HyperplaneSpec,
     count_S,
-    count_curve_system,
+    curve_counts,
     hyperplane_lattice_count,
 )
 
@@ -330,7 +330,7 @@ def test_criterion_11_curve_bound_trend():
     sys = CurveSystemSpec("2var-a", 1, 1, (1, 1, 1), (1, 1), 2)
     ratios = {}
     for H in (100, 1000, 10000):
-        cnt = count_curve_system(sys, H)
+        cnt = curve_counts(sys, H)[0]
         ratios[H] = cnt / (math.sqrt(H) * (math.log(H) + 2))
     elapsed = time.perf_counter() - t0
     fitted = ratios[100]

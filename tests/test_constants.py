@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import _oracles as orc
 from multdep import constants as cn
 from multdep.errors import RegimeError
 from multdep.latticecount import DomainSpec, HyperplaneSpec, count_S
@@ -109,6 +110,19 @@ def test_S2prime_brute_force(rng):
         full = set(cn.S2prime(J, a1, a2))
         inside = {p for p in full if abs(p[0]) <= 2000 and abs(p[1]) <= 2000}
         assert brute(J, a1, a2, 2000) == inside
+
+
+def test_S2prime_matches_the_walk_over_every_base():
+    for J in range(-400, 401):
+        for a1 in (-3, -1, 2):
+            for a2 in (-2, 1, 3):
+                if J:
+                    assert cn.S2prime(J, a1, a2) == orc.s2prime_oracle(J, a1, a2), (J, a1, a2)
+    # 2^6·3^4·5^2 = 129600 has 105 divisors; 2^20 ± 2^10 lie near 10^6
+    for J, a1, a2 in ((-129600, 1, 2), (2**20 + 2**10, 1, 1), (2**20 - 2**10, 1, -1)):
+        pairs = cn.S2prime(J, a1, a2)
+        assert pairs and pairs == orc.s2prime_oracle(J, a1, a2), (J, a1, a2)
+    assert (1024, 1048576) in cn.S2prime(2**20 + 2**10, 1, 1)
 
 
 def test_C_k2_examples():

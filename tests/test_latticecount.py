@@ -15,7 +15,6 @@ from multdep.latticecount import (
     CurveSystemSpec,
     DomainSpec,
     HyperplaneSpec,
-    count_curve_system,
     count_S,
     covolume_ratio,
     curve_counts,
@@ -269,24 +268,24 @@ def brute_curve(sys: CurveSystemSpec, H: int):
 
 
 def test_curve_examples():
-    assert count_curve_system(CurveSystemSpec("2var-a", 1, 1, (1, 1, 1), (1, 1), 2), 1) == 1
-    assert count_curve_system(CurveSystemSpec("3var", 1, 1, (1, 1, 1), (1, 1, 1), 50), 5) == 0
-    assert count_curve_system(CurveSystemSpec("4var", 1, 1, (1, 1, 1, 1), (1, 1, 1, 1), 4), 1) == 1
+    assert curve_counts(CurveSystemSpec("2var-a", 1, 1, (1, 1, 1), (1, 1), 2), 1)[0] == 1
+    assert curve_counts(CurveSystemSpec("3var", 1, 1, (1, 1, 1), (1, 1, 1), 50), 5)[0] == 0
+    assert curve_counts(CurveSystemSpec("4var", 1, 1, (1, 1, 1, 1), (1, 1, 1, 1), 4), 1)[0] == 1
 
 
 def test_curve_preconditions():
     with pytest.raises(RegimeError, match="J != 0"):
-        count_curve_system(CurveSystemSpec("2var-a", 1, 1, (1, 1, 1), (1, 1), 0), 5)
+        curve_counts(CurveSystemSpec("2var-a", 1, 1, (1, 1, 1), (1, 1), 0), 5)
     with pytest.raises(RegimeError, match="nonzero"):
-        count_curve_system(CurveSystemSpec("2var-a", 0, 1, (1, 1, 1), (1, 1), 2), 5)
+        curve_counts(CurveSystemSpec("2var-a", 0, 1, (1, 1, 1), (1, 1), 2), 5)
     with pytest.raises(RegimeError, match="exponents"):
-        count_curve_system(CurveSystemSpec("2var-a", 1, 1, (1, 0, 1), (1, 1), 2), 5)
+        curve_counts(CurveSystemSpec("2var-a", 1, 1, (1, 0, 1), (1, 1), 2), 5)
     with pytest.raises(RegimeError, match="at most one zero"):
-        count_curve_system(CurveSystemSpec("4var", 1, 1, (1, 1, 1, 1), (1, 0, 0, 1), 2), 5)
+        curve_counts(CurveSystemSpec("4var", 1, 1, (1, 1, 1, 1), (1, 0, 0, 1), 2), 5)
     with pytest.raises(RegimeError, match="A = B = 1"):
-        count_curve_system(CurveSystemSpec("4var", 2, 1, (1, 1, 1, 1), (1, 1, 1, 1), 2), 5)
+        curve_counts(CurveSystemSpec("4var", 2, 1, (1, 1, 1, 1), (1, 1, 1, 1), 2), 5)
     with pytest.raises(RegimeError, match="unknown curve variant"):
-        count_curve_system(CurveSystemSpec("5var", 1, 1, (1,), (1,), 2), 5)
+        curve_counts(CurveSystemSpec("5var", 1, 1, (1,), (1,), 2), 5)
 
 
 def _root_branches(sys: CurveSystemSpec, H: int) -> set[str]:
@@ -424,7 +423,7 @@ def test_curve_even_exponent_sign_pairs():
     # ν3² = ν1·ν2 counts both square roots
     sys = CurveSystemSpec("2var-a", 1, 1, (1, 1, 2), (1, 1), 5)
     want, _ = brute_curve(sys, 12)
-    assert count_curve_system(sys, 12) == want
+    assert curve_counts(sys, 12)[0] == want
 
 
 def test_count_single_coordinate():

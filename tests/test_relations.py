@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 import tracemalloc
 from itertools import permutations
 
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 
 import _oracles as orc
 from multdep.relations import (
-    exponent_matrix,
     exponent_stack,
     fatal_triple,
     full_support_relation,
@@ -26,15 +27,16 @@ coords = st.integers(min_value=-50, max_value=50).filter(lambda x: x != 0)
 vectors = st.lists(coords, min_size=1, max_size=5).map(tuple)
 
 
-def test_exponent_matrix_examples():
-    em = exponent_matrix((2, 3, 12))
-    assert em.primes == (2, 3)
-    assert em.rows == ((1, 0), (0, 1), (2, 1))
-    assert em.signs == (1, 1, 1)
-    em = exponent_matrix((-2,))
-    assert em.primes == (2,) and em.rows == ((1,),) and em.signs == (-1,)
-    em = exponent_matrix((1, 1))
-    assert em.primes == () and em.rows == ((), ()) and em.signs == (1, 1)
+def test_exponent_stack_examples():
+    # w = 2 slots per value; 2 owns column 0 and 3 column 2 (first slots)
+    assert exponent_stack([[2, 3, 12]]).tolist() == [
+        [[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [2, 0, 1, 0, 0, 0]]]
+    # a 1 has an all-zero row, and an all-ones key keeps one slot per value
+    assert exponent_stack([[1, 4, 6]]).tolist() == [
+        [[0, 0, 0, 0, 0, 0], [0, 0, 2, 0, 0, 0], [0, 0, 1, 0, 0, 1]]]
+    assert exponent_stack([[1, 1]]).tolist() == [[[0, 0], [0, 0]]]
+    assert exponent_stack([[1]]).tolist() == [[[0]]]
+    assert exponent_stack([[2, 3, 12], [1, 1, 1]]).shape == (2, 3, 6)
 
 
 def test_vector_validation():
@@ -213,16 +215,20 @@ def test_huge_exponents_never_evaluated():
     assert verify_relation(v, k)
 
 
-def test_exponent_matrix_reconstructs(rng):
+def test_exponent_stack_reconstructs(rng):
+    # column (j, t) holds the t-th prime of value j, so each row multiplies
+    # back to its value; 1s and all-ones keys included
     for _ in range(100):
         n = rng.randint(1, 5)
-        v = tuple(rng.choice([1, -1]) * rng.randint(1, 200) for _ in range(n))
-        em = exponent_matrix(v)
-        for x, row, s in zip(v, em.rows, em.signs):
-            rebuilt = s
-            for p, e in zip(em.primes, row):
-                rebuilt *= p**e
-            assert rebuilt == x
+        key = [rng.choice([1, 1, rng.randint(1, 200)]) for _ in range(n)]
+        rows = exponent_stack([key])[0].tolist()
+        w = len(rows[0]) // n
+        col_primes = []
+        for x in key:
+            ps = [p for p in range(2, x + 1) if x % p == 0 and all(p % q for q in range(2, p))]
+            col_primes += ps + [1] * (w - len(ps))
+        for x, row in zip(key, rows):
+            assert math.prod(p**e for p, e in zip(col_primes, row)) == x, key
 
 
 def test_rank_girth_four_cycle():
@@ -259,16 +265,11 @@ def test_fatal_triple_first_hit():
 
 
 def _row_stack(vectors):
-    """Exponent rows of equal-length vectors over their shared primes, stacked."""
-    ems = [exponent_matrix(v) for v in vectors]
-    primes = sorted({p for em in ems for p in em.primes})
-    at = {p: j for j, p in enumerate(primes)}
-    out = np.zeros((len(vectors), len(vectors[0]), len(primes)), dtype=np.int64)
-    for b, em in enumerate(ems):
-        for i, row in enumerate(em.rows):
-            for p, e in zip(em.primes, row):
-                out[b, i, at[p]] = e
-    return out
+    """Oracle exponent rows of equal-length vectors, zero-padded to one
+    width and stacked."""
+    rows = [orc._exponent_rows(v) for v in vectors]
+    width = max(len(r[0]) for r in rows)
+    return np.array([[row + [0] * (width - len(row)) for row in r] for r in rows], dtype=np.int64)
 
 
 def test_stacked_rank_of_rows_matches_rref_oracle(rng):
@@ -325,7 +326,7 @@ def test_large_exponents_take_the_python_int_path():
     assert max(math.prod(sorted(d)[1:]) for d in np.diagonal(gram, axis1=1, axis2=2).tolist()) ** 2 >= 2**62
     for v, r, d in zip(vectors, rank_from_rows(stack), rank_of_rows(stack)):
         assert r == orc.subset_rank_oracle(v) == mult_rank(v)
-        assert d == orc.rref_rank(exponent_matrix(v).rows)
+        assert d == orc.rref_rank(orc._exponent_rows(v))
         assert (d < 5) == orc.dependent_oracle(v)
 
 
@@ -344,10 +345,10 @@ def test_int64_elimination_is_exact_on_both_sides_of_the_switch(rng):
 
 def test_exponent_stack_has_the_gram_of_the_exponent_matrix(rng):
     for n in range(1, 6):
-        keys = [[rng.randint(2, 5000) for _ in range(n)] for _ in range(50)]
+        keys = [[rng.choice([1, rng.randint(2, 5000)]) for _ in range(n)] for _ in range(50)]
         stack = exponent_stack(keys)
         for key, rows in zip(keys, stack):
-            e = np.array(exponent_matrix(key).rows, dtype=np.int64)
+            e = np.array(orc._exponent_rows(key), dtype=np.int64)
             assert (rows @ rows.T == e @ e.T).all(), key
     # values past int64 keep Python ints
     big = exponent_stack([[2**64 * 3, 5, 6]])
@@ -369,3 +370,62 @@ def test_long_vector_subset_scan_runs_in_bounded_chunks():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
+
+
+# (ν, relation(ν), full_support_relation(ν)) as computed when the witnesses
+# were solved from a per-vector prime-sorted exponent matrix: ±1 coordinates,
+# all-±1 vectors and values past int64
+_WITNESSES = [
+    ((1,), (1,), (1,)),
+    ((-1,), (2,), (2,)),
+    ((1, 1), (1, 0), (1, 3)),
+    ((-1, -1, -1), (2, 0, 0), (2, 8, 32)),
+    ((1, -1, 1, -1), (1, 0, 0, 0), (1, 5, 25, 125)),
+    ((-1, 2), (2, 0), None),
+    ((2, 1, 3), (0, 1, 0), None),
+    ((1, 4, 16), (1, 0, 0), (1, 14, -7)),
+    ((4, -1, 8), (0, 2, 0), (60, 2, -40)),
+    ((-2, 2), (2, -2), (2, -2)),
+    ((-2, 4, 9), (2, -1, 0), None),
+    ((6, 15, 35, 14), (1, -1, 1, -1), (1, -1, 1, -1)),
+    ((2**64 * 3, 2**70, 6), (10, -9, -10), (10, -9, -10)),
+    ((-2**70, 2**64 * 3, 3**45), (288, -315, 7), (288, -315, 7)),
+    ((6**30, -2, -3), (1, -30, -30), (1, -30, -30)),
+    ((1, 2**64 * 3, 5), (1, 0, 0), None),
+    ((-3**45, 9, -1), (0, 0, 2), (2, -45, 136)),
+    ((2**70, 2**69), (69, -70), (69, -70)),
+    ((5, 7, 11), None, None),
+]
+
+
+def _witness_grid():
+    rng = random.Random(11)
+    big = (2**64 * 3, 2**70, 3**45, 6**30)
+    for _ in range(600):
+        v = []
+        for _ in range(rng.randint(1, 5)):
+            r = rng.random()
+            if r < 0.1:
+                x = 1
+            elif r < 0.15:
+                x = rng.choice(big)
+            elif r < 0.35:
+                x = rng.choice((2, 3, 6, 12)) ** rng.randint(1, 5)
+            else:
+                x = rng.randint(2, 100)
+            v.append(rng.choice((1, -1)) * x)
+        yield tuple(v)
+
+
+def test_witnesses_are_pinned():
+    for v, rel, full in _WITNESSES:
+        assert relation(v) == rel and full_support_relation(v) == full, v
+    assert [fatal_triple(N) for N in (16, 18, 23, 43, 97, 120)] == [
+        None, None, (2, 3, 18, (1, 2, -1)), (1, 6, 36, (1, 14, -7)),
+        (1, 32, 64, (1, 114, -95)), (6, 18, 96, (9, -4, -1))]
+    # a seeded grid of 600 vectors (224 dependent, 21 with a full-support
+    # relation), pinned by the digest of every output
+    out = [(relation(v), full_support_relation(v)) for v in _witness_grid()]
+    assert sum(k is not None for k, _ in out) == 224 and sum(k is not None for _, k in out) == 21
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "2023a944ca98afd87c5f96528141d0f98eed9a7b28ab76ad40106ea2cd548a7c")

@@ -106,17 +106,6 @@ def test_convergence_k1_prediction_tracks_height():
     assert [r.predicted for r in rows] == [92, 100]
 
 
-def test_residual_scaled_log_correction():
-    import math
-
-    plain = report.convergence_study((1, 1, 1), 1, [100])
-    logged = report.convergence_study((1, 1, 1), 1, [100], log_correction=True)
-    assert logged[0].residual == plain[0].residual
-    assert logged[0].residual_scaled == pytest.approx(
-        plain[0].residual_scaled / math.log(100) ** 16
-    )
-
-
 def test_residual_scaled_comparable_across_rows():
     rows = report.convergence_study((1, 1, 1), 1, [50, 100])
     a, b = (abs(r.residual_scaled) for r in rows)
