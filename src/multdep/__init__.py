@@ -23,7 +23,6 @@ from .latticecount import (
     HyperplaneSpec,
     count_S,
     covolume_ratio,
-    enumerate_solutions,
     hyperplane_lattice_count,
 )
 from .constants import (
@@ -51,8 +50,7 @@ __all__ = [
     "has_full_support_relation", "full_support_relation", "verify_relation",
     "mm_unit_cube_Q", "mm_half_cube_Q", "simplex_Q", "V_alpha", "V_alpha_positive",
     "HyperplaneSpec", "DomainSpec", "CountReport", "CurveSystemSpec",
-    "covolume_ratio", "hyperplane_lattice_count", "enumerate_solutions",
-    "count_S",
+    "covolume_ratio", "hyperplane_lattice_count", "count_S",
     "alpha_star", "alpha_pm", "delta", "C0", "C1", "C2_k3", "C1_k3",
     "S2prime", "C_k2", "C_e1", "C_total", "C_positive", "ConstantBreakdown",
     "__version__",

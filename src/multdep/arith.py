@@ -298,12 +298,11 @@ def _largest(tables: dict[int, np.ndarray], limit: int, build) -> np.ndarray:
 
 
 def _build_base_table(limit: int) -> np.ndarray:
-    t = np.zeros(limit + 1, dtype=np.int64)
-    if limit >= 1:
-        t[1] = 1
-    for b in range(2, limit + 1):
-        if t[b] == 0:
-            v = b
+    # a value above √limit has no power in the table, so it is its own base
+    t = np.arange(limit + 1, dtype=np.int64)
+    for b in range(2, math.isqrt(limit) + 1):
+        if t[b] == b:
+            v = b * b
             while v <= limit:
                 t[v] = b
                 v *= b

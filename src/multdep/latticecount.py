@@ -160,15 +160,11 @@ def hyperplane_lattice_count(spec: HyperplaneSpec, box) -> int:
     return factor * _dp_solution_count(terms, spec.J)
 
 
-# ── exhaustive enumeration ───────────────────────────────────────────────
+# ── pivot coordinate ─────────────────────────────────────────────────────
 
 
 def _pivot_index(alpha) -> int:
-    """Coordinate solved from the linear equation: largest |α_i|, last wins.
-
-    Solving the trailing coordinate keeps the visit order lexicographic in
-    the leading ones.
-    """
+    """Coordinate solved from the linear equation: largest |α_i|, last wins."""
     best = 0
     arg = -1
     for i, a in enumerate(alpha):
@@ -176,44 +172,6 @@ def _pivot_index(alpha) -> int:
             best = abs(a)
             arg = i
     return arg
-
-
-def enumerate_solutions(spec: HyperplaneSpec, domain: DomainSpec):
-    """Yield every solution with all coordinates nonzero, exactly once.
-
-    Deterministic lexicographic order over the free coordinates (ascending
-    coordinate index, ascending value); the pivot coordinate is solved from
-    the others with divisibility and range filtered before the yield.
-    """
-    H = domain.H
-    signed = domain.kind == "signed"
-
-    def axis():
-        if signed:
-            yield from range(-H, 0)
-            yield from range(1, H + 1)
-        else:
-            yield from range(1, H + 1)
-
-    n = spec.n
-    if spec.nnz == 0:
-        if spec.J != 0:
-            return
-        yield from product(*[tuple(axis()) for _ in range(n)])
-        return
-    p = _pivot_index(spec.alpha)
-    ap = spec.alpha[p]
-    free = [i for i in range(n) if i != p]
-    for combo in product(*[tuple(axis()) for _ in free]):
-        rem = spec.J - sum(spec.alpha[i] * v for i, v in zip(free, combo))
-        q, r = divmod(rem, ap)
-        if r != 0 or q == 0 or abs(q) > H or (not signed and q < 1):
-            continue
-        vec = [0] * n
-        for i, v in zip(free, combo):
-            vec[i] = v
-        vec[p] = q
-        yield tuple(vec)
 
 
 # ── dependence classification kernel ─────────────────────────────────────

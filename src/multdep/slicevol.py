@@ -6,17 +6,19 @@ unit cube the signed inclusion–exclusion over the 2**n vertices gives
 
     Q = (1 / ((n−1)!·∏ α_i)) · Σ_{c ∈ {0,1}^n} (−1)^{#{c_i = 1}} max(r − α·c, 0)^{n−1}
 
-and the centered cube [−1/2, 1/2]^n uses c ∈ {−1,1}^n with max(2r − α·c, 0)
-and an extra 1/2^{n−1}.  The vertex sums are grouped by dot value d: the
-signed number of vertices with α·c = d is the coefficient of z^d in
-∏(1 − z^{α_i}) (∏(z^{−α_i} − z^{α_i}) for the centered cube), computed by
+The vertex sum is grouped by dot value d: the signed number of vertices with
+α·c = d is the coefficient of z^d in ∏(1 − z^{α_i}), computed by
 ``arith.poly_product``, so the cost is pseudo-polynomial in Σ|α_i| rather
 than 2^n.
 
+Every other box is a scaled translate s·[0,1]^n + c·(1, …, 1), and
+ν ↦ (ν − c)/s carries its level-r slice onto the unit cube's slice at level
+(r − c·Σα_i)/s with Vol scaled by s^{n−1}.  The centered cube [−1/2, 1/2]^n
+(s = 1, c = −1/2) thus reads the unit-cube Q at r + Σα_i/2.
+
 The density V_α(B; J) = gcd(α)·Vol_{n−1}(B ∩ {α·ν = J}) / ‖α‖ is the exact
 per-slice count of lattice points per unit of box growth; coordinates where
-α_i = 0 are reduced away (each contributes one box side length) and scaled
-boxes use Vol(t·B at level J) = t^{n−1}·Vol(B at level J/t).
+α_i = 0 are reduced away (each contributes one box side length s).
 
 Degenerate dimension 1 uses counting measure: a section that is a single
 point inside the box has Vol_0 = 1.
@@ -41,17 +43,6 @@ def _validate_nonzero(alpha) -> tuple[int, ...]:
     return a
 
 
-def _vertex_sum(factors, shift: Fraction, power: int) -> Fraction:
-    """Σ_d c_d · max(shift − d, 0)**power, c_d the coefficient of z^d in ∏ factors."""
-    p, q = shift.numerator, shift.denominator
-    total = 0
-    for d, c in arith.poly_product(factors).items():
-        arg = p - d * q
-        if arg > 0:
-            total += c * arg**power
-    return Fraction(total, q**power)
-
-
 def mm_unit_cube_Q(alpha, r) -> Fraction:
     """Q with Vol_{n−1}({ν ∈ [0,1]^n : α·ν = r}) = Q·‖α‖ (α all nonzero)."""
     alpha = _validate_nonzero(alpha)
@@ -60,11 +51,17 @@ def mm_unit_cube_Q(alpha, r) -> Fraction:
     if n == 1:
         t = r / alpha[0]
         return Fraction(1, abs(alpha[0])) if 0 <= t <= 1 else Fraction(0)
-    total = _vertex_sum([{0: 1, a: -1} for a in alpha], r, n - 1)
+    # Σ_d c_d·max(r − d, 0)^{n−1} over r = num/den, kept in integers
+    num, den = r.numerator, r.denominator
+    total = 0
+    for d, c in arith.poly_product([{0: 1, a: -1} for a in alpha]).items():
+        arg = num - d * den
+        if arg > 0:
+            total += c * arg ** (n - 1)
     prod = 1
     for a in alpha:
         prod *= a
-    q = total / (factorial(n - 1) * prod)
+    q = Fraction(total, den ** (n - 1) * factorial(n - 1) * prod)
     if q < 0:
         raise ArithmeticError(f"negative slice volume {q} for alpha={alpha}, r={r}")
     return q
@@ -73,19 +70,7 @@ def mm_unit_cube_Q(alpha, r) -> Fraction:
 def mm_half_cube_Q(alpha, r) -> Fraction:
     """Q for the centered cube [−1/2, 1/2]^n (α all nonzero)."""
     alpha = _validate_nonzero(alpha)
-    r = Fraction(r)
-    n = len(alpha)
-    if n == 1:
-        t = r / alpha[0]
-        return Fraction(1, abs(alpha[0])) if -Fraction(1, 2) <= t <= Fraction(1, 2) else Fraction(0)
-    total = _vertex_sum([{-a: 1, a: -1} for a in alpha], 2 * r, n - 1)
-    prod = 1
-    for a in alpha:
-        prod *= a
-    q = total / (2 ** (n - 1) * factorial(n - 1) * prod)
-    if q < 0:
-        raise ArithmeticError(f"negative slice volume {q} for alpha={alpha}, r={r}")
-    return q
+    return mm_unit_cube_Q(alpha, Fraction(r) + Fraction(sum(alpha), 2))
 
 
 def simplex_Q(alpha, r) -> Fraction:
@@ -121,23 +106,24 @@ def V_alpha(alpha, box: str, level, H: int | None = None) -> Fraction:
         raise ValueError("alpha must be a nonzero vector")
     if box not in BOXES:
         raise ValueError(f"unknown box kind {box!r}")
-    nz = tuple(x for x in a if x != 0)
-    g = arith.gcd_vec(a)
-    r = Fraction(level)
-    n = len(a)
+    # B = scale·[0,1]^n + corner·(1, …, 1)
     if box == "unit":
-        return g * mm_unit_cube_Q(nz, r)
-    if box == "half":
-        return g * mm_half_cube_Q(nz, r)
-    if H is None or H < 1:
+        scale, corner = 1, 0
+    elif box == "half":
+        scale, corner = 1, Fraction(-1, 2)
+    elif H is None or H < 1:
         raise ValueError("scaled boxes require a positive height H")
-    if box == "scaled-positive":
-        return g * H ** (n - 1) * mm_unit_cube_Q(nz, r / H)
-    return g * (2 * H) ** (n - 1) * mm_half_cube_Q(nz, r / (2 * H))
+    elif box == "scaled-positive":
+        scale, corner = H, 0
+    else:
+        scale, corner = 2 * H, -H
+    nz = tuple(x for x in a if x != 0)
+    level = (Fraction(level) - corner * sum(nz)) / scale
+    return arith.gcd_vec(a) * scale ** (len(a) - 1) * mm_unit_cube_Q(nz, level)
 
 
 def V_alpha_positive(alpha, J: int, H: int) -> Fraction:
-    """Closed form gcd(α)·J^{n−1} / ((n−1)!·∏ α_i) for positive α, 0 ≤ J ≤ H.
+    """gcd(α)·simplex_Q(α, J) for positive α, 0 ≤ J ≤ H.
 
     Valid exactly in the regime 0 ≤ J ≤ H, where the simplex slice lies
     inside the box [0,H]^n.
@@ -147,8 +133,4 @@ def V_alpha_positive(alpha, J: int, H: int) -> Fraction:
         raise ValueError("positive-orthant density requires strictly positive alpha")
     if not 0 <= J <= H:
         raise ValueError("positive-orthant density requires 0 <= J <= H")
-    n = len(a)
-    prod = 1
-    for x in a:
-        prod *= x
-    return arith.gcd_vec(a) * Fraction(J ** (n - 1), factorial(n - 1) * prod)
+    return arith.gcd_vec(a) * simplex_Q(a, J)

@@ -6,10 +6,11 @@ over all 2^n cube vertices, and, for all-ones α, from Eulerian numbers; ranks
 from plain Fraction Gaussian elimination, dependence from a bounded exponent
 search, the n = 2 same-base pair count from integer roots and repeated
 multiplication, and the S'₂ line pairs from a walk over every base
-w ≤ |J|.  The curve-system oracle is the exception: it walks the plane
-with the package's ``enumerate_solutions``, which the tests check against a
-brute product-and-filter of the box, and reads the variants' sides from
-``CURVE_VARIANTS``.
+w ≤ |J|.  Plane points come from ``enumerate_solutions``, a plain walk
+over the free coordinates that the tests check against a brute
+product-and-filter of the box; it borrows only the package's pivot choice.
+The curve-system oracle walks the plane with it and reads the variants'
+sides from ``CURVE_VARIANTS``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
 
-from multdep.latticecount import CURVE_VARIANTS, DomainSpec, HyperplaneSpec, enumerate_solutions
+from multdep.latticecount import CURVE_VARIANTS, DomainSpec, HyperplaneSpec, _pivot_index
 
 
 # ── exact piecewise-polynomial convolution of box densities ──────────────
@@ -369,6 +370,48 @@ def s2prime_oracle(J: int, a1: int, a2: int) -> list[tuple[int, int]]:
                         found.add((x, y))
             pw *= w
     return sorted(found)
+
+
+# ── plane points by a walk over the free coordinates ─────────────────────
+
+def enumerate_solutions(spec: HyperplaneSpec, domain: DomainSpec):
+    """Yield every solution with all coordinates nonzero, exactly once.
+
+    Deterministic lexicographic order over the free coordinates (ascending
+    coordinate index, ascending value); the pivot coordinate is solved from
+    the others with divisibility and range filtered before the yield.  The
+    pivot is ``_pivot_index``'s (largest |α_i|, last wins); when it is the
+    trailing coordinate, whole vectors come out in lexicographic order.
+    """
+    H = domain.H
+    signed = domain.kind == "signed"
+
+    def axis():
+        if signed:
+            yield from range(-H, 0)
+            yield from range(1, H + 1)
+        else:
+            yield from range(1, H + 1)
+
+    n = spec.n
+    if spec.nnz == 0:
+        if spec.J != 0:
+            return
+        yield from product(*[tuple(axis()) for _ in range(n)])
+        return
+    p = _pivot_index(spec.alpha)
+    ap = spec.alpha[p]
+    free = [i for i in range(n) if i != p]
+    for combo in product(*[tuple(axis()) for _ in free]):
+        rem = spec.J - sum(spec.alpha[i] * v for i, v in zip(free, combo))
+        q, r = divmod(rem, ap)
+        if r != 0 or q == 0 or abs(q) > H or (not signed and q < 1):
+            continue
+        vec = [0] * n
+        for i, v in zip(free, combo):
+            vec[i] = v
+        vec[p] = q
+        yield tuple(vec)
 
 
 # ── curve systems by a sweep over the whole plane ────────────────────────

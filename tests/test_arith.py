@@ -170,11 +170,15 @@ def test_gcd_vec():
     assert arith.gcd_vec(()) == 0
 
 
-def test_power_base_table_matches_f_base():
-    t = arith.power_base_table(400)
-    assert t[1] == 1
-    for m in range(2, 401):
-        assert t[m] == arith.f_base(m)
+def test_power_base_table_matches_f_base(monkeypatch):
+    # ascending limits, so every call builds a fresh table; 4096 = 64² = 16³
+    # is the last entry of one table and the next-to-last of the other
+    monkeypatch.setattr(arith, "_base_tables", {})
+    for limit in [*range(71), 400, 4096, 4097]:
+        t = arith.power_base_table(limit)
+        assert list(arith._base_tables) == [limit]
+        assert t[:2].tolist() == [0, 1][: limit + 1]
+        assert t[2:].tolist() == [arith.f_base(m) for m in range(2, limit + 1)]
 
 
 def test_radical_table_matches_radical():

@@ -18,7 +18,6 @@ from multdep.latticecount import (
     count_S,
     covolume_ratio,
     curve_counts,
-    enumerate_solutions,
     hyperplane_lattice_count,
 )
 
@@ -113,11 +112,11 @@ def test_lattice_count_approximated_by_density(rng):
 
 
 def test_enumeration_examples():
-    got = list(enumerate_solutions(HyperplaneSpec((1, 0), 1), DomainSpec("signed", 3)))
+    got = list(orc.enumerate_solutions(HyperplaneSpec((1, 0), 1), DomainSpec("signed", 3)))
     assert got == [(1, -3), (1, -2), (1, -1), (1, 1), (1, 2), (1, 3)]
-    got = list(enumerate_solutions(HyperplaneSpec((1, 1), 0), DomainSpec("signed", 1)))
+    got = list(orc.enumerate_solutions(HyperplaneSpec((1, 1), 0), DomainSpec("signed", 1)))
     assert got == [(-1, 1), (1, -1)]
-    got = list(enumerate_solutions(HyperplaneSpec((1, 1, 1), 3), DomainSpec("positive", 1)))
+    got = list(orc.enumerate_solutions(HyperplaneSpec((1, 1, 1), 3), DomainSpec("positive", 1)))
     assert got == [(1, 1, 1)]
 
 
@@ -133,7 +132,7 @@ def test_enumeration_exact_and_unique(rng):
         spec = HyperplaneSpec(alpha, J)
         for dom in ("signed", "positive"):
             H = rng.randint(1, 5)
-            sols = list(enumerate_solutions(spec, DomainSpec(dom, H)))
+            sols = list(orc.enumerate_solutions(spec, DomainSpec(dom, H)))
             axis = [x for x in range(-H, H + 1) if x] if dom == "signed" else range(1, H + 1)
             brute = [v for v in product(axis, repeat=n) if sum(a * x for a, x in zip(alpha, v)) == J]
             assert sorted(sols) == brute, (alpha, J, dom, H)
@@ -171,7 +170,7 @@ def test_count_degenerate():
 def _oracle_report(spec, ds):
     """(total, by_rank) by plain enumeration and the brute-force rank oracle."""
     total, by_rank = 0, {}
-    for v in enumerate_solutions(spec, ds):
+    for v in orc.enumerate_solutions(spec, ds):
         total += 1
         if orc.dependent_oracle(v):
             r = orc.subset_rank_oracle(v)
@@ -554,7 +553,7 @@ def test_count_exact_with_huge_coefficients():
         spec = HyperplaneSpec(alpha, J)
         for dom, want in (("signed", signed), ("positive", positive)):
             ds = DomainSpec(dom, H)
-            sols = list(enumerate_solutions(spec, ds))
+            sols = list(orc.enumerate_solutions(spec, ds))
             assert (len(sols), sum(orc.dependent_oracle(v) for v in sols)) == want
             rep = count_S(spec, ds)
             assert (rep.total_on_plane, rep.dependent_total) == want, (alpha, dom)
@@ -622,7 +621,7 @@ def test_count_refuses_int64_overflow():
     # the eight solutions (t, t, −t) exist, but α·ν wraps in int64 here and
     # the sweep would count 2 of them
     spec = HyperplaneSpec((1, 6917529027641081856, 6917529027641081857), 0)
-    assert sum(1 for _ in enumerate_solutions(spec, DomainSpec("signed", 4))) == 8
+    assert sum(1 for _ in orc.enumerate_solutions(spec, DomainSpec("signed", 4))) == 8
     with pytest.raises(RegimeError, match="2\\^62"):
         count_S(spec, DomainSpec("signed", 4))
     # the bound is on Σ|α_i|·H + |J|: 2^62 − 2 still runs, 2^62 is refused

@@ -176,6 +176,26 @@ def test_scaled_symmetric_matches_scaling_law(alpha, H):
     )
 
 
+@given(
+    st.lists(st.integers(min_value=-5, max_value=5), min_size=2, max_size=6)
+    .filter(lambda a: sum(x != 0 for x in a) >= 2)
+    .map(tuple),
+    rationals.filter(lambda r: r != 0),
+    st.integers(min_value=1, max_value=20),
+)
+def test_V_alpha_matches_oracles_on_every_box(alpha, t, H):
+    # [0,H]^n and [−H,H]^n are the unit and centered cubes scaled by H and 2H:
+    # the level shrinks by the scale and the volume grows by scale^{n−1}
+    nz = tuple(x for x in alpha if x)
+    g, n = math.gcd(*alpha), len(alpha)
+    assert V_alpha(alpha, "unit", t) == g * orc.unit_cube_Q_oracle(nz, t)
+    assert V_alpha(alpha, "half", t) == g * orc.half_cube_Q_oracle(nz, t)
+    want = g * H ** (n - 1) * orc.unit_cube_Q_oracle(nz, t)
+    assert V_alpha(alpha, "scaled-positive", t * H, H=H) == want
+    want = g * (2 * H) ** (n - 1) * orc.half_cube_Q_oracle(nz, t / 2)
+    assert V_alpha(alpha, "scaled-symmetric", t * H, H=H) == want
+
+
 def test_zero_coordinate_reduction_matches_side_factor(rng):
     for _ in range(25):
         n = rng.randint(2, 4)
@@ -187,14 +207,14 @@ def test_zero_coordinate_reduction_matches_side_factor(rng):
         assert V_alpha(tuple(padded), "half", 0) == V_alpha(tuple(alpha), "half", 0)
 
 
-def test_simplex_matches_positive_density():
-    # gcd·Q at level J equals the closed positive-orthant density
-    for alpha in [(1, 1, 1), (1, 2, 3), (2, 2), (3, 1, 2, 1)]:
-        for J in (0, 1, 3):
-            H = max(J, 1)
-            from multdep.arith import gcd_vec
-
-            assert gcd_vec(alpha) * simplex_Q(alpha, J) == V_alpha_positive(alpha, J, H)
+@given(
+    st.lists(st.integers(min_value=1, max_value=5), min_size=2, max_size=5).map(tuple),
+    st.fractions(min_value=0, max_value=1, max_denominator=12),
+)
+def test_simplex_matches_unit_cube_oracle(alpha, u):
+    # for 0 ≤ r ≤ min α_i the simplex slice lies inside the unit cube
+    r = u * min(alpha)
+    assert simplex_Q(alpha, r) == orc.unit_cube_Q_oracle(alpha, r)
 
 
 def test_unknown_box_rejected():
