@@ -72,68 +72,82 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d[-\d,./]*$")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# subcommand, help, options as (flag, add_argument keywords)
+_COMMANDS = (
+    ("depcheck", "decide multiplicative dependence", (
+        ("--vector", {"type": _vector, "required": True}),
+        ("--full-support", {"action": "store_true",
+                            "help": "require a relation with every exponent nonzero"}),
+        ("--witness", {"action": "store_true", "help": "print a verified relation"}),
+    )),
+    ("rank", "multiplicative rank", (("--vector", {"type": _vector, "required": True}),)),
+    ("count", "count dependent vectors on a hyperplane", (
+        ("--alpha", {"type": _vector, "required": True}),
+        ("--J", {"type": int, "required": True}),
+        ("--H", {"type": int, "required": True}),
+        ("--positive", {"action": "store_true"}),
+        ("--by-rank", {"action": "store_true"}),
+        ("--format", {"choices": ("text", "csv", "json"), "default": "text"}),
+    )),
+    ("constant", "exact asymptotic constant", (
+        ("--alpha", {"type": _vector, "required": True}),
+        ("--J", {"type": int, "required": True}),
+        ("--H", {"type": int}),
+        ("--positive", {"action": "store_true"}),
+    )),
+    ("volume", "cube slice volume (rational part Q)", (
+        ("--alpha", {"type": _vector, "required": True}),
+        ("--box", {"choices": ("unit", "half"), "required": True}),
+        ("--r", {"type": _rational, "required": True}),
+    )),
+    ("converge", "convergence study against the constant", (
+        ("--alpha", {"type": _vector, "required": True}),
+        ("--J", {"type": int, "required": True}),
+        ("--grid", {"type": _grid, "required": True}),
+        ("--positive", {"action": "store_true"}),
+        ("--format", {"choices": ("csv", "json"), "default": "csv"}),
+    )),
+    ("curve", "count solutions of a curve system", (
+        ("--variant", {"choices": latticecount.CURVE_VARIANTS, "required": True}),
+        ("--A", {"type": int, "default": 1}),
+        ("--B", {"type": int, "default": 1}),
+        ("--k", {"type": _vector, "required": True}),
+        ("--alpha", {"type": _vector, "required": True}),
+        ("--J", {"type": int, "required": True}),
+        ("--H", {"type": int, "required": True}),
+    )),
+    ("psi0", "integers <= x with all prime factors dividing y", (
+        ("--x", {"type": int, "required": True}),
+        ("--y", {"type": int, "required": True}),
+    )),
+    ("fbase", "minimal base B with A = B^t", (("--A", {"type": int, "required": True}),)),
+    ("fatal", "per N: a triple a<b<c, a+b+c=N with a full-support relation", (
+        ("--range", {"type": _span, "dest": "span", "required": True}),
+    )),
+)
+_NAMES = tuple(name for name, _, _ in _COMMANDS)
+
+
+def _build_parser(cmd: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``cmd`` alone.
+
+    Building a subcommand's parser costs more than parsing with it (argparse
+    looks up message translations and the terminal size for every option)
+    and leaves reference cycles for the garbage collector, so ``main``
+    builds only the one it runs.  The usage line names all of them.
+    """
     p = _Parser(
         prog="multdep",
         description="Multiplicative dependence of integer vectors on hyperplanes: "
         "exact decisions, counts, volumes, and asymptotic constants.",
     )
-    sub = p.add_subparsers(dest="cmd", required=True)
-
-    d = sub.add_parser("depcheck", help="decide multiplicative dependence")
-    d.add_argument("--vector", type=_vector, required=True)
-    d.add_argument("--full-support", action="store_true",
-                   help="require a relation with every exponent nonzero")
-    d.add_argument("--witness", action="store_true", help="print a verified relation")
-
-    r = sub.add_parser("rank", help="multiplicative rank")
-    r.add_argument("--vector", type=_vector, required=True)
-
-    c = sub.add_parser("count", help="count dependent vectors on a hyperplane")
-    c.add_argument("--alpha", type=_vector, required=True)
-    c.add_argument("--J", type=int, required=True)
-    c.add_argument("--H", type=int, required=True)
-    c.add_argument("--positive", action="store_true")
-    c.add_argument("--by-rank", action="store_true")
-    c.add_argument("--format", choices=("text", "csv", "json"), default="text")
-
-    k = sub.add_parser("constant", help="exact asymptotic constant")
-    k.add_argument("--alpha", type=_vector, required=True)
-    k.add_argument("--J", type=int, required=True)
-    k.add_argument("--H", type=int)
-    k.add_argument("--positive", action="store_true")
-
-    v = sub.add_parser("volume", help="cube slice volume (rational part Q)")
-    v.add_argument("--alpha", type=_vector, required=True)
-    v.add_argument("--box", choices=("unit", "half"), required=True)
-    v.add_argument("--r", type=_rational, required=True)
-
-    g = sub.add_parser("converge", help="convergence study against the constant")
-    g.add_argument("--alpha", type=_vector, required=True)
-    g.add_argument("--J", type=int, required=True)
-    g.add_argument("--grid", type=_grid, required=True)
-    g.add_argument("--positive", action="store_true")
-    g.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    u = sub.add_parser("curve", help="count solutions of a curve system")
-    u.add_argument("--variant", choices=latticecount.CURVE_VARIANTS, required=True)
-    u.add_argument("--A", type=int, default=1)
-    u.add_argument("--B", type=int, default=1)
-    u.add_argument("--k", type=_vector, required=True)
-    u.add_argument("--alpha", type=_vector, required=True)
-    u.add_argument("--J", type=int, required=True)
-    u.add_argument("--H", type=int, required=True)
-
-    s = sub.add_parser("psi0", help="integers <= x with all prime factors dividing y")
-    s.add_argument("--x", type=int, required=True)
-    s.add_argument("--y", type=int, required=True)
-
-    f = sub.add_parser("fbase", help="minimal base B with A = B^t")
-    f.add_argument("--A", type=int, required=True)
-
-    t = sub.add_parser("fatal", help="per N: a triple a<b<c, a+b+c=N with a full-support relation")
-    t.add_argument("--range", type=_span, required=True, dest="span")
-
+    metavar = None if cmd is None else "{" + ",".join(_NAMES) + "}"
+    sub = p.add_subparsers(dest="cmd", required=True, metavar=metavar)
+    for name, help_, options in _COMMANDS:
+        if cmd in (None, name):
+            s = sub.add_parser(name, help=help_)
+            for flag, kw in options:
+                s.add_argument(flag, **kw)
     return p
 
 
@@ -243,7 +257,8 @@ def _cmd_fatal(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv and argv[0] in _NAMES else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

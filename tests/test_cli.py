@@ -228,6 +228,10 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "volume", "--alpha", "1,1", "--box", "sphere", "--r", "1")[0] == 2
     assert run(capsys, "converge", "--alpha", "1,1", "--J", "1", "--grid", "bad")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
+    # a top-level error after a subcommand still names every subcommand
+    code, _, err = run(capsys, "rank", "--vector", "2,4", "extra")
+    assert code == 2 and err.startswith("usage: multdep [-h]")
+    assert "{depcheck,rank,count,constant,volume,converge,curve,psi0,fbase,fatal}" in err
 
 
 FUZZ_CORPUS = [
