@@ -23,8 +23,10 @@ Classification cascade per solution (cheapest first):
 The deep stage is batched per count: survivors of every block wait, each
 sorted, in one buffer of ``_BLOCK_ROWS`` rows.  When it is full, and once at
 the end, equal rows are merged with their multiplicities, and the distinct
-rows are laid out by ``relations.exponent_stack`` and ranked in integer stacks
-by ``relations.rank_from_rows``.  Nothing is remembered between flushes.
+rows are ranked in a few large integer stacks, at most ``_RANK_CELLS`` Gram
+entries each: one ``relations.exponent_stack`` lays a stack out and one
+``relations.rank_from_rows`` ranks it.  Nothing is remembered between
+flushes.
 
 Sign symmetry: dependence and rank depend only on absolute values, so any
 free coordinate with α_i = 0 is swept over [1, H] with multiplicity 2 in the
@@ -256,10 +258,11 @@ def _rank_deep(report: CountReport, rows: np.ndarray, weight: int) -> None:
     """Rank deep-stage rows from ``_classify_block`` and add the dependent
     ones to ``report``; ``rows`` is reordered in place.
 
-    Equal rows are ranked once, ``_RANK_ROWS`` distinct rows to a
-    ``relations.rank_from_rows`` stack.  They have no ±1 and no dependent
-    pair, so subsets start at size 3, and the rank is below n exactly when
-    the vector is dependent.
+    Equal rows are ranked once, in stacks of ``_RANK_CELLS`` // n² distinct
+    rows (Gram entries), each laid out by one ``relations.exponent_stack`` and
+    ranked by one ``relations.rank_from_rows``.  They have no ±1 and no
+    dependent pair, so subsets start at size 3, and the rank is below n
+    exactly when the vector is dependent.
     """
     if len(rows) == 0:
         return
@@ -272,10 +275,11 @@ def _rank_deep(report: CountReport, rows: np.ndarray, weight: int) -> None:
     counts = np.diff(start, append=len(rows))
     n = rows.shape[1]
     by_rank = report.by_rank
-    for lo in range(0, len(start), _RANK_ROWS):
-        keys = rows[start[lo:lo + _RANK_ROWS]]
+    step = max(1, _RANK_CELLS // (n * n))
+    for lo in range(0, len(start), step):
+        keys = rows[start[lo:lo + step]]
         ranks = relations.rank_from_rows(relations.exponent_stack(keys), smallest=3)
-        part = counts[lo:lo + _RANK_ROWS]
+        part = counts[lo:lo + step]
         for r in range(2, n):
             c = int(part[ranks == r].sum()) * weight
             if c:
@@ -292,10 +296,11 @@ _TABLE_CAP = 1 << 22
 # many combos share one block's numpy calls while peak memory barely moves
 _BLOCK_ROWS = 1 << 13
 
-# most distinct deep-stage rows ranked in one stack; exponent rows and the
-# kernel's int64 temporaries take 2–3 KiB per 4-coordinate row, so this
-# keeps them near 300 KiB
-_RANK_ROWS = 1 << 7
+# most Gram entries in one deep-stage stack, so n-coordinate rows are ranked
+# _RANK_CELLS // n² at a time (2048 at n = 4) and a flush of one buffer takes
+# one or two stacks; the exponent rows and int64 temporaries of a full stack
+# add about 1.4 MiB to a 4-coordinate count's peak
+_RANK_CELLS = 1 << 15
 
 
 def count_S(spec: HyperplaneSpec, domain: DomainSpec) -> CountReport:
@@ -407,6 +412,7 @@ def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool, pivot, free)
         first = first[keep]
         outer_abs = [o[keep] for o in outer_abs]
         p0 = (rem[keep] - ac * first) // ap
+        del flat, rem, c0  # not needed past here; freed before the blocks run
         for k0 in range(0, len(keep), chunk):
             sl = slice(k0, k0 + chunk)
             for t0 in range(0, steps, width):

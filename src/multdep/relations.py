@@ -16,11 +16,12 @@ Ranks come from one kernel that works on stacks, like
 ``np.linalg.matrix_rank``: ``rank_of_rows`` and ``rank_from_rows`` take one
 matrix of rows or a stack (..., n, k) of them.  A set of rows is dependent
 exactly when its Gram matrix G = E·Eᵀ is singular, so every subset's test is
-a principal block of one G, and fraction-free elimination ranks a whole stack
-of blocks at once: in int64 while a bound on the data keeps it exact, in
-Python ints past it.  ``exponent_stack`` lays out the exponent rows of many
-vectors as one such stack, for the deep stage of ``latticecount.count_S``,
-and of one vector for the decisions and witnesses here.
+a principal block of one G, and fraction-free elimination in natural order
+ranks a whole stack of blocks at once: in int64 while a bound on the data
+keeps it exact, in Python ints past it.  ``exponent_stack`` lays out the
+exponent rows of many vectors as one such stack, for the deep stage of
+``latticecount.count_S``, and of one vector for the decisions and witnesses
+here.
 
 Vectors must have nonzero coordinates throughout.
 """
@@ -144,18 +145,25 @@ _POW2 = 1 << np.arange(62, dtype=np.int64)
 def _psd_rank(g: np.ndarray) -> np.ndarray:
     """Rank of each matrix in a stack (m, s, s) of integer Gram matrices.
 
-    Fraction-free (Bareiss) elimination on the whole stack at once, pivoting
-    on the largest remaining diagonal entry.  After t steps every entry is a
-    (t+1)-minor on the pivot set, exactly divisible by the last pivot.  A
-    Gram matrix stays positive semidefinite under this elimination, so once
-    the largest remaining diagonal entry is 0 the rest is 0 and the pivots
-    taken are the rank.  A minor of G = E·Eᵀ on rows A and columns B is at
-    most √(∏_A G_kk · ∏_B G_kk) in size (Cauchy–Binet and Hadamard), and
-    the products formed multiply two minors of at most s − 1 rows, so none
-    passes M², M the product of every diagonal entry but the smallest (each
-    taken at least 1).  int64 is exact while M² < 2⁶², checked first with
-    M ≤ D^(s−1), D the largest diagonal entry, then with ⌈log₂⌉ of each
-    entry; a stack past that is eliminated in Python ints.
+    Fraction-free (Bareiss) elimination on the whole stack at once, in
+    natural order: step k pivots on g[k, k] and updates only the trailing
+    block g[k+1:, k+1:], dividing it exactly by the last nonzero pivot.  A
+    Gram matrix stays positive semidefinite under this elimination, and a
+    zero diagonal entry of a positive semidefinite matrix has its whole row
+    and column zero, so a zero pivot is skipped: it adds nothing to the rank,
+    and the last nonzero pivot stands in for it, so the step multiplies the
+    block by that pivot and divides it back out.  The nonzero pivots taken
+    are the rank.
+
+    After the steps with nonzero pivots on a set P, every trailing entry
+    (i, j) is the minor of G on rows P + i and columns P + j, whatever the
+    order in which P was taken.  A minor of G = E·Eᵀ on rows A and columns
+    B is at most √(∏_A G_kk · ∏_B G_kk) in size (Cauchy–Binet and
+    Hadamard), and the products formed multiply two minors of at most s − 1
+    rows, so none passes M², M the product of every diagonal entry but the
+    smallest (each taken at least 1).  int64 is exact while M² < 2⁶², checked
+    first with M ≤ D^(s−1), D the largest diagonal entry, then with ⌈log₂⌉
+    of each entry; a stack past that is eliminated in Python ints.
     """
     m, s = g.shape[0], g.shape[-1]
     if s and g.dtype != object:
@@ -164,22 +172,25 @@ def _psd_rank(g: np.ndarray) -> np.ndarray:
             bits = np.searchsorted(_POW2, np.maximum(diag, 1) - 1, side="right")
             if int((bits.sum(axis=1) - bits.min(axis=1)).max(initial=0)) > 30:
                 g = g.astype(object)
-    g = g.copy()
+    # the stack axis goes last, so each elementwise step runs one long inner
+    # loop per matrix entry rather than one short loop per matrix
+    g = np.moveaxis(g, 0, -1).copy()
     rank = np.zeros(m, dtype=np.int64)
     prev = np.ones(m, dtype=g.dtype)
-    at = np.arange(m)
-    for step in range(s):
-        j = np.argmax(np.diagonal(g, axis1=1, axis2=2), axis=1)
-        piv = g[at, j, j]
+    for k in range(s):
+        piv = g[k, k]
         live = piv > 0
         rank += live
-        if step == s - 1 or not live.any():
+        if k == s - 1:
             break
-        col = g[at, :, j]
-        g *= piv[:, None, None]
-        g -= col[:, :, None] * col[:, None, :]
-        g //= prev[:, None, None]
-        prev = np.where(live, piv, prev)
+        piv = np.where(live, piv, prev)
+        col = g[k + 1:, k]
+        block = g[k + 1:, k + 1:]
+        block *= piv
+        block -= col[:, None] * col
+        if k:  # the first divisor is 1
+            block //= prev
+        prev = piv
     return rank
 
 

@@ -586,9 +586,11 @@ BLOCK_GRID = [
 
 def test_block_boundaries_do_not_change_counts(monkeypatch):
     # every count is the same whatever the block size (and so the deep
-    # stage's flush points) and the deep stage's stack size, by rank, and at
-    # small H it equals plain enumeration with the brute-force rank oracle
-    default, stack = lc._BLOCK_ROWS, lc._RANK_ROWS
+    # stage's flush points) and the deep stage's stack budget, by rank, and
+    # at small H it equals plain enumeration with the brute-force rank
+    # oracle.  A budget of 1 Gram entry ranks one row per stack; 40 ranks
+    # 1 to 4 rows, so each flush makes many stacks with a short last one
+    default, cells = lc._BLOCK_ROWS, lc._RANK_CELLS
     for alpha, J in BLOCK_GRID:
         spec = HyperplaneSpec(alpha, J)
         n = len(alpha)
@@ -596,22 +598,27 @@ def test_block_boundaries_do_not_change_counts(monkeypatch):
             for H in ((1, 3, 7) if n <= 3 else (1, 3) if n == 4 else (1, 2)):
                 ds = DomainSpec(dom, H)
                 got = set()
-                for rows, ranked in ((1, 1), (7, 3), (default, stack)):
+                for rows, budget in ((1, 1), (7, 40), (default, cells)):
                     monkeypatch.setattr(lc, "_BLOCK_ROWS", rows)
-                    monkeypatch.setattr(lc, "_RANK_ROWS", ranked)
+                    monkeypatch.setattr(lc, "_RANK_CELLS", budget)
                     rep = count_S(spec, ds)
                     got.add((rep.total_on_plane, rep.dependent_total,
                              tuple(sorted(rep.by_rank.items())), rep.degenerate))
                 assert len(got) == 1, (alpha, J, dom, H, got)
                 total, by_rank = _oracle_report(spec, ds)
                 assert got.pop()[:3] == (total, sum(by_rank.values()), tuple(sorted(by_rank.items())))
-    # and at heights where blocks hold many combos and the inner axis splits
-    for alpha, J, H in [((1, 1, 1), 1, 600), ((2, 3, 4), 5, 300), ((1, 2, -1, 1), 3, 20), ((0, 0, 0), 0, 40)]:
-        spec, ds = HyperplaneSpec(alpha, J), DomainSpec("signed", H)
+    # and at heights where blocks hold many combos and the inner axis splits,
+    # one row per stack against the default budget, whose 2048-row stacks
+    # (n = 4) take one flush of (1, −2, −3, 4) in two
+    for alpha, J, H, dom in [
+        ((1, 1, 1), 1, 600, "signed"), ((2, 3, 4), 5, 300, "signed"), ((1, 2, -1, 1), 3, 20, "signed"),
+        ((0, 0, 0), 0, 40, "signed"), ((1, 1, 1, 1), 1, 30, "signed"), ((1, -2, -3, 4), 5, 45, "positive"),
+    ]:
+        spec, ds = HyperplaneSpec(alpha, J), DomainSpec(dom, H)
         got = set()
-        for rows, ranked in ((997, 5), (default, stack)):
+        for rows, budget in ((997, 1), (default, cells)):
             monkeypatch.setattr(lc, "_BLOCK_ROWS", rows)
-            monkeypatch.setattr(lc, "_RANK_ROWS", ranked)
+            monkeypatch.setattr(lc, "_RANK_CELLS", budget)
             rep = count_S(spec, ds)
             got.add((rep.total_on_plane, tuple(sorted(rep.by_rank.items()))))
         assert len(got) == 1, (alpha, J, H, got)

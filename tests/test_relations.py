@@ -343,6 +343,53 @@ def test_int64_elimination_is_exact_on_both_sides_of_the_switch(rng):
         assert rank_of_rows(rows) == orc.rref_rank(rows), rows
 
 
+def _first_zero_pivot_at(rng, s, p, top, how):
+    """s rows of width s + 1, entries up to ``top``, whose Gram elimination
+    in natural order meets its first zero pivot at step p: row p is zero
+    (``how`` "zero"), every row up to p is zero ("zeros first"), or row p is
+    a combination of the rows before it ("dependent"), so that its pivot is
+    nonzero until those rows are eliminated.  The rows after p are random."""
+    rows = [[rng.randint(-top, top) for _ in range(s + 1)] for _ in range(s)]
+    if how == "zero":
+        rows[p] = [0] * (s + 1)
+    elif how == "zeros first":
+        rows[:p + 1] = [[0] * (s + 1) for _ in range(p + 1)]
+    else:
+        a, b = rng.randint(1, 3), rng.randint(-3, 3)
+        rows[p] = [a * x + b * y for x, y in zip(rows[0], rows[p - 1])]
+    return rows
+
+
+def _kernel_bound(rows) -> int:
+    """M², M the product of every Gram diagonal entry but the smallest
+    (each at least 1): ``_psd_rank`` stays in int64 only while it is below
+    2⁶²."""
+    diag = sorted(max(1, sum(x * x for x in r)) for r in rows)
+    return math.prod(diag[1:]) ** 2
+
+
+def test_zero_pivots_at_every_step_on_both_sides_of_the_switch(rng):
+    # the natural-order elimination skips a zero pivot and keeps going, so
+    # independent rows after it still count; stacks of small entries stay in
+    # int64, stacks of large ones pass the bound and take Python ints
+    for top in (3, 2**16):
+        for s in range(1, 7):
+            stack = []
+            for p in range(s):
+                for how in ("zero", "zeros first", "dependent") if p else ("zero",):
+                    rows = _first_zero_pivot_at(rng, s, p, top, how)
+                    # rows before p independent, row p dependent on them
+                    assert orc.rref_rank(rows[:p]) == orc.rref_rank(rows[:p + 1]) == (p if how != "zeros first" else 0)
+                    stack.append(rows)
+            if top == 3:
+                assert max(map(_kernel_bound, stack)) < 2**62
+            elif s > 1:
+                assert max(map(_kernel_bound, stack)) >= 2**62
+            got = rank_of_rows(stack)
+            for rows, r in zip(stack, got.tolist()):
+                assert r == rank_of_rows(rows) == orc.rref_rank(rows), rows
+
+
 def test_exponent_stack_has_the_gram_of_the_exponent_matrix(rng):
     for n in range(1, 6):
         keys = [[rng.choice([1, rng.randint(2, 5000)]) for _ in range(n)] for _ in range(50)]
