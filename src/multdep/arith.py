@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import repeat
+from itertools import accumulate, chain, cycle, repeat
 
 import numpy as np
 
@@ -86,29 +86,19 @@ def _abs_exponents(a: int) -> tuple[tuple[int, int], ...]:
                 e += 1
             pairs.append((p, e))
     else:
-        for p in (2, 3, 5):
-            if a % p == 0:
-                e = 0
-                while a % p == 0:
-                    a //= p
-                    e += 1
-                pairs.append((p, e))
         # 2,3,5-wheel trial division; deterministic for any size
-        d = 7
-        incr = (4, 2, 4, 2, 4, 6, 2, 6)
-        i = 0
-        while d * d <= a:
+        wheel = accumulate(cycle((4, 2, 4, 2, 4, 6, 2, 6)), initial=7)
+        for d in chain((2, 3, 5), wheel):
+            if d * d > a:
+                break
             if a % d == 0:
                 e = 0
                 while a % d == 0:
                     a //= d
                     e += 1
                 pairs.append((d, e))
-            d += incr[i]
-            i = (i + 1) & 7
-        if a > 1:
+        if a > 1:  # no factor below d and a < d², so a is a prime ≥ d
             pairs.append((a, 1))
-        pairs.sort()
     return tuple(pairs)
 
 

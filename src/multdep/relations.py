@@ -7,7 +7,8 @@ prime exponents, laid out by ``exponent_stack``: row i lists the exponents of
 |ν_i|, and each prime occurring in the vector owns one column.  A relation is
 an integer vector annihilating every column whose sign product is +1; a
 kernel vector with sign product −1 is repaired by doubling, since −1 is
-2-torsion.
+2-torsion.  Kernels come from ``right_kernel_basis``, one fraction-free
+Gauss–Jordan elimination in Python ints.
 
 Witnesses are verified symbolically (per-prime exponent sums and the sign
 product), never by evaluating integer powers, so huge exponents are safe.
@@ -29,7 +30,6 @@ Vectors must have nonzero coordinates throughout.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations, islice
 
 import numpy as np
@@ -82,48 +82,25 @@ def exponent_stack(keys) -> np.ndarray:
 # ── exact integer linear algebra ─────────────────────────────────────────
 
 
-def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form.  Returns (rows, pivot column list).
-
-    Cross-multiplication keeps every intermediate entry an integer; rows are
-    divided by their content to control growth.
-    """
-    mat = [list(r) for r in rows]
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    top = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(top, len(mat)):
-            if mat[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[top], mat[piv] = mat[piv], mat[top]
-        lead = mat[top][col]
-        for r in range(top + 1, len(mat)):
-            x = mat[r][col]
-            if x == 0:
-                continue
-            row = [lead * a - x * b for a, b in zip(mat[r], mat[top])]
-            g = 0
-            for a in row:
-                g = math.gcd(g, a)
-            if g > 1:
-                row = [a // g for a in row]
-            mat[r] = row
-        pivots.append(col)
-        top += 1
-        if top == len(mat):
-            break
-    return mat[:top], pivots
+# 2⁰ … 2⁶¹, for ⌈log₂ x⌉ of int64 entries by search
+_POW2 = 1 << np.arange(62, dtype=np.int64)
 
 
 def _gram(rows) -> np.ndarray:
-    """Gram matrices rows·rowsᵀ of a stack (..., n, k) of integer rows, exact.
+    """Gram matrices rows·rowsᵀ of a stack (..., n, k) of integer rows, in
+    the dtype that keeps ``_psd_rank`` exact on them and on every principal
+    block of them.
 
-    int64 while every entry is provably below 2⁶², Python ints otherwise.
+    The product is formed in int64 while every entry is provably below 2⁶²,
+    in Python ints otherwise.  ``_psd_rank``'s products multiply two minors
+    of G = E·Eᵀ of at most s − 1 rows.  A minor on rows A and columns B is at
+    most √(∏_A G_kk · ∏_B G_kk) in size (Cauchy–Binet and Hadamard), so none
+    of the products passes M², M the product of every diagonal entry but the
+    smallest (each taken at least 1).  A principal block's M is at most the
+    whole matrix's, so one check here covers the blocks of a subset scan.
+    int64 is kept while M² < 2⁶², checked first with M ≤ D^(s−1), D the
+    largest diagonal entry, then with ⌈log₂⌉ of each entry; a stack past
+    that is returned in Python ints.
     """
     try:
         a = np.asarray(rows, dtype=np.int64)
@@ -135,15 +112,19 @@ def _gram(rows) -> np.ndarray:
         top = max(int(a.max(initial=0)), -int(a.min(initial=0)))
         if top * top * a.shape[-1] >= 2**62:
             a = a.astype(object)
-    return np.matmul(a, np.swapaxes(a, -1, -2))
-
-
-# 2⁰ … 2⁶¹, for ⌈log₂ x⌉ of int64 entries by search
-_POW2 = 1 << np.arange(62, dtype=np.int64)
+    g = np.matmul(a, np.swapaxes(a, -1, -2))
+    s = g.shape[-1]
+    diag = np.diagonal(g, axis1=-2, axis2=-1)
+    if s and g.dtype != object and int(diag.max(initial=0)) ** (2 * (s - 1)) >= 2**62:
+        bits = np.searchsorted(_POW2, np.maximum(diag, 1) - 1, side="right")
+        if int((bits.sum(axis=-1) - bits.min(axis=-1)).max(initial=0)) > 30:
+            g = g.astype(object)
+    return g
 
 
 def _psd_rank(g: np.ndarray) -> np.ndarray:
-    """Rank of each matrix in a stack (m, s, s) of integer Gram matrices.
+    """Rank of each matrix in a stack (m, s, s) of integer Gram matrices,
+    exact in the dtype ``_gram`` chose for them.
 
     Fraction-free (Bareiss) elimination on the whole stack at once, in
     natural order: step k pivots on g[k, k] and updates only the trailing
@@ -153,25 +134,11 @@ def _psd_rank(g: np.ndarray) -> np.ndarray:
     and column zero, so a zero pivot is skipped: it adds nothing to the rank,
     and the last nonzero pivot stands in for it, so the step multiplies the
     block by that pivot and divides it back out.  The nonzero pivots taken
-    are the rank.
-
-    After the steps with nonzero pivots on a set P, every trailing entry
-    (i, j) is the minor of G on rows P + i and columns P + j, whatever the
-    order in which P was taken.  A minor of G = E·Eᵀ on rows A and columns
-    B is at most √(∏_A G_kk · ∏_B G_kk) in size (Cauchy–Binet and
-    Hadamard), and the products formed multiply two minors of at most s − 1
-    rows, so none passes M², M the product of every diagonal entry but the
-    smallest (each taken at least 1).  int64 is exact while M² < 2⁶², checked
-    first with M ≤ D^(s−1), D the largest diagonal entry, then with ⌈log₂⌉
-    of each entry; a stack past that is eliminated in Python ints.
+    are the rank.  After the steps with nonzero pivots on a set P, every
+    trailing entry (i, j) is the minor of G on rows P + i and columns P + j,
+    whatever the order in which P was taken.
     """
     m, s = g.shape[0], g.shape[-1]
-    if s and g.dtype != object:
-        diag = np.diagonal(g, axis1=1, axis2=2)
-        if int(diag.max(initial=0)) ** (2 * (s - 1)) >= 2**62:
-            bits = np.searchsorted(_POW2, np.maximum(diag, 1) - 1, side="right")
-            if int((bits.sum(axis=1) - bits.min(axis=1)).max(initial=0)) > 30:
-                g = g.astype(object)
     # the stack axis goes last, so each elementwise step runs one long inner
     # loop per matrix entry rather than one short loop per matrix
     g = np.moveaxis(g, 0, -1).copy()
@@ -259,22 +226,40 @@ def right_kernel_basis(rows, ncols: int) -> list[tuple[int, ...]]:
 
     One basis vector per free column, ascending; each is reduced by
     ``_primitive`` to content 1 with its first nonzero entry positive.
+
+    Fraction-free (Bareiss) Gauss–Jordan elimination in Python ints: each
+    pivot p updates every other row, above and below, to (p·a − x·b) // prev,
+    prev the pivot before it (1 at the start), and every division is exact.
+    At the end each pivot entry equals the last pivot D, so free column f
+    has the kernel vector with D at f, −R[r][f] at the pivot column of row r
+    and 0 elsewhere.
     """
-    ech, pivots = _echelon([list(r) for r in rows if any(r)])
-    free = [c for c in range(ncols) if c not in pivots]
+    # equal rows and zero rows add nothing
+    mat = [list(r) for r in dict.fromkeys(map(tuple, rows)) if any(r)]
+    pivots = []
+    prev = 1
+    for col in range(ncols):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            continue
+        mat[top], mat[piv] = mat[piv], mat[top]
+        b = mat[top]
+        p = b[col]
+        for r, a in enumerate(mat):
+            x = a[col]
+            if r != top and (x or p != prev):  # else the row is unchanged
+                mat[r] = [(p * u - x * v) // prev for u, v in zip(a, b)]
+        pivots.append(col)
+        prev = p
     basis = []
-    for f in free:
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for r in range(len(ech) - 1, -1, -1):
-            col = pivots[r]
-            s = Fraction(0)
-            for c in range(col + 1, ncols):
-                if ech[r][c]:
-                    s += ech[r][c] * x[c]
-            x[col] = -s / ech[r][col]
-        den = math.lcm(*(q.denominator for q in x))
-        basis.append(_primitive([int(q * den) for q in x]))
+    for f in range(ncols):
+        if f not in pivots:
+            x = [0] * ncols
+            x[f] = prev
+            for row, col in zip(mat, pivots):
+                x[col] = -row[f]
+            basis.append(_primitive(x))
     return basis
 
 
@@ -407,11 +392,15 @@ def fatal_triple(N: int) -> tuple[int, int, int, tuple[int, ...]] | None:
     """First triple a < b < c with a + b + c = N that has a full-support relation.
 
     Returns (a, b, c, k) for the first hit in increasing a, then b, or None.
+    A prime of one coordinate that the other two lack forces that exponent
+    to 0, so only triples whose every coordinate's radical divides the
+    product of the other two are solved.
     """
+    rad = arith.radical
     for a in range(1, N // 3 + 1):
         for b in range(a + 1, (N - a) // 2 + 1):
             c = N - a - b
-            if c <= b:
+            if c <= b or b * c % rad(a) or a * c % rad(b) or a * b % rad(c):
                 continue
             k = full_support_relation((a, b, c))
             if k is not None:

@@ -3,10 +3,10 @@
 Deliberately share no code with the package: slice densities come from exact
 piecewise-polynomial convolution of box densities, from the signed vertex sum
 over all 2^n cube vertices, and, for all-ones α, from Eulerian numbers; ranks
-from plain Fraction Gaussian elimination, dependence from a bounded exponent
-search, the n = 2 same-base pair count from integer roots and repeated
-multiplication, and the S'₂ line pairs from a walk over every base
-w ≤ |J|.  Plane points come from ``enumerate_solutions``, a plain walk
+and kernel bases from plain Fraction Gaussian elimination, dependence from a
+bounded exponent search, the n = 2 same-base pair count from integer roots
+and repeated multiplication, and the S'₂ line pairs from a walk over every
+base w ≤ |J|.  Plane points come from ``enumerate_solutions``, a plain walk
 over the free coordinates that the tests check against a brute
 product-and-filter of the box; it borrows only the package's pivot choice.
 The curve-system oracle walks the plane with it and reads the variants'
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial
+from math import factorial, gcd, lcm
 
 from multdep.latticecount import CURVE_VARIANTS, DomainSpec, HyperplaneSpec, _pivot_index
 
@@ -200,14 +200,13 @@ def irwin_hall_Q_oracle(n: int, k: int) -> Fraction:
 # ── independent linear algebra and dependence oracles ────────────────────
 
 
-def rref_rank(rows) -> int:
-    """Rank over Q by plain fraction Gaussian elimination."""
+def _rref(rows, ncols):
+    """Reduced row echelon form over Q by plain fraction Gaussian
+    elimination: (nonzero rows, pivot column of each)."""
     mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
+    pivots = []
     for col in range(ncols):
+        rank = len(pivots)
         piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
         if piv is None:
             continue
@@ -218,10 +217,34 @@ def rref_rank(rows) -> int:
             if r != rank and mat[r][col] != 0:
                 f = mat[r][col]
                 mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+        pivots.append(col)
+    return mat[:len(pivots)], pivots
+
+
+def rref_rank(rows) -> int:
+    """Rank over Q by plain fraction Gaussian elimination."""
+    return len(_rref(rows, len(rows[0]) if rows else 0)[1])
+
+
+def kernel_basis_oracle(rows, ncols):
+    """Integer basis of {x : M x = 0} from the fraction RREF: for each free
+    column f, ascending, the vector that is 1 at f and 0 at the other free
+    columns, cleared of denominators, divided by its content and signed so
+    its first nonzero entry is positive."""
+    mat, pivots = _rref(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for row, col in zip(mat, pivots):
+            x[col] = -row[f]
+        den = lcm(*(q.denominator for q in x))
+        k = [int(q * den) for q in x]
+        g = gcd(*k) * (-1 if next(a for a in k if a) < 0 else 1)
+        basis.append(tuple(a // g for a in k))
+    return basis
 
 
 def _exponent_rows(values):

@@ -20,6 +20,7 @@ from multdep.relations import (
     rank_from_rows,
     rank_of_rows,
     relation,
+    right_kernel_basis,
     verify_relation,
 )
 
@@ -362,8 +363,8 @@ def _first_zero_pivot_at(rng, s, p, top, how):
 
 def _kernel_bound(rows) -> int:
     """M², M the product of every Gram diagonal entry but the smallest
-    (each at least 1): ``_psd_rank`` stays in int64 only while it is below
-    2⁶²."""
+    (each at least 1): ``_gram`` leaves a stack in int64 for ``_psd_rank``
+    only while it is below 2⁶²."""
     diag = sorted(max(1, sum(x * x for x in r)) for r in rows)
     return math.prod(diag[1:]) ** 2
 
@@ -388,6 +389,37 @@ def test_zero_pivots_at_every_step_on_both_sides_of_the_switch(rng):
             got = rank_of_rows(stack)
             for rows, r in zip(stack, got.tolist()):
                 assert r == rank_of_rows(rows) == orc.rref_rank(rows), rows
+
+
+def _kernel_grid():
+    """Seeded (rows, ncols): no rows, zero rows, rows combining earlier
+    rows, columns left without a pivot, entries up to ±60 and past 2⁶³."""
+    rng = random.Random(14)
+    for t in range(1500):
+        ncols, nrows = rng.randint(1, 7), rng.randint(0, 7)
+        top = 2**70 if t % 10 == 0 else 60
+        rows = [[rng.choice((0, rng.randint(-top, top))) for _ in range(ncols)] for _ in range(nrows)]
+        zero_col = rng.randrange(ncols) if rng.random() < 0.3 else None
+        for i, row in enumerate(rows):
+            if zero_col is not None:
+                row[zero_col] = 0
+            if rng.random() < 0.15:
+                rows[i] = [0] * ncols
+            elif i >= 2 and rng.random() < 0.3:
+                a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+                rows[i] = [a * x + b * y for x, y in zip(rows[rng.randrange(i)], rows[rng.randrange(i)])]
+        yield rows, ncols
+
+
+def test_right_kernel_basis_matches_fraction_oracle():
+    for rows, ncols in _kernel_grid():
+        basis = right_kernel_basis(rows, ncols)
+        assert basis == orc.kernel_basis_oracle(rows, ncols), rows
+        for k in basis:
+            assert all(sum(a * x for a, x in zip(row, k)) == 0 for row in rows), (rows, k)
+            assert math.gcd(*k) == 1 and next(x for x in k if x) > 0, (rows, k)
+    assert right_kernel_basis([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert right_kernel_basis([[2, 4, 6], [0, 0, 0]], 3) == [(2, -1, 0), (3, 0, -1)]
 
 
 def test_exponent_stack_has_the_gram_of_the_exponent_matrix(rng):
