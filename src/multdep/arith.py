@@ -300,15 +300,24 @@ def _build_base_table(limit: int) -> np.ndarray:
 
 
 def _build_radical_table(limit: int) -> np.ndarray:
-    is_prime = np.ones(limit + 1, dtype=bool)
+    # each prime p ≤ √limit multiplies into rad and is divided out of rest,
+    # with every power p^k; the cofactor left in rest is then 1 or one prime
+    # above √limit (two such primes would exceed limit)
+    root = math.isqrt(limit)
+    is_prime = np.ones(root + 1, dtype=bool)
     is_prime[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
+    for p in range(2, math.isqrt(root) + 1):
         if is_prime[p]:
             is_prime[p * p :: p] = False
     rad = np.ones(limit + 1, dtype=np.int64)
-    rad[0] = 0
-    for p in np.nonzero(is_prime)[0]:
+    rest = np.arange(limit + 1, dtype=np.int64)
+    for p in map(int, np.flatnonzero(is_prime)):
         rad[p::p] *= p
+        q = p
+        while q <= limit:
+            rest[q::q] //= p
+            q *= p
+    rad *= rest  # rest[0] = 0 keeps rad[0] = 0
     return rad
 
 

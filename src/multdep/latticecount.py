@@ -2,8 +2,21 @@
 
 The central object is the count of multiplicatively dependent vectors ν with
 nonzero coordinates, 0 < |ν_i| ≤ H, lying on α·ν = J, always split by
-multiplicative rank.  Counting is exhaustive: one coordinate p with nonzero
-α (the pivot) is solved from the others.  Each combination of the outer free
+multiplicative rank.
+
+Strata first.  On a plane of exactly three coordinates, all with nonzero α,
+the total, rank 0 and rank 1 are closed-form lattice counts (``_strata``).
+With N_ℓ the number of points with ℓ ≤ |ν_i| ≤ H for every i, the total is
+N₁ and rank 0 is N₁ − N₂.  Rank 1 is N₁₂ + N₁₃ + N₂₃ − 2·N₁₂₃, where N_ij
+counts the points with every |ν| ≥ 2 and base(ν_i) = base(ν_j), and N₁₂₃
+those with one base for all three.  Equal values |ν_i| = |ν_j| merge two
+coefficients into a_i ± a_j; unequal values of one base w ≤ √H are few, and
+each pair solves the third coordinate.  Every lattice count is a sum of
+closed-form line counts (``_line_points``): O(H) numpy work for the boxes
+of three coordinates, O(1) for the merged ones.
+
+Then the sweep, which is exhaustive: one coordinate p with nonzero α (the
+pivot) is solved from the others.  Each combination of the outer free
 coordinates leaves the last free coordinate c and p on a line
 a_c·c + a_p·p = rem; its integer points have c in one residue class mod
 |a_p|/g, and there are none unless g = gcd(a_c, a_p) divides rem.  The sweep
@@ -20,8 +33,15 @@ Classification cascade per solution (cheapest first):
            survivor's rank is one less than the size of its smallest
            dependent subset of exponent rows (``relations.rank_from_rows``).
 
+On a plane with strata the sweep counts neither rank 0 nor rank 1: each
+block keeps only its deep residue (``_deep_residue``), the rows the cascade
+would hand on, tested cover first: the outer coordinate's on the whole
+grid, then the other two on the survivors, and only then the ±1 and
+shared-base rows are dropped.  Such a block takes ``_RESIDUE_SCALE`` times
+the cells.
+
 The deep stage is batched per count: survivors of every block wait, each
-sorted, in one buffer of ``_BLOCK_ROWS`` rows.  When it is full, and once at
+sorted, in one buffer of one block's size.  When it is full, and once at
 the end, equal rows are merged with their multiplicities, and the distinct
 rows are ranked in a few large integer stacks, at most ``_RANK_CELLS`` Gram
 entries each: one ``relations.exponent_stack`` lays a stack out and one
@@ -37,9 +57,10 @@ Curve systems (one power-product equation with one linear equation) run one
 loop for every variant, ``curve_counts``: it solves the inner pair of plane
 coordinates from candidates drawn by ``arith.smooth_numbers``, or from the
 same residue class where no smoothness holds, and tests the power equation
-in exact integers (the lemma behind it is in its docstring).  Sweeps refuse
-H above ``_TABLE_CAP``, and planes whose int64 arithmetic could wrap
-(Σ|α_i|·H + |J| ≥ 2⁶²), with RegimeError before building tables.
+in exact integers (the lemma behind it is in its docstring).  A count that
+sweeps refuses H above ``_TABLE_CAP``, and planes whose int64 arithmetic
+could wrap (Σ|α_i|·H + |J| ≥ 2⁶²), with RegimeError before any strata,
+sweep or table.
 """
 
 from __future__ import annotations
@@ -190,6 +211,22 @@ def _axis_values(a_i: int, H: int, signed: bool) -> tuple[np.ndarray, int]:
     return np.arange(1, H + 1, dtype=np.int64), 1
 
 
+def _unit_or_pair(cols: list[np.ndarray], base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the rows the cascade settles without a rank test: ``unit``,
+    some coordinate is 1 (rank 0), and ``pair``, two coordinates share a
+    minimal power base (rank 1 where no coordinate is 1).  ``cols`` holds
+    absolute values in [1, H], ``base`` the minimal-base table up to H."""
+    unit = cols[0] == 1
+    for c in cols[1:]:
+        unit |= c == 1
+    bases = [base[c] for c in cols]
+    pair = np.zeros(len(unit), dtype=bool)
+    for i in range(1, len(cols)):
+        for j in range(i):
+            pair |= bases[i] == bases[j]
+    return unit, pair
+
+
 def _classify_block(
     report: CountReport,
     cols: list[np.ndarray],
@@ -213,27 +250,15 @@ def _classify_block(
     report.total_on_plane += rows * weight
     by_rank = report.by_rank
 
-    m0 = cols[0] == 1
-    for c in cols[1:]:
-        m0 |= c == 1
-    c0 = int(np.count_nonzero(m0)) * weight
+    unit, pair = _unit_or_pair(cols, base)
+    c0 = int(np.count_nonzero(unit)) * weight
     if c0:
         by_rank[0] = by_rank.get(0, 0) + c0
-    rest = ~m0
-    if not rest.any():
-        return none
-
-    bases = [base[c] for c in cols]
-    m1 = np.zeros(rows, dtype=bool)
-    for i in range(1, n):
-        for j in range(i):
-            m1 |= bases[i] == bases[j]
-    m1 &= rest
-    c1 = int(np.count_nonzero(m1)) * weight
+    pair &= ~unit
+    c1 = int(np.count_nonzero(pair)) * weight
     if c1:
         by_rank[1] = by_rank.get(1, 0) + c1
-    rest &= ~m1
-    del bases  # not needed past rank 1; freed before the cover filter copies
+    rest = ~(unit | pair)
     if n < 3 or not rest.any():
         return none
 
@@ -254,9 +279,35 @@ def _classify_block(
     return np.sort(np.stack(cols, axis=1), axis=1)
 
 
+def _deep_residue(
+    o: np.ndarray, c: np.ndarray, p: np.ndarray, ok: np.ndarray, base: np.ndarray, rad: np.ndarray
+) -> np.ndarray:
+    """The deep-stage rows of one sweep block of a plane with three nonzero
+    coefficients, whose total, rank 0 and rank 1 come from ``_strata``.
+
+    ``o`` ((r, 1)) holds the outer coordinate's absolute value per combo,
+    ``c`` and ``p`` ((r, k)) those of the inner and pivot coordinates, and
+    the cells where ``ok`` holds solve the plane in range.  Returns the rows
+    the cascade (``_classify_block``) would leave for ``_rank_deep``: no 1,
+    no shared base, every coordinate covered (with n = 3 a dependent subset
+    of size 3 is the whole row), each sorted ascending.  The cover test comes
+    first, since it drops most rows: the outer coordinate's on the whole
+    grid, one radical per combo, then the other two on the survivors.  Every
+    product is of two values up to H ≤ 2²², so exact in int64; cells outside
+    ``ok`` may wrap, but they are masked.
+    """
+    ok &= c * p % rad[o] == 0
+    o, c, p = np.broadcast_to(o, ok.shape)[ok], c[ok], p[ok]
+    keep = np.flatnonzero((o * p % rad[c] == 0) & (o * c % rad[p] == 0))
+    cols = [o[keep], c[keep], p[keep]]
+    unit, pair = _unit_or_pair(cols, base)
+    keep = ~(unit | pair)
+    return np.sort(np.stack([x[keep] for x in cols], axis=1), axis=1)
+
+
 def _rank_deep(report: CountReport, rows: np.ndarray, weight: int) -> None:
-    """Rank deep-stage rows from ``_classify_block`` and add the dependent
-    ones to ``report``; ``rows`` is reordered in place.
+    """Rank deep-stage rows from ``_classify_block`` or ``_deep_residue`` and
+    add the dependent ones to ``report``; ``rows`` is reordered in place.
 
     Equal rows are ranked once, in stacks of ``_RANK_CELLS`` // n² distinct
     rows (Gram entries), each laid out by one ``relations.exponent_stack`` and
@@ -296,6 +347,11 @@ _TABLE_CAP = 1 << 22
 # many combos share one block's numpy calls while peak memory barely moves
 _BLOCK_ROWS = 1 << 13
 
+# a block of a plane whose strata are closed-form takes this many times the
+# cells: ``_deep_residue`` holds about a quarter of the cascade's int64
+# temporaries per cell, and a larger block spreads its fixed numpy calls
+_RESIDUE_SCALE = 4
+
 # most Gram entries in one deep-stage stack, so n-coordinate rows are ranked
 # _RANK_CELLS // n² at a time (2048 at n = 4) and a flush of one buffer takes
 # one or two stacks; the exponent rows and int64 temporaries of a full stack
@@ -329,7 +385,17 @@ def count_S(spec: HyperplaneSpec, domain: DomainSpec) -> CountReport:
         free = [i for i in range(n) if i != pivot]
 
     if free:
-        _sweep(report, spec, signed, pivot, free)
+        if H > _TABLE_CAP:
+            raise RegimeError(f"height {H} needs lookup tables above the cap {_TABLE_CAP}")
+        if sum(abs(a) for a in alpha) * H + abs(spec.J) >= 2**62:
+            raise RegimeError("sum of |alpha_i|*H plus |J| reaches 2^62, beyond the sweep's int64 arithmetic")
+        base = arith.power_base_table(H)
+        rad = arith.radical_table(H)
+        strata = n == spec.nnz == 3
+        if strata:
+            report.total_on_plane, rank0, rank1 = _strata(spec, domain, base)
+            report.by_rank.update((r, c) for r, c in ((0, rank0), (1, rank1)) if c)
+        _sweep(report, spec, signed, pivot, free, base, rad, strata)
     else:
         # n == 1 with a single constrained coordinate
         q, r = divmod(spec.J, alpha[pivot])
@@ -350,33 +416,54 @@ def _line_class(a: int, b: int) -> tuple[int, int, int]:
     return g, s, pow(a // g, -1, s)
 
 
-def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool, pivot, free) -> None:
+def _mod(x: np.ndarray, s) -> np.ndarray:
+    """x % s for an int64 array x (the sign of s, as ``%``) by one floor
+    division, which numpy runs several times faster than ``%`` when s is a
+    scalar."""
+    return x - x // s * s
+
+
+def _class_residue(m: np.ndarray, g, s, u) -> np.ndarray:
+    """(m/g)·u mod s for each entry of the int64 array m: the residue class of
+    c on a·c + b·d = m, with (g, s, u) from ``_line_class`` (ints, or int64
+    arrays that broadcast with m; meaningless where g ∤ m).  m/g is reduced
+    mod s before the product with u < s, which takes Python ints once s²
+    could pass 2⁶³."""
+    r = _mod(m // g, s)
+    if int(np.max(s)) ** 2 < 2**63:
+        return _mod(r * u, s)
+    u, s = (np.asarray(x).astype(object) for x in (u, s))
+    return (r.astype(object) * u % s).astype(np.int64)
+
+
+def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool, pivot, free,
+           base: np.ndarray, rad: np.ndarray, strata: bool) -> None:
     """Classify every solution, the pivot p (if any) solved from the ``free``
-    coordinates, in blocks of at most ``_BLOCK_ROWS`` grid cells.
+    coordinates, in blocks of at most ``_BLOCK_ROWS`` grid cells
+    (``_RESIDUE_SCALE`` times that with ``strata``); ``base`` and ``rad``
+    are the minimal-base and radical tables up to H.
 
     The last free coordinate c is the inner one, the others are outer.  An
     outer combo leaves a_c·c + a_p·p = rem, rem = J − Σ a_o·o, with solutions
     only when g | rem ((g, s, u) from ``_line_class``).  Then c steps by s
-    from the first axis member of its class (rem/g)·u mod s, and p by a fixed
-    step, so no cell needs a division, only the masks c ≤ H, c ≠ 0 and
+    from the first axis member of its class (``_class_residue``), and p by a
+    fixed step, so no cell needs a division, only the masks c ≤ H, c ≠ 0 and
     1 ≤ |p| ≤ H.  Without a pivot (all-zero α) a unit stand-in for a_p makes
     the whole axis one class.  Combos are decoded (``product`` order) and
     solved ``_BLOCK_ROWS`` at a time; a block is a run of those with
     solutions times the steps, or a slice of the steps.
 
-    Exact in int64: |rem| and |a_c·c| for |c| ≤ H stay below the 2⁶² checked
-    here; rem/g is reduced mod s before the product with u < s, which takes
-    Python ints once s² could pass 2⁶³; a combo whose first class member
-    exceeds H is dropped before p is formed.
+    With ``strata`` (three nonzero coefficients, whose total, rank 0 and
+    rank 1 ``_strata`` counted) a block only hands its deep residue
+    (``_deep_residue``) to the deep stage; otherwise the cascade
+    (``_classify_block``) counts every cell.
+
+    Exact in int64 on the planes ``count_S`` lets through: |rem| and |a_c·c|
+    for |c| ≤ H stay below 2⁶², and a combo whose first class member exceeds
+    H is dropped before p is formed.
     """
     H = report.H
     alpha = spec.alpha
-    if H > _TABLE_CAP:
-        raise RegimeError(f"height {H} needs lookup tables above the cap {_TABLE_CAP}")
-    if sum(abs(a) for a in alpha) * H + abs(spec.J) >= 2**62:
-        raise RegimeError("sum of |alpha_i|*H plus |J| reaches 2^62, beyond the sweep's int64 arithmetic")
-    base = arith.power_base_table(H)
-    rad = arith.radical_table(H)
     axes = [_axis_values(alpha[i], H, signed) for i in free[:-1]]
     outer_vals = [v for v, _ in axes]
     outer_coef = [alpha[i] for i in free[:-1]]
@@ -389,12 +476,13 @@ def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool, pivot, free)
     dp = -(ac // g) if ap > 0 else ac // g
     steps = (H - lo) // s + 1
     combos = math.prod(len(v) for v in outer_vals)
-    width = min(steps, _BLOCK_ROWS)
-    chunk = _BLOCK_ROWS // width
+    cells = _BLOCK_ROWS * (_RESIDUE_SCALE if strata else 1)
+    width = min(steps, cells)
+    chunk = cells // width
     # deep-stage rows wait here, across blocks, until the buffer is full; one
     # buffer for the whole count, so no small arrays outlive their block.
     # Rows reach the deep stage only from three coordinates on
-    deep = np.empty((_BLOCK_ROWS if spec.n >= 3 else 0, spec.n), dtype=np.int64)
+    deep = np.empty((cells if spec.n >= 3 else 0, spec.n), dtype=np.int64)
     held = 0
     cs, ps = s * np.arange(width), dp * np.arange(width)
     for start in range(0, combos, _BLOCK_ROWS):
@@ -405,8 +493,7 @@ def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool, pivot, free)
             flat, d = np.divmod(flat, len(v))
             rem -= a * v[d]
             outer_abs.append(np.abs(v[d]))
-        c0 = rem // g % s
-        c0 = (c0.astype(object) * u % s).astype(np.int64) if s * s >= 2**63 else c0 * u % s
+        c0 = _class_residue(rem, g, s, u)
         first = lo + (c0 - lo) % s
         keep = np.flatnonzero((rem % g == 0) & (first <= H))
         first = first[keep]
@@ -421,7 +508,7 @@ def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool, pivot, free)
                 ok = c <= H
                 if lo < 0:
                     ok &= c != 0
-                cols = [np.broadcast_to(o[sl, None], ok.shape) for o in outer_abs] + [np.abs(c, out=c)]
+                cols = [o[sl, None] for o in outer_abs] + [np.abs(c, out=c)]
                 if pivot is not None:
                     p = (p0[sl] + dp * t0)[:, None] + ps[:k]
                     if signed:
@@ -429,13 +516,158 @@ def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool, pivot, free)
                     ok &= p >= 1
                     ok &= p <= H
                     cols.append(p)
-                rows = _classify_block(report, [x[ok] for x in cols], weight, base, rad)
-                if held + len(rows) > _BLOCK_ROWS:
+                if strata:
+                    rows = _deep_residue(*cols, ok, base, rad)
+                else:
+                    rows = _classify_block(report, [np.broadcast_to(x, ok.shape)[ok] for x in cols],
+                                           weight, base, rad)
+                if held + len(rows) > cells:
                     _rank_deep(report, deep[:held], weight)
                     held = 0
                 deep[held:held + len(rows)] = rows
                 held += len(rows)
     _rank_deep(report, deep[:held], weight)
+
+
+# ── rank-0/1 strata of three-coefficient planes ──────────────────────────
+
+
+def _line_points(b, c, m: np.ndarray, lo: int, H: int, signed: bool) -> np.ndarray:
+    """#{(y, z) : b_k·y + c_k·z = m_j} with lo ≤ |y|, |z| ≤ H (``signed``)
+    or lo ≤ y, z ≤ H, as a (K, M) array: ``b`` and ``c`` list K nonzero
+    coefficients, one line each, and m is a 1-D int64 array of M levels.
+
+    Each sign pattern of (y, z) is a line on [lo, H]²: (±y, ±z) turns (b, c)
+    into (b, ±c), or into (−b, ∓c), which on m is (b, ±c) on −m.  On such a
+    line y lies in one residue class mod s (``_line_class``), and z ∈ [lo, H]
+    bounds b·y to an interval, so y once b > 0 (the line is negated where
+    b < 0); the count is that of the class members in it.
+    """
+    K = len(b)
+    if signed:
+        b, c = [*b, *b], [*c, *(-x for x in c)]
+        m = np.concatenate([m, -m])
+    flip = [-1 if x < 0 else 1 for x in b]
+    b, c = ([f * x for f, x in zip(flip, v)] for v in (b, c))
+    shape = (len(b), len(m))
+    # a parameter shared by every line stays an int: numpy divides far
+    # faster by a scalar than by a column
+    g, s, u, b, c, flip = (v[0] if len(set(v)) == 1 else np.array(v, dtype=np.int64)[:, None]
+                           for v in (*zip(*map(_line_class, b, c)), b, c, flip))
+    m = m * flip
+    r = _class_residue(m, g, s, u)
+    low = m - np.maximum(c * lo, c * H)
+    high = m - np.minimum(c * lo, c * H)
+    y_lo = np.maximum(-(-low // b), lo)
+    y_hi = np.minimum(high // b, H)
+    count = (y_hi - r) // s - (y_lo - 1 - r) // s
+    count = np.broadcast_to(np.where(_mod(m, g) == 0, np.maximum(count, 0), 0), shape)
+    if signed:
+        count = count[:K] + count[K:]
+        half = shape[1] // 2
+        count = count[:, :half] + count[:, half:]
+    return count
+
+
+def _points(rows, J: int, lo: int, H: int, signed: bool) -> int:
+    """Σ over the coefficient rows of #{ν : row·ν = J} with lo ≤ |ν_i| ≤ H
+    (``signed``) or lo ≤ ν_i ≤ H, for rows of at most three nonzero entries.
+
+    A zero coefficient leaves its coordinate free.  Rows with two nonzero
+    entries are lines, all counted in one ``_line_points`` call; a row with
+    three scans its first coordinate, ``_BLOCK_ROWS`` values at a time, and
+    counts the line of the other two for each value.  Unlike
+    ``hyperplane_lattice_count`` nothing is convolved, so no box is too wide
+    (a signed (2, 3, 4) box at H = 10⁶ would need 1.8·10⁷ slots there).
+    """
+    width = (2 if signed else 1) * (H - lo + 1)
+    total = 0
+    lines = []
+    for row in rows:
+        nz = [a for a in row if a]
+        weight = width ** (len(row) - len(nz))
+        if len(nz) == 0:
+            total += weight * (J == 0)
+        elif len(nz) == 1:
+            q, r = divmod(J, nz[0])
+            total += weight * (r == 0 and lo <= (abs(q) if signed else q) <= H)
+        elif len(nz) == 2:
+            lines.append((weight, *nz))
+        else:
+            a0, b, c = nz
+            for x0 in range(lo, H + 1, _BLOCK_ROWS):
+                x = np.arange(x0, min(x0 + _BLOCK_ROWS, H + 1), dtype=np.int64)
+                m = J - a0 * (np.concatenate([-x, x]) if signed else x)
+                total += weight * int(_line_points([b], [c], m, lo, H, signed).sum())
+    if lines:
+        weights, b, c = zip(*lines)
+        counts = _line_points(b, c, np.array([J], dtype=np.int64), lo, H, signed)
+        total += sum(w * int(k) for w, k in zip(weights, counts[:, 0]))
+    return total
+
+
+def _power_pairs(base: np.ndarray, H: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, w): every ordered pair x = w^s, y = w^t ≤ H (s = t included)
+    of powers of one non-power 2 ≤ w ≤ √H, read from the minimal-base table.
+    A base above √H has no second power up to H, so its one value pairs only
+    with itself."""
+    w = np.arange(2, math.isqrt(H) + 1, dtype=np.int64)
+    w = w[base[2:len(w) + 2] == w]
+    # column t − 1 holds w^t, capped at H + 1; w[0] = 2 has the most powers
+    powers = [w]
+    while len(w) and powers[-1][0] * 2 <= H:
+        powers.append(np.minimum(powers[-1] * w, H + 1))
+    table = np.stack(powers, axis=1)
+    x, y = np.broadcast_arrays(table[:, :, None], table[:, None, :])
+    ok = (x <= H) & (y <= H)
+    return x[ok], y[ok], np.broadcast_to(w[:, None, None], ok.shape)[ok]
+
+
+def _strata(spec: HyperplaneSpec, domain: DomainSpec, base: np.ndarray) -> tuple[int, int, int]:
+    """(total_on_plane, rank 0, rank 1) of a plane with three nonzero
+    coefficients, in closed form; ``base`` is the minimal-base table up to H.
+
+    N_ℓ counts the plane's points with ℓ ≤ |ν_i| ≤ H for every i, so the
+    total is N₁ and rank 0 (some |ν_i| = 1) is N₁ − N₂.  Among points with
+    every |ν_i| ≥ 2, sharing a minimal base is an equivalence relation on the
+    coordinates, so by inclusion–exclusion over the three pair events rank 1
+    is N₁₂ + N₁₃ + N₂₃ − 2·N₁₂₃: N_ij counts points with base(ν_i) =
+    base(ν_j), N₁₂₃ those with one base for all three.  Where |ν_i| = |ν_j|,
+    ν_j = ±ν_i merges their coefficients into a_i ± a_j, a lattice count on
+    fewer coordinates (likewise all three equal).  Unequal values of one base
+    w are w^s ≠ w^t with w ≤ √H (``_power_pairs``): each pair, with its signs,
+    solves the third coordinate from the plane.
+
+    The caller checks the sweep's regime first (H ≤ ``_TABLE_CAP``,
+    Σ|a_i|·H + |J| < 2⁶²), which keeps every int64 value here exact.
+    """
+    a, J, H = spec.alpha, spec.J, domain.H
+    signed = domain.kind == "signed"
+    signs = (1, -1) if signed else (1,)
+    total = _points([a], J, 1, H, signed)
+    rank0 = total - _points([a], J, 2, H, signed)
+    pairs = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
+    same2 = _points([(a[i] + t * a[j], a[k]) for i, j, k in pairs for t in signs], J, 2, H, signed)
+    same3 = _points([(a[0] + t * a[1] + v * a[2],) for t in signs for v in signs], J, 2, H, signed)
+    x, y, w = _power_pairs(base, H)
+    if signed:
+        sx, sy = np.array([[1], [1], [-1], [-1]]), np.array([[1], [-1], [1], [-1]])
+        vx, vy = (sx * x).ravel(), (sy * y).ravel()
+        x, y, w = np.tile(x, 4), np.tile(y, 4), np.tile(w, 4)
+    else:
+        vx, vy = x, y
+    for i, j, k in pairs:
+        rem = J - a[i] * vx - a[j] * vy
+        z = rem // a[k]
+        if signed:
+            z = np.abs(z)
+        ok = (_mod(rem, a[k]) == 0) & (z >= 2) & (z <= H)
+        same2 += int(np.count_nonzero(ok & (x != y)))
+        if k == 2:
+            # all three powers of w, not all equal in |ν| (those are in same3)
+            ok[ok] = base[z[ok]] == w[ok]
+            same3 += int(np.count_nonzero(ok & ((x != y) | (x != z))))
+    return total, rank0, same2 - 2 * same3
 
 
 # ── curve systems: one multiplicative and one linear equation ────────────

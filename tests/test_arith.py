@@ -181,10 +181,14 @@ def test_power_base_table_matches_f_base(monkeypatch):
         assert t[2:].tolist() == [arith.f_base(m) for m in range(2, limit + 1)]
 
 
-def test_radical_table_matches_radical():
-    t = arith.radical_table(300)
-    for m in range(1, 301):
-        assert t[m] == arith.radical(m)
+def test_radical_table_matches_radical(monkeypatch):
+    # fresh tables whose limits are squares, primes and their neighbours, so
+    # the cofactor left above √limit is checked at every kind of boundary
+    monkeypatch.setattr(arith, "_radical_tables", {})
+    for limit in [*range(1, 50), 300, 4096, 4097]:
+        t = arith.radical_table(limit)
+        assert list(arith._radical_tables) == [limit] and t[0] == 0
+        assert t[1:].tolist() == [arith.radical(m) for m in range(1, limit + 1)]
 
 
 def test_tables_keep_the_largest_and_slice_it(monkeypatch):

@@ -303,11 +303,14 @@ def test_guards_and_output_under_python_O(capsys):
     proc = _python_O("-c", bad)
     assert proc.returncode == 1
     assert "ValueError: total 3 != c0 + c1 + c2 = 2" in proc.stderr
-    argv = ["count", "--alpha", "1,1,1", "--J", "1", "--H", "30", "--by-rank"]
-    proc = _python_O("-m", "multdep", *argv)
-    code, out, _ = run(capsys, *argv)
-    assert proc.returncode == code == 0 and proc.stderr == ""
-    assert proc.stdout == out
+    # three-coefficient planes, whose rank 0 and rank 1 are closed-form strata
+    for argv in (["count", "--alpha", "1,1,1", "--J", "1", "--H", "30", "--by-rank"],
+                 ["count", "--alpha=2,-1,3", "--J", "7", "--H", "60", "--positive", "--by-rank"],
+                 ["converge", "--alpha=1,-1,3", "--J", "2", "--grid", "20,40"]):
+        proc = _python_O("-m", "multdep", *argv)
+        code, out, _ = run(capsys, *argv)
+        assert proc.returncode == code == 0 and proc.stderr == ""
+        assert proc.stdout == out, argv
 
 
 def test_converge_positive_level_grid(capsys):

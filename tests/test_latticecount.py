@@ -670,3 +670,68 @@ def test_criteria_03_04_counts_match_oracle():
     rep = count_S(HyperplaneSpec((1, 1, 1), 1), DomainSpec("signed", 200))
     assert rep.total_on_plane == len(signed)
     assert rep.dependent_total == orc.count_dependent(signed) == 4365
+
+
+# ── closed-form rank-0/1 strata of three-coefficient planes ───────────────
+
+# merged coefficients that vanish: a1 − a2 in (1, 1, 2), a1 + a2 in
+# (1, −1, 3), both in (2, −2, 4) (solutions only for even J), a1 + a2 − a3
+# in (1, 1, 2) and (−2, 3, 1); composite and negative α in the others
+STRATA_PLANES = [(1, 1, 1), (1, 1, 2), (1, -1, 3), (2, -2, 4), (-2, 3, 1), (-2, 3, -4), (4, 6, 9), (-6, 10, 15)]
+
+
+def _cascade_strata(spec, ds, base, rad):
+    """(total, rank 0, rank 1) from the cascade, ``_classify_block``, run on
+    every solution of the plane as one block."""
+    sols = np.array(list(orc.enumerate_solutions(spec, ds)), dtype=np.int64).reshape(-1, 3)
+    rep = lc.CountReport(spec.alpha, spec.J, ds.kind, ds.H)
+    lc._classify_block(rep, list(np.abs(sols).T), 1, base, rad)
+    return rep.total_on_plane, rep.by_rank.get(0, 0), rep.by_rank.get(1, 0)
+
+
+def test_strata_match_brute_force_and_the_cascade():
+    base, rad = arith.power_base_table(200), arith.radical_table(200)
+    for alpha in STRATA_PLANES:
+        for J in (0, 1, -1, 7, -7, 2, -6):
+            for dom in ("signed", "positive"):
+                for H in (1, 2, 3, 7, 30, 200):
+                    if H == 200 and (J, dom) not in ((-6, "signed"), (7, "positive")):
+                        continue
+                    spec, ds = HyperplaneSpec(alpha, J), DomainSpec(dom, H)
+                    got = lc._strata(spec, ds, base)
+                    assert got == _cascade_strata(spec, ds, base, rad), (alpha, J, dom, H)
+                    if H <= 7:
+                        total, by_rank = _oracle_report(spec, ds)
+                        assert got == (total, by_rank.get(0, 0), by_rank.get(1, 0)), (alpha, J, dom, H)
+
+
+def test_strata_alone_at_large_heights():
+    # no sweep: these heights would need O(H²) cells.  Rank 0 of the signed
+    # (1, 1, 1)/J = 1 plane is 12H − 18; (2, 3, 4) needs 9H exponent slots on
+    # one orthant box, beyond poly_product's cap, and runs on lines instead
+    H = 10**6
+    base = arith.power_base_table(H)
+    total, rank0, rank1 = lc._strata(HyperplaneSpec((1, 1, 1), 1), DomainSpec("signed", H), base)
+    assert rank0 == 12 * H - 18 and 0 < rank1 < total
+    total, rank0, rank1 = lc._strata(HyperplaneSpec((2, 3, 4), 5), DomainSpec("signed", H), base)
+    assert 0 < rank0 + rank1 < total
+
+
+def test_deep_residue_matches_the_covered_count_rule(rng):
+    # hand-built (combo × step) blocks of mostly smooth values and a random
+    # range mask; planted in each are a covered row with a 1, (1, 6, 36), one
+    # with a shared base, (2, 4, 8), and a deep one, (6, 4, 9)
+    top = 1000
+    base, rad = arith.power_base_table(top), arith.radical_table(top)
+    smooth = [x for x in range(2, top + 1) if max(arith._abs_exponents(x))[0] <= 7]
+    for r, k in ((3, 1), (3, 50), (40, 20)):
+        o, c, p = (np.array([rng.choice(smooth) if rng.random() < 0.9 else rng.randint(1, top)
+                             for _ in range(r * w)], dtype=np.int64).reshape(r, w) for w in (1, k, k))
+        ok = np.array([rng.random() < 0.8 for _ in range(r * k)]).reshape(r, k)
+        for i, row in enumerate([(1, 6, 36), (2, 4, 8), (6, 4, 9)]):
+            o[i, 0], c[i, 0], p[i, 0] = row
+            ok[i, 0] = True
+        got = lc._deep_residue(o, c, p, ok.copy(), base, rad).tolist()
+        assert got == _cover_rule_by_row([np.broadcast_to(o, ok.shape)[ok], c[ok], p[ok]], base, rad)
+        assert [4, 6, 9] in got and [1, 6, 36] not in got and [2, 4, 8] not in got
+        assert len(got) > (1 if k > 1 else 0)
