@@ -2,16 +2,18 @@
 
 Factorization (smallest-prime-factor sieve with deterministic trial division
 beyond the sieve bound), radicals, the smooth-number walk and its count ψ₀,
-minimal perfect power bases, vector gcds, and the signed convolution kernel
-that multiplies sparse integer polynomials.  Everything here is exact;
-nothing uses floats or probabilistic primality.
+minimal perfect power bases, vector gcds, the signed convolution kernel
+that multiplies sparse integer polynomials, and tables of modular inverses
+for Chinese-remainder lifts.  Everything here is exact; nothing uses floats
+or probabilistic primality.
 
 The sieve starts at 4096 entries on first use and doubles when a value past
 its end is factorized, up to ``SIEVE_LIMIT`` (10**6); values above the limit
 use trial division.  A regrown table replaces the old one, which is never
 modified.  The factorization cache and the lookup tables are bounded: at most
 ``_FACTOR_CACHE`` factorizations, and one power-base and one radical table,
-the largest built so far, whose prefixes serve smaller limits.
+the largest built so far, whose prefixes serve smaller limits.  A
+smallest-prime table above the limit is built for its caller and not kept.
 """
 
 from __future__ import annotations
@@ -32,14 +34,8 @@ _FACTOR_CACHE = 1 << 16
 _spf_table: np.ndarray | None = None
 
 
-def _grow_spf(a: int) -> np.ndarray:
-    """Smallest-prime-factor table over [0, size), size doubled from the
-    current one (at least 4096) until it covers ``a`` or reaches SIEVE_LIMIT."""
-    global _spf_table
-    size = _SIEVE_START if _spf_table is None else 2 * _spf_table.shape[0]
-    while size <= a:
-        size *= 2
-    size = min(size, SIEVE_LIMIT + 1)
+def _sieve(size: int) -> np.ndarray:
+    """Smallest-prime-factor table over [0, size); slots 0 and 1 hold 0 and 1."""
     spf = np.zeros(size, dtype=np.int32)
     for p in range(2, math.isqrt(size - 1) + 1):
         if spf[p] == 0:
@@ -47,9 +43,32 @@ def _grow_spf(a: int) -> np.ndarray:
             block[block == 0] = p
     untouched = np.nonzero(spf == 0)[0]
     spf[untouched] = untouched  # primes, plus the 0 and 1 slots
-    spf[1] = 1
-    _spf_table = spf
     return spf
+
+
+def _grow_spf(a: int) -> np.ndarray:
+    """The sieve over [0, size), size doubled from the current one (at least
+    4096) until it covers ``a`` or reaches SIEVE_LIMIT."""
+    global _spf_table
+    size = _SIEVE_START if _spf_table is None else 2 * _spf_table.shape[0]
+    while size <= a:
+        size *= 2
+    _spf_table = _sieve(min(size, SIEVE_LIMIT + 1))
+    return _spf_table
+
+
+def smallest_prime_table(limit: int) -> np.ndarray:
+    """table[m] = smallest prime factor of m for 2 <= m <= limit (table[1] = 1).
+
+    Up to SIEVE_LIMIT a view of the factorization sieve, grown if need be;
+    above it a table of its own, built for the caller and not kept.
+    """
+    if limit > SIEVE_LIMIT:
+        return _sieve(limit + 1)
+    spf = _spf_table
+    if spf is None or spf.shape[0] <= limit:
+        spf = _grow_spf(limit)
+    return spf[: limit + 1]
 
 
 @dataclass(frozen=True)
@@ -333,3 +352,38 @@ def power_base_table(limit: int) -> np.ndarray:
 def radical_table(limit: int) -> np.ndarray:
     """table[m] = radical(m) for 1 <= m <= limit (table[0] = 0)."""
     return _largest(_radical_tables, limit, _build_radical_table)
+
+
+def _inverses(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """x⁻¹ mod q for int64 arrays x and prime moduli q < 2³¹, 0 where q | x:
+    Fermat's x^(q−2), all entries squared and multiplied in step."""
+    x = x % q
+    out = (x != 0).astype(np.int64)
+    e = q - 2
+    while e.any():
+        out = np.where(e & 1, out * x % q, out)
+        x = x * x % q
+        e >>= 1
+    return out
+
+
+def inverse_tables(limit: int, s: int, a: int) -> tuple[np.ndarray, ...]:
+    """(spf, s_inv, a_inv, pair_inv) over [0, limit], for Chinese-remainder
+    lifts across the primes of squarefree values up to ``limit``: the
+    smallest-prime table, s⁻¹ and a⁻¹ mod each prime q (0 where q divides
+    them), and q⁻¹ mod q' at index q·q' for primes q < q' (1 at each prime
+    index, as if q = 1).  One vectorized Fermat pass computes every inverse.
+    """
+    spf = smallest_prime_table(limit).astype(np.int64)
+    n = np.arange(limit + 1, dtype=np.int64)
+    primes = n[2:][spf[2:] == n[2:]]
+    small = spf[2:]
+    big = n[2:] // small
+    semi = (big > small) & (spf[big] == big)
+    x = np.concatenate([np.full_like(primes, s), np.full_like(primes, a), small[semi]])
+    inv = np.split(_inverses(x, np.concatenate([primes, primes, big[semi]])), [len(primes), 2 * len(primes)])
+    s_inv, a_inv = np.zeros((2, limit + 1), dtype=np.int64)
+    s_inv[primes], a_inv[primes] = inv[:2]
+    pair_inv = np.ones(limit + 1, dtype=np.int64)
+    pair_inv[n[2:][semi]] = inv[2]
+    return spf, s_inv, a_inv, pair_inv

@@ -19,9 +19,10 @@ Then the sweep, which is exhaustive: one coordinate p with nonzero α (the
 pivot) is solved from the others.  Each combination of the outer free
 coordinates leaves the last free coordinate c and p on a line
 a_c·c + a_p·p = rem; its integer points have c in one residue class mod
-|a_p|/g, and there are none unless g = gcd(a_c, a_p) divides rem.  The sweep
-steps c along that class, so every cell of its grid solves the plane, and
-classifies the cells in range exactly, at most ``_BLOCK_ROWS`` at a time.
+s = |a_p|/g, and there are none unless g = gcd(a_c, a_p) divides rem.  The
+sweep steps c along that class, over the range that keeps p in its own, so
+every cell solves the plane in range, and classifies the cells exactly, at
+most ``_BLOCK_ROWS`` at a time.
 
 Classification cascade per solution (cheapest first):
   rank 0   some coordinate is ±1;
@@ -33,12 +34,14 @@ Classification cascade per solution (cheapest first):
            survivor's rank is one less than the size of its smallest
            dependent subset of exponent rows (``relations.rank_from_rows``).
 
-On a plane with strata the sweep counts neither rank 0 nor rank 1: each
-block keeps only its deep residue (``_deep_residue``), the rows the cascade
-would hand on, tested cover first: the outer coordinate's on the whole
-grid, then the other two on the survivors, and only then the ±1 and
-shared-base rows are dropped.  Such a block takes ``_RESIDUE_SCALE`` times
-the cells.
+On a plane with strata the sweep counts neither rank 0 nor rank 1, and it
+visits only cells whose outer coordinate o is covered, rad(o) | c·p.  A
+prime q ∤ a_p of rad(o) divides p exactly when a_c·c ≡ rem (mod q), so c
+lies in at most 2^ω(o) residue classes mod s·rad(o) (``_cover_classes``):
+Σ 2^ω(o)/rad(o) over o ≤ H grows slower than any power of H (105 at
+H = 2000, 859 at 10⁶), so the cells number H^{1+o(1)} where the class of c
+mod s alone leaves O(H²).  Of those cells ``_deep_residue`` keeps the rows
+the cascade would hand on.
 
 The deep stage is batched per count: survivors of every block wait, each
 sorted, in one buffer of one block's size.  When it is full, and once at
@@ -280,24 +283,19 @@ def _classify_block(
 
 
 def _deep_residue(
-    o: np.ndarray, c: np.ndarray, p: np.ndarray, ok: np.ndarray, base: np.ndarray, rad: np.ndarray
+    o: np.ndarray, c: np.ndarray, p: np.ndarray, base: np.ndarray, rad: np.ndarray
 ) -> np.ndarray:
-    """The deep-stage rows of one sweep block of a plane with three nonzero
+    """The deep-stage rows among cells of a plane with three nonzero
     coefficients, whose total, rank 0 and rank 1 come from ``_strata``.
 
-    ``o`` ((r, 1)) holds the outer coordinate's absolute value per combo,
-    ``c`` and ``p`` ((r, k)) those of the inner and pivot coordinates, and
-    the cells where ``ok`` holds solve the plane in range.  Returns the rows
-    the cascade (``_classify_block``) would leave for ``_rank_deep``: no 1,
-    no shared base, every coordinate covered (with n = 3 a dependent subset
-    of size 3 is the whole row), each sorted ascending.  The cover test comes
-    first, since it drops most rows: the outer coordinate's on the whole
-    grid, one radical per combo, then the other two on the survivors.  Every
-    product is of two values up to H ≤ 2²², so exact in int64; cells outside
-    ``ok`` may wrap, but they are masked.
+    ``o``, ``c`` and ``p`` hold the absolute values of the outer, inner and
+    pivot coordinates of solutions in range whose outer coordinate is
+    covered, rad(o) | c·p (the cover classes of ``_cover_classes``).  Returns
+    the rows the cascade (``_classify_block``) would leave for
+    ``_rank_deep``: c and p covered too (with n = 3 a dependent subset of
+    size 3 is the whole row), no 1, no shared base, each sorted ascending.
+    Every product is of two values up to H ≤ 2²², so exact in int64.
     """
-    ok &= c * p % rad[o] == 0
-    o, c, p = np.broadcast_to(o, ok.shape)[ok], c[ok], p[ok]
     keep = np.flatnonzero((o * p % rad[c] == 0) & (o * c % rad[p] == 0))
     cols = [o[keep], c[keep], p[keep]]
     unit, pair = _unit_or_pair(cols, base)
@@ -341,16 +339,11 @@ def _rank_deep(report: CountReport, rows: np.ndarray, weight: int) -> None:
 # (H + 1 int64 entries each)
 _TABLE_CAP = 1 << 22
 
-# most (outer combo, class step) cells in a sweep block, so also the most
-# rows one ``_classify_block`` call gets, and the most outer combos whose
-# congruence is solved at once; each int64 column then stays at 64 KiB, so
-# many combos share one block's numpy calls while peak memory barely moves
+# most cells in a sweep block, so also the most rows one ``_classify_block``
+# or ``_deep_residue`` call gets, and the most outer combos whose congruence
+# is solved at once; each int64 column then stays at 64 KiB, so many combos
+# share one block's numpy calls while peak memory barely moves
 _BLOCK_ROWS = 1 << 13
-
-# a block of a plane whose strata are closed-form takes this many times the
-# cells: ``_deep_residue`` holds about a quarter of the cascade's int64
-# temporaries per cell, and a larger block spreads its fixed numpy calls
-_RESIDUE_SCALE = 4
 
 # most Gram entries in one deep-stage stack, so n-coordinate rows are ranked
 # _RANK_CELLS // n² at a time (2048 at n = 4) and a flush of one buffer takes
@@ -436,31 +429,133 @@ def _class_residue(m: np.ndarray, g, s, u) -> np.ndarray:
     return (r.astype(object) * u % s).astype(np.int64)
 
 
+def _inner_range(rem: np.ndarray, ac: int, ap: int, lo: int, H: int, p_lo: int):
+    """(c_lo, c_hi) per entry of rem: the c in [lo, H] whose pivot
+    p = (rem − ac·c)/ap, a rational here, lies in [p_lo, H]; empty where
+    c_lo > c_hi.  With ac = 0, p is the same for every c, so the range is all
+    of [lo, H] or nothing."""
+    # ac·c = rem − ap·p runs over [rem − top, rem − bottom]
+    bottom, top = sorted((ap * p_lo, ap * H))
+    low, high = rem - top, rem - bottom
+    if ac == 0:
+        return np.full_like(rem, lo), np.where((low <= 0) & (high >= 0), H, lo - 1)
+    if ac < 0:
+        low, high = -high, -low
+    return np.maximum(-(-low // abs(ac)), lo), np.minimum(high // abs(ac), H)
+
+
+def _cover_classes(o: np.ndarray, rem: np.ndarray, x: np.ndarray, s: int, ap: int, ac: int,
+                   rad: np.ndarray, tables):
+    """(combo, class, modulus, check): the residue classes that hold every c
+    of a combo (outer value o, line ac·c + ap·p = rem, c ≡ x mod s) with
+    rad(o) | c·p, one row each, with the index of its combo; ``rad`` is the
+    radical table and ``tables`` is ``arith.inverse_tables(H, s, ac)``.
+    ``check`` is gcd(rad(o), ap) per row, the part of rad(o) left to an
+    exact test of c·p.
+
+    A prime q | rad(o) with q ∤ ap divides p exactly when ac·c ≡ rem (mod q),
+    so q | c·p puts c in the class 0 or rem·ac⁻¹ mod q; when q | ac that is
+    class 0 alone if q ∤ rem, and every c if q | rem (then q | p always).
+    So c lies in at most 2^ω(r) classes mod s·r, r being rad(o) without the
+    primes of ap and of gcd(ac, rem), which is prime to s.  They are built
+    by Garner's lift over the primes of r in ascending order, each splitting
+    the rows of its combos in one or two.
+    """
+    spf, s_inv, ac_inv, pair_inv = tables
+    r = rad[o]
+    check = np.gcd(r, ap)
+    r //= check
+    r //= np.gcd(r, np.gcd(rem, ac))
+    combo = np.arange(len(o))
+    m = np.full(len(o), s, dtype=np.int64)
+    lifted = []
+    while r.max(initial=1) > 1:
+        # q = 1 where r is used up: one class mod 1 leaves the row as it is
+        q = spf[r]
+        r //= q
+        t = _mod(rem, q) * ac_inv[q] % q
+        inv = s_inv[q]  # m⁻¹ mod q for m = s·∏ lifted
+        for q0 in lifted:
+            inv = inv * pair_inv[q0 * q] % q
+        lifted.append(q)
+        # class 0 lifts x by m·k with k = −x·m⁻¹ mod q, class t by k + t·m⁻¹
+        step = t * inv % q
+        qr = q[combo]
+        k = _mod(-x, qr) * inv[combo] % qr
+        reps = 1 + (step[combo] != 0)
+        second = np.cumsum(reps)[reps == 2] - 1
+        combo, k, x = (np.repeat(v, reps) for v in (combo, k, x))
+        k[second] = (k[second] + step[combo[second]]) % q[combo[second]]
+        x += m[combo] * k
+        m *= q
+    return combo, x, m[combo], check[combo]
+
+
+def _block_cells(t0: int, t1: int, edges: np.ndarray, first, c_step, p0, p_step, outer,
+                 check, c_zero: bool, signed: bool) -> list[np.ndarray]:
+    """Absolute values of the solutions among cells t0 ≤ t < t1, the cells of
+    the sweep's rows laid end to end (row r holds cells edges[r] to
+    edges[r + 1] − 1), one column per coordinate: ``outer`` values, then c,
+    then p.
+
+    Along row r, c = first[r] + k·c_step and p = p0[r] + k·p_step for
+    k = 0, 1, …; a step is one value or one per row, and ``p0`` is None
+    without a pivot.  Dropped are cells with c = 0 (``c_zero``), p = 0
+    (``signed``) and, given ``check`` (one per row), check ∤ c·p.
+    """
+    r0 = int(np.searchsorted(edges, t0, "right")) - 1
+    r1 = int(np.searchsorted(edges, t1 - 1, "right"))
+    starts = edges[r0:r1]
+    row = np.repeat(np.arange(r0, r1), np.minimum(edges[r0 + 1:r1 + 1], t1) - np.maximum(starts, t0))
+    k = np.arange(t0, t1) - edges[row]
+    c_step, p_step = (v if np.ndim(v) == 0 else v[row] for v in (c_step, p_step))
+    c = first[row] + c_step * k
+    cols = [o[row] for o in outer] + [c]
+    masks = [c != 0] if c_zero else []
+    if p0 is not None:
+        p = p0[row] + p_step * k
+        cols.append(p)
+        if signed:
+            masks.append(p != 0)
+        if check is not None:
+            masks.append(c * p % check[row] == 0)
+    if masks:
+        ok = np.logical_and.reduce(masks)
+        cols = [x[ok] for x in cols]
+    if signed:
+        for x in cols[len(outer):]:
+            np.abs(x, out=x)
+    return cols
+
+
 def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool, pivot, free,
            base: np.ndarray, rad: np.ndarray, strata: bool) -> None:
     """Classify every solution, the pivot p (if any) solved from the ``free``
-    coordinates, in blocks of at most ``_BLOCK_ROWS`` grid cells
-    (``_RESIDUE_SCALE`` times that with ``strata``); ``base`` and ``rad``
-    are the minimal-base and radical tables up to H.
+    coordinates, in blocks of at most ``_BLOCK_ROWS`` cells; ``base`` and
+    ``rad`` are the minimal-base and radical tables up to H.
 
     The last free coordinate c is the inner one, the others are outer.  An
     outer combo leaves a_c·c + a_p·p = rem, rem = J − Σ a_o·o, with solutions
-    only when g | rem ((g, s, u) from ``_line_class``).  Then c steps by s
-    from the first axis member of its class (``_class_residue``), and p by a
-    fixed step, so no cell needs a division, only the masks c ≤ H, c ≠ 0 and
-    1 ≤ |p| ≤ H.  Without a pivot (all-zero α) a unit stand-in for a_p makes
-    the whole axis one class.  Combos are decoded (``product`` order) and
-    solved ``_BLOCK_ROWS`` at a time; a block is a run of those with
-    solutions times the steps, or a slice of the steps.
+    only when g | rem ((g, s, u) from ``_line_class``), and then c lies in
+    one class mod s (``_class_residue``).  Its range is c's axis cut to the
+    values that keep p in its own (``_inner_range``).  Combos are decoded
+    (``product`` order) and solved ``_BLOCK_ROWS`` at a time.
 
-    With ``strata`` (three nonzero coefficients, whose total, rank 0 and
-    rank 1 ``_strata`` counted) a block only hands its deep residue
+    Each combo carries rows (first c, step): one, c's class mod s, or with
+    ``strata`` (three nonzero coefficients, whose total, rank 0 and rank 1
+    ``_strata`` counted) the cover classes of the outer value, at most
+    2^ω(o) (``_cover_classes``).  Along a row c grows by its step and p by
+    a fixed multiple, so no cell needs a division; the cells of all rows
+    are laid out ragged, ``_BLOCK_ROWS`` at a time, and only c = 0 and
+    p = 0 are masked.  With ``strata`` a block hands its deep residue
     (``_deep_residue``) to the deep stage; otherwise the cascade
-    (``_classify_block``) counts every cell.
+    (``_classify_block``) counts every cell.  Without a pivot (all-zero α) a
+    unit stand-in for a_p makes the whole axis one class.
 
-    Exact in int64 on the planes ``count_S`` lets through: |rem| and |a_c·c|
-    for |c| ≤ H stay below 2⁶², and a combo whose first class member exceeds
-    H is dropped before p is formed.
+    Exact in int64 on the planes ``count_S`` lets through: |rem|, |a_c·c| and
+    |a_p|·H stay below 2⁶², a class modulus s·r is at most s·H, rows with no
+    cell in range are dropped before p is formed, and along a row c moves by
+    at most 2H.
     """
     H = report.H
     alpha = spec.alpha
@@ -474,58 +569,56 @@ def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool, pivot, free,
     ap = 1 if pivot is None else alpha[pivot]
     g, s, u = _line_class(ac, ap)
     dp = -(ac // g) if ap > 0 else ac // g
-    steps = (H - lo) // s + 1
     combos = math.prod(len(v) for v in outer_vals)
-    cells = _BLOCK_ROWS * (_RESIDUE_SCALE if strata else 1)
-    width = min(steps, cells)
-    chunk = cells // width
+    cells = _BLOCK_ROWS
+    tables = arith.inverse_tables(H, s, ac) if strata else None
     # deep-stage rows wait here, across blocks, until the buffer is full; one
     # buffer for the whole count, so no small arrays outlive their block.
     # Rows reach the deep stage only from three coordinates on
     deep = np.empty((cells if spec.n >= 3 else 0, spec.n), dtype=np.int64)
     held = 0
-    cs, ps = s * np.arange(width), dp * np.arange(width)
-    for start in range(0, combos, _BLOCK_ROWS):
-        flat = np.arange(start, min(start + _BLOCK_ROWS, combos))
+    for start in range(0, combos, cells):
+        flat = np.arange(start, min(start + cells, combos))
         rem = np.full(len(flat), spec.J, dtype=np.int64)
-        outer_abs = []
+        outer = []
         for a, v in zip(reversed(outer_coef), reversed(outer_vals)):
             flat, d = np.divmod(flat, len(v))
             rem -= a * v[d]
-            outer_abs.append(np.abs(v[d]))
-        c0 = _class_residue(rem, g, s, u)
-        first = lo + (c0 - lo) % s
-        keep = np.flatnonzero((rem % g == 0) & (first <= H))
-        first = first[keep]
-        outer_abs = [o[keep] for o in outer_abs]
-        p0 = (rem[keep] - ac * first) // ap
-        del flat, rem, c0  # not needed past here; freed before the blocks run
-        for k0 in range(0, len(keep), chunk):
-            sl = slice(k0, k0 + chunk)
-            for t0 in range(0, steps, width):
-                k = min(width, steps - t0)
-                c = (first[sl] + s * t0)[:, None] + cs[:k]
-                ok = c <= H
-                if lo < 0:
-                    ok &= c != 0
-                cols = [o[sl, None] for o in outer_abs] + [np.abs(c, out=c)]
-                if pivot is not None:
-                    p = (p0[sl] + dp * t0)[:, None] + ps[:k]
-                    if signed:
-                        np.abs(p, out=p)
-                    ok &= p >= 1
-                    ok &= p <= H
-                    cols.append(p)
-                if strata:
-                    rows = _deep_residue(*cols, ok, base, rad)
-                else:
-                    rows = _classify_block(report, [np.broadcast_to(x, ok.shape)[ok] for x in cols],
-                                           weight, base, rad)
-                if held + len(rows) > cells:
-                    _rank_deep(report, deep[:held], weight)
-                    held = 0
-                deep[held:held + len(rows)] = rows
-                held += len(rows)
+            outer.append(np.abs(v[d]))
+        if pivot is None:
+            c_lo, c_hi = np.full_like(rem, lo), np.full_like(rem, H)
+        else:
+            c_lo, c_hi = _inner_range(rem, ac, ap, lo, H, -H if signed else 1)
+        keep = np.flatnonzero((_mod(rem, g) == 0) & (c_lo <= c_hi))
+        rem, c_lo, c_hi = rem[keep], c_lo[keep], c_hi[keep]
+        outer = [o[keep] for o in outer]
+        x, m, check = _class_residue(rem, g, s, u), s, None
+        if strata:
+            combo, x, m, check = _cover_classes(outer[0], rem, x, s, ap, ac, rad, tables)
+            rem, c_lo, c_hi, outer = rem[combo], c_lo[combo], c_hi[combo], [outer[0][combo]]
+        # rows whose class has a member in range, the first one at ``first``
+        first = c_lo + _mod(x - c_lo, m)
+        live = np.flatnonzero(first <= c_hi)
+        first, rem, c_hi, outer = first[live], rem[live], c_hi[live], [o[live] for o in outer]
+        if strata:
+            m, check = m[live], check[live] if (check > 1).any() else None  # none if a_p = ±1
+        edges = np.concatenate([[0], np.cumsum((c_hi - first) // m + 1)])
+        p0 = None if pivot is None else (rem - ac * first) // ap
+        c_step, p_step = m, dp * (m // s)
+        del flat, rem, x, c_lo, c_hi, live  # not needed past here
+        for t0 in range(0, edges[-1], cells):
+            t1 = min(t0 + cells, edges[-1])
+            cols = _block_cells(t0, t1, edges, first, c_step, p0, p_step, outer, check, lo < 0, signed)
+            if strata:
+                rows = _deep_residue(*cols, base, rad)
+            else:
+                rows = _classify_block(report, cols, weight, base, rad)
+            del cols  # freed before a flush of the deep buffer
+            if held + len(rows) > cells:
+                _rank_deep(report, deep[:held], weight)
+                held = 0
+            deep[held:held + len(rows)] = rows
+            held += len(rows)
     _rank_deep(report, deep[:held], weight)
 
 

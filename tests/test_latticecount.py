@@ -574,6 +574,17 @@ def test_count_pinned_at_moderate_heights():
         assert rep.dependent_total == sum(by_rank.values())
 
 
+def test_count_pinned_at_larger_heights():
+    # counts taken from a sweep that visited every cell of the residue grid
+    # (H = 10⁴ took it 6 s); the cover classes visit about ×50 fewer
+    for alpha, J, H, dom, total, by_rank in [
+        ((1, 1, 1), 1, 10**4, "signed", 299970003, {0: 119982, 1: 35661, 2: 2250}),
+        ((1, 1, 1), 5000, 5000, "positive", 12492501, {0: 14991, 1: 8538, 2: 150}),
+    ]:
+        rep = count_S(HyperplaneSpec(alpha, J), DomainSpec(dom, H))
+        assert (rep.total_on_plane, rep.by_rank) == (total, by_rank), (alpha, dom)
+
+
 # n = 1..5; J = 0, α = 0 boxes, zero coefficients (inner one included, as in
 # (2, 3, 0)) and composite α, some with gcd(α_inner, α_pivot) > 1
 BLOCK_GRID = [
@@ -717,21 +728,52 @@ def test_strata_alone_at_large_heights():
     assert 0 < rank0 + rank1 < total
 
 
-def test_deep_residue_matches_the_covered_count_rule(rng):
-    # hand-built (combo × step) blocks of mostly smooth values and a random
-    # range mask; planted in each are a covered row with a 1, (1, 6, 36), one
-    # with a shared base, (2, 4, 8), and a deep one, (6, 4, 9)
-    top = 1000
-    base, rad = arith.power_base_table(top), arith.radical_table(top)
-    smooth = [x for x in range(2, top + 1) if max(arith._abs_exponents(x))[0] <= 7]
-    for r, k in ((3, 1), (3, 50), (40, 20)):
-        o, c, p = (np.array([rng.choice(smooth) if rng.random() < 0.9 else rng.randint(1, top)
-                             for _ in range(r * w)], dtype=np.int64).reshape(r, w) for w in (1, k, k))
-        ok = np.array([rng.random() < 0.8 for _ in range(r * k)]).reshape(r, k)
-        for i, row in enumerate([(1, 6, 36), (2, 4, 8), (6, 4, 9)]):
-            o[i, 0], c[i, 0], p[i, 0] = row
-            ok[i, 0] = True
-        got = lc._deep_residue(o, c, p, ok.copy(), base, rad).tolist()
-        assert got == _cover_rule_by_row([np.broadcast_to(o, ok.shape)[ok], c[ok], p[ok]], base, rad)
-        assert [4, 6, 9] in got and [1, 6, 36] not in got and [2, 4, 8] not in got
-        assert len(got) > (1 if k > 1 else 0)
+# a prime of a_p that can divide o ((3, 1, 6), (−10, 4, 6)), a_c sharing a
+# prime with rem ((5, 6, 7), (1, −15, 14)), and s = |a_p|/gcd(a_c, a_p) > 1
+# in all four
+CLASS_PLANES = [*STRATA_PLANES, (3, 1, 6), (5, 6, 7), (-10, 4, 6), (1, -15, 14)]
+
+
+def test_class_sweep_deep_rows_match_the_covered_count_rule(monkeypatch):
+    # the rows the sweep hands to the deep stage, against the cascade run on
+    # every plane point and against the covered-count rule row by row
+    handed = []
+    monkeypatch.setattr(lc, "_rank_deep", lambda report, rows, weight: handed.extend(map(tuple, rows.tolist())))
+    base, rad = arith.power_base_table(200), arith.radical_table(200)
+    for i, alpha in enumerate(CLASS_PLANES):
+        for J in (0, 1, -1, 7, -7, 2, -6, 30):
+            for dom in ("signed", "positive"):
+                for H in (1, 2, 3, 7, 30, 200):
+                    # the oracle enumerates O(H²) combos: H = 200 once per plane
+                    if H == 200 and (J, dom) != ((-6, "signed"), (30, "positive"))[i % 2]:
+                        continue
+                    spec, ds = HyperplaneSpec(alpha, J), DomainSpec(dom, H)
+                    handed.clear()
+                    count_S(spec, ds)
+                    got = sorted(handed)
+                    sols = np.abs(np.array(list(orc.enumerate_solutions(spec, ds)), dtype=np.int64).reshape(-1, 3))
+                    rep = lc.CountReport(alpha, J, dom, H)
+                    cascade = lc._classify_block(rep, list(sols.T), 1, base, rad)
+                    assert got == sorted(map(tuple, cascade.tolist())), (alpha, J, dom, H)
+                    if H <= 30:
+                        assert got == sorted(map(tuple, _cover_rule_by_row(list(sols.T), base, rad))), (alpha, J, dom, H)
+
+
+def test_cover_classes_are_exact_above_the_sieve_limit():
+    # outer values past arith.SIEVE_LIMIT take their primes from a table of
+    # the count's own; each combo's classes are exactly the c mod s·r with
+    # c in the line's class mod s and every prime of r dividing c·p
+    H = 2 * 1_000_003
+    rad = arith.radical_table(H)
+    for ac, ap, o, rem in [(3, 1, 2 * 1_000_003, 5), (1, 1, 2 * 1_000_003, 1_000_003),
+                           (6, 5, 510510, 12), (2, 7, 1_000_003, -9), (4, -9, 1_999_998, 35)]:
+        g, s, u = lc._line_class(ac, ap)
+        o, rem = np.array([o], dtype=np.int64), np.array([rem], dtype=np.int64)
+        x0 = lc._class_residue(rem, g, s, u)
+        _, x, m, check = lc._cover_classes(o, rem, x0, s, ap, ac, rad, arith.inverse_tables(H, s, ac))
+        M = int(m[0])
+        assert (m == M).all() and M % s == 0 and int(check[0]) == math.gcd(int(rad[o[0]]), ap)
+        c = np.arange(x0[0], M, s, dtype=np.int64)
+        p = (rem[0] - ac * c) // ap
+        want = c[c * p % (int(rad[o[0]]) // int(check[0])) == 0]
+        assert sorted(x.tolist()) == want.tolist(), (ac, ap, int(o[0]))
