@@ -10,10 +10,11 @@ or probabilistic primality.
 The sieve starts at 4096 entries on first use and doubles when a value past
 its end is factorized, up to ``SIEVE_LIMIT`` (10**6); values above the limit
 use trial division.  A regrown table replaces the old one, which is never
-modified.  The factorization cache and the lookup tables are bounded: at most
-``_FACTOR_CACHE`` factorizations, and one power-base and one radical table,
-the largest built so far, whose prefixes serve smaller limits.  A
-smallest-prime table above the limit is built for its caller and not kept.
+modified.  The factorization cache is bounded, at most ``_FACTOR_CACHE``
+factorizations, and it is the only state besides the sieve: the power-base
+and radical lookup tables, and a smallest-prime table above the limit, are
+built for each caller and not kept.  The radical table takes its primes
+from ``_sieve`` too.
 """
 
 from __future__ import annotations
@@ -291,22 +292,12 @@ def poly_product(factors, at: int | None = None):
 
 # ── lookup tables for the counting kernels ───────────────────────────────
 
-# one table each, the largest built so far, keyed by its limit
-_base_tables: dict[int, np.ndarray] = {}
-_radical_tables: dict[int, np.ndarray] = {}
+def power_base_table(limit: int) -> np.ndarray:
+    """table[m] = f_base(m) for 2 <= m <= limit; table[1] = 1, table[0] = 0.
 
-
-def _largest(tables: dict[int, np.ndarray], limit: int, build) -> np.ndarray:
-    """table[:limit + 1] of the kept table, first replacing it by
-    ``build(limit)`` when it is shorter."""
-    if max(tables, default=-1) < limit:
-        tables.clear()
-        tables[limit] = build(limit)
-        tables[limit].setflags(write=False)  # callers share it through views
-    return tables[max(tables)][: limit + 1]
-
-
-def _build_base_table(limit: int) -> np.ndarray:
+    Two values above 1 are multiplicatively dependent as a pair exactly when
+    their table entries coincide.
+    """
     # a value above √limit has no power in the table, so it is its own base
     t = np.arange(limit + 1, dtype=np.int64)
     for b in range(2, math.isqrt(limit) + 1):
@@ -318,19 +309,15 @@ def _build_base_table(limit: int) -> np.ndarray:
     return t
 
 
-def _build_radical_table(limit: int) -> np.ndarray:
-    # each prime p ≤ √limit multiplies into rad and is divided out of rest,
-    # with every power p^k; the cofactor left in rest is then 1 or one prime
-    # above √limit (two such primes would exceed limit)
-    root = math.isqrt(limit)
-    is_prime = np.ones(root + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, math.isqrt(root) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
+def radical_table(limit: int) -> np.ndarray:
+    """table[m] = radical(m) for 1 <= m <= limit (table[0] = 0)."""
+    # each prime p ≤ √limit, read off the sieve, multiplies into rad and is
+    # divided out of rest with every power p^k; the cofactor left in rest is
+    # then 1 or one prime above √limit (two such primes would exceed limit)
+    spf = _sieve(math.isqrt(limit) + 1)
     rad = np.ones(limit + 1, dtype=np.int64)
     rest = np.arange(limit + 1, dtype=np.int64)
-    for p in map(int, np.flatnonzero(is_prime)):
+    for p in map(int, np.flatnonzero(spf == np.arange(spf.shape[0]))[2:]):
         rad[p::p] *= p
         q = p
         while q <= limit:
@@ -338,20 +325,6 @@ def _build_radical_table(limit: int) -> np.ndarray:
             q *= p
     rad *= rest  # rest[0] = 0 keeps rad[0] = 0
     return rad
-
-
-def power_base_table(limit: int) -> np.ndarray:
-    """table[m] = f_base(m) for 2 <= m <= limit; table[1] = 1, table[0] = 0.
-
-    Two values above 1 are multiplicatively dependent as a pair exactly when
-    their table entries coincide.
-    """
-    return _largest(_base_tables, limit, _build_base_table)
-
-
-def radical_table(limit: int) -> np.ndarray:
-    """table[m] = radical(m) for 1 <= m <= limit (table[0] = 0)."""
-    return _largest(_radical_tables, limit, _build_radical_table)
 
 
 def _inverses(x: np.ndarray, q: np.ndarray) -> np.ndarray:

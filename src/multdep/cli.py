@@ -72,85 +72,6 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d[-\d,./]*$")
 
 
-# subcommand, help, options as (flag, add_argument keywords)
-_COMMANDS = (
-    ("depcheck", "decide multiplicative dependence", (
-        ("--vector", {"type": _vector, "required": True}),
-        ("--full-support", {"action": "store_true",
-                            "help": "require a relation with every exponent nonzero"}),
-        ("--witness", {"action": "store_true", "help": "print a verified relation"}),
-    )),
-    ("rank", "multiplicative rank", (("--vector", {"type": _vector, "required": True}),)),
-    ("count", "count dependent vectors on a hyperplane", (
-        ("--alpha", {"type": _vector, "required": True}),
-        ("--J", {"type": int, "required": True}),
-        ("--H", {"type": int, "required": True}),
-        ("--positive", {"action": "store_true"}),
-        ("--by-rank", {"action": "store_true"}),
-        ("--format", {"choices": ("text", "csv", "json"), "default": "text"}),
-    )),
-    ("constant", "exact asymptotic constant", (
-        ("--alpha", {"type": _vector, "required": True}),
-        ("--J", {"type": int, "required": True}),
-        ("--H", {"type": int}),
-        ("--positive", {"action": "store_true"}),
-    )),
-    ("volume", "cube slice volume (rational part Q)", (
-        ("--alpha", {"type": _vector, "required": True}),
-        ("--box", {"choices": ("unit", "half"), "required": True}),
-        ("--r", {"type": _rational, "required": True}),
-    )),
-    ("converge", "convergence study against the constant", (
-        ("--alpha", {"type": _vector, "required": True}),
-        ("--J", {"type": int, "required": True}),
-        ("--grid", {"type": _grid, "required": True}),
-        ("--positive", {"action": "store_true"}),
-        ("--format", {"choices": ("csv", "json"), "default": "csv"}),
-    )),
-    ("curve", "count solutions of a curve system", (
-        ("--variant", {"choices": latticecount.CURVE_VARIANTS, "required": True}),
-        ("--A", {"type": int, "default": 1}),
-        ("--B", {"type": int, "default": 1}),
-        ("--k", {"type": _vector, "required": True}),
-        ("--alpha", {"type": _vector, "required": True}),
-        ("--J", {"type": int, "required": True}),
-        ("--H", {"type": int, "required": True}),
-    )),
-    ("psi0", "integers <= x with all prime factors dividing y", (
-        ("--x", {"type": int, "required": True}),
-        ("--y", {"type": int, "required": True}),
-    )),
-    ("fbase", "minimal base B with A = B^t", (("--A", {"type": int, "required": True}),)),
-    ("fatal", "per N: a triple a<b<c, a+b+c=N with a full-support relation", (
-        ("--range", {"type": _span, "dest": "span", "required": True}),
-    )),
-)
-_NAMES = tuple(name for name, _, _ in _COMMANDS)
-
-
-def _build_parser(cmd: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of ``cmd`` alone.
-
-    Building a subcommand's parser costs more than parsing with it (argparse
-    looks up message translations and the terminal size for every option)
-    and leaves reference cycles for the garbage collector, so ``main``
-    builds only the one it runs.  The usage line names all of them.
-    """
-    p = _Parser(
-        prog="multdep",
-        description="Multiplicative dependence of integer vectors on hyperplanes: "
-        "exact decisions, counts, volumes, and asymptotic constants.",
-    )
-    metavar = None if cmd is None else "{" + ",".join(_NAMES) + "}"
-    sub = p.add_subparsers(dest="cmd", required=True, metavar=metavar)
-    for name, help_, options in _COMMANDS:
-        if cmd in (None, name):
-            s = sub.add_parser(name, help=help_)
-            for flag, kw in options:
-                s.add_argument(flag, **kw)
-    return p
-
-
 def _cmd_depcheck(args) -> None:
     if args.full_support:
         k = relations.full_support_relation(args.vector)
@@ -256,6 +177,92 @@ def _cmd_fatal(args) -> None:
             print(f"{N}: none")
 
 
+# subcommand, handler (called with the parsed arguments), help, and options
+# as (flag, add_argument keywords)
+_COMMANDS = (
+    ("depcheck", _cmd_depcheck, "decide multiplicative dependence", (
+        ("--vector", {"type": _vector, "required": True}),
+        ("--full-support", {"action": "store_true",
+                            "help": "require a relation with every exponent nonzero"}),
+        ("--witness", {"action": "store_true", "help": "print a verified relation"}),
+    )),
+    ("rank", lambda args: print(f"rank {relations.mult_rank(args.vector)}"), "multiplicative rank", (
+        ("--vector", {"type": _vector, "required": True}),
+    )),
+    ("count", _cmd_count, "count dependent vectors on a hyperplane", (
+        ("--alpha", {"type": _vector, "required": True}),
+        ("--J", {"type": int, "required": True}),
+        ("--H", {"type": int, "required": True}),
+        ("--positive", {"action": "store_true"}),
+        ("--by-rank", {"action": "store_true"}),
+        ("--format", {"choices": ("text", "csv", "json"), "default": "text"}),
+    )),
+    ("constant", _cmd_constant, "exact asymptotic constant", (
+        ("--alpha", {"type": _vector, "required": True}),
+        ("--J", {"type": int, "required": True}),
+        ("--H", {"type": int}),
+        ("--positive", {"action": "store_true"}),
+    )),
+    ("volume", _cmd_volume, "cube slice volume (rational part Q)", (
+        ("--alpha", {"type": _vector, "required": True}),
+        ("--box", {"choices": ("unit", "half"), "required": True}),
+        ("--r", {"type": _rational, "required": True}),
+    )),
+    ("converge", _cmd_converge, "convergence study against the constant", (
+        ("--alpha", {"type": _vector, "required": True}),
+        ("--J", {"type": int, "required": True}),
+        ("--grid", {"type": _grid, "required": True}),
+        ("--positive", {"action": "store_true"}),
+        ("--format", {"choices": ("csv", "json"), "default": "csv"}),
+    )),
+    ("curve", _cmd_curve, "count solutions of a curve system", (
+        ("--variant", {"choices": latticecount.CURVE_VARIANTS, "required": True}),
+        ("--A", {"type": int, "default": 1}),
+        ("--B", {"type": int, "default": 1}),
+        ("--k", {"type": _vector, "required": True}),
+        ("--alpha", {"type": _vector, "required": True}),
+        ("--J", {"type": int, "required": True}),
+        ("--H", {"type": int, "required": True}),
+    )),
+    ("psi0", lambda args: print(arith.psi0(args.x, args.y)),
+     "integers <= x with all prime factors dividing y", (
+        ("--x", {"type": int, "required": True}),
+        ("--y", {"type": int, "required": True}),
+    )),
+    ("fbase", lambda args: print(arith.f_base(args.A)), "minimal base B with A = B^t", (
+        ("--A", {"type": int, "required": True}),
+    )),
+    ("fatal", _cmd_fatal, "per N: a triple a<b<c, a+b+c=N with a full-support relation", (
+        ("--range", {"type": _span, "dest": "span", "required": True}),
+    )),
+)
+_NAMES = tuple(name for name, *_ in _COMMANDS)
+
+
+def _build_parser(cmd: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``cmd`` alone.
+
+    Building a subcommand's parser costs more than parsing with it (argparse
+    looks up message translations and the terminal size for every option)
+    and leaves reference cycles for the garbage collector, so ``main``
+    builds only the one it runs.  The usage line names all of them.
+    """
+    p = _Parser(
+        prog="multdep",
+        description="Multiplicative dependence of integer vectors on hyperplanes: "
+        "exact decisions, counts, volumes, and asymptotic constants.",
+    )
+    metavar = None if cmd is None else "{" + ",".join(_NAMES) + "}"
+    sub = p.add_subparsers(dest="cmd", required=True, metavar=metavar)
+    for name, run, help_, options in _COMMANDS:
+        if cmd in (None, name):
+            s = sub.add_parser(name, help=help_)
+            s.set_defaults(run=run)
+            for flag, kw in options:
+                s.add_argument(flag, **kw)
+    return p
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser(argv[0] if argv and argv[0] in _NAMES else None)
@@ -264,26 +271,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.cmd == "depcheck":
-            _cmd_depcheck(args)
-        elif args.cmd == "rank":
-            print(f"rank {relations.mult_rank(args.vector)}")
-        elif args.cmd == "count":
-            _cmd_count(args)
-        elif args.cmd == "constant":
-            _cmd_constant(args)
-        elif args.cmd == "volume":
-            _cmd_volume(args)
-        elif args.cmd == "converge":
-            _cmd_converge(args)
-        elif args.cmd == "curve":
-            _cmd_curve(args)
-        elif args.cmd == "psi0":
-            print(arith.psi0(args.x, args.y))
-        elif args.cmd == "fbase":
-            print(arith.f_base(args.A))
-        elif args.cmd == "fatal":
-            _cmd_fatal(args)
+        args.run(args)
     except (RegimeError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

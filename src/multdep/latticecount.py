@@ -149,21 +149,12 @@ def covolume_ratio(alpha) -> Fraction:
     return Fraction(sum(x * x for x in a), g * g)
 
 
-def _dp_solution_count(terms, target: int) -> int:
-    """Exact #solutions of Σ a_i t_i = target with t_i in [lo_i, hi_i].
-
-    ``terms`` is a list of (a, lo, hi); the count is the coefficient of
-    z**target in ∏_i Σ_{t_i} z^{a_i·t_i} (``arith.poly_product``).
-    """
-    factors = [range(a * lo, a * hi + (1 if a > 0 else -1), a) for a, lo, hi in terms]
-    return arith.poly_product(factors, at=target)
-
-
 def hyperplane_lattice_count(spec: HyperplaneSpec, box) -> int:
     """#{ν ∈ box ∩ Z^n : α·ν = J} for per-coordinate integer intervals.
 
     Zero coordinates are allowed inside the box; returns 0 whenever
-    gcd(α) ∤ J.
+    gcd(α) ∤ J.  The count is the coefficient of z**J in
+    ∏_i Σ_{ν_i} z^{α_i·ν_i} (``arith.poly_product``).
     """
     box = [(int(lo), int(hi)) for lo, hi in box]
     if len(box) != spec.n:
@@ -172,18 +163,17 @@ def hyperplane_lattice_count(spec: HyperplaneSpec, box) -> int:
         if lo > hi:
             return 0
     factor = 1
-    terms = []
+    factors = []
     for a, (lo, hi) in zip(spec.alpha, box):
         if a == 0:
             factor *= hi - lo + 1
         else:
-            terms.append((a, lo, hi))
-    if not terms:
+            factors.append(range(a * lo, a * hi + (1 if a > 0 else -1), a))
+    if not factors:
         return factor if spec.J == 0 else 0
-    g = arith.gcd_vec([t[0] for t in terms])
-    if spec.J % g != 0:
+    if spec.J % arith.gcd_vec(spec.alpha) != 0:
         return 0
-    return factor * _dp_solution_count(terms, spec.J)
+    return factor * arith.poly_product(factors, at=spec.J)
 
 
 # ── pivot coordinate ─────────────────────────────────────────────────────

@@ -170,38 +170,31 @@ def test_gcd_vec():
     assert arith.gcd_vec(()) == 0
 
 
-def test_power_base_table_matches_f_base(monkeypatch):
-    # ascending limits, so every call builds a fresh table; 4096 = 64² = 16³
-    # is the last entry of one table and the next-to-last of the other
-    monkeypatch.setattr(arith, "_base_tables", {})
+def test_power_base_table_matches_f_base():
+    # 4096 = 64² = 16³ is the last entry of one table and the next-to-last
+    # of the other
     for limit in [*range(71), 400, 4096, 4097]:
         t = arith.power_base_table(limit)
-        assert list(arith._base_tables) == [limit]
         assert t[:2].tolist() == [0, 1][: limit + 1]
         assert t[2:].tolist() == [arith.f_base(m) for m in range(2, limit + 1)]
 
 
-def test_radical_table_matches_radical(monkeypatch):
-    # fresh tables whose limits are squares, primes and their neighbours, so
-    # the cofactor left above √limit is checked at every kind of boundary
-    monkeypatch.setattr(arith, "_radical_tables", {})
+def test_radical_table_matches_radical():
+    # limits that are squares, primes and their neighbours, so the cofactor
+    # left above √limit is checked at every kind of boundary
     for limit in [*range(1, 50), 300, 4096, 4097]:
         t = arith.radical_table(limit)
-        assert list(arith._radical_tables) == [limit] and t[0] == 0
+        assert t[0] == 0
         assert t[1:].tolist() == [arith.radical(m) for m in range(1, limit + 1)]
 
 
-def test_tables_keep_the_largest_and_slice_it(monkeypatch):
-    monkeypatch.setattr(arith, "_base_tables", {})
-    monkeypatch.setattr(arith, "_radical_tables", {})
+def test_tables_are_built_for_each_call():
+    # a table built after a larger one is its own array with the same values
     for build in (arith.power_base_table, arith.radical_table):
         big = build(500)
         small = build(120)
-        assert small.shape == (121,) and np.shares_memory(small, big)
-        assert build(800).shape == (801,)
-        assert (build(120) == small).all()
-    assert list(arith._base_tables) == [800] == list(arith._radical_tables)
-    assert not arith._base_tables[800].flags.writeable
+        assert small.shape == (121,) and not np.shares_memory(small, big)
+        assert (small == big[:121]).all()
 
 
 @pytest.fixture
