@@ -11,10 +11,9 @@ The sieve starts at 4096 entries on first use and doubles when a value past
 its end is factorized, up to ``SIEVE_LIMIT`` (10**6); values above the limit
 use trial division.  A regrown table replaces the old one, which is never
 modified.  The factorization cache is bounded, at most ``_FACTOR_CACHE``
-factorizations, and it is the only state besides the sieve: the power-base
-and radical lookup tables, and a smallest-prime table above the limit, are
-built for each caller and not kept.  The radical table takes its primes
-from ``_sieve`` too.
+factorizations, and it is the only state besides the sieve: the power-base,
+radical and inverse lookup tables are built for each caller and not kept.
+The radical and inverse tables sieve their own primes with ``_sieve``.
 """
 
 from __future__ import annotations
@@ -56,20 +55,6 @@ def _grow_spf(a: int) -> np.ndarray:
         size *= 2
     _spf_table = _sieve(min(size, SIEVE_LIMIT + 1))
     return _spf_table
-
-
-def smallest_prime_table(limit: int) -> np.ndarray:
-    """table[m] = smallest prime factor of m for 2 <= m <= limit (table[1] = 1).
-
-    Up to SIEVE_LIMIT a view of the factorization sieve, grown if need be;
-    above it a table of its own, built for the caller and not kept.
-    """
-    if limit > SIEVE_LIMIT:
-        return _sieve(limit + 1)
-    spf = _spf_table
-    if spf is None or spf.shape[0] <= limit:
-        spf = _grow_spf(limit)
-    return spf[: limit + 1]
 
 
 @dataclass(frozen=True)
@@ -347,7 +332,7 @@ def inverse_tables(limit: int, s: int, a: int) -> tuple[np.ndarray, ...]:
     them), and q⁻¹ mod q' at index q·q' for primes q < q' (1 at each prime
     index, as if q = 1).  One vectorized Fermat pass computes every inverse.
     """
-    spf = smallest_prime_table(limit).astype(np.int64)
+    spf = _sieve(limit + 1).astype(np.int64)
     n = np.arange(limit + 1, dtype=np.int64)
     primes = n[2:][spf[2:] == n[2:]]
     small = spf[2:]

@@ -33,28 +33,29 @@ from .errors import RegimeError
 
 @dataclass(frozen=True)
 class ConstantBreakdown:
-    """Rank-resolved constant: total = c0 + c1 + c2, every part ≥ 0.
+    """Rank-resolved constant: the parts c0, c1, c2, each ≥ 0, and their sum
+    ``total``, derived from them.
 
-    ``c1_correction`` records the adjustment already folded into c1 (it may
-    be negative); ``h_exponent`` is the power of the growth variable the
-    total multiplies, and ``regime`` names the validity regime, including
-    which variable grows (H, or J for the all-positive case).
+    Any regime's correction is already folded into its part; ``h_exponent``
+    is the power of the growth variable the total multiplies, and ``regime``
+    names the validity regime, including which variable grows (H, or J for
+    the all-positive case).
     """
 
     k: int
     c0: Fraction
     c1: Fraction
     c2: Fraction
-    total: Fraction
     h_exponent: int
     regime: str
-    c1_correction: Fraction = Fraction(0)
 
     def __post_init__(self):
         if self.c0 < 0 or self.c1 < 0 or self.c2 < 0:
             raise ValueError(f"negative constant part: c0={self.c0}, c1={self.c1}, c2={self.c2}")
-        if self.total != self.c0 + self.c1 + self.c2:
-            raise ValueError(f"total {self.total} != c0 + c1 + c2 = {self.c0 + self.c1 + self.c2}")
+
+    @property
+    def total(self) -> Fraction:
+        return self.c0 + self.c1 + self.c2
 
 
 def alpha_star(alpha, i: int) -> tuple[int, ...]:
@@ -288,15 +289,12 @@ def C_k2(alpha, J: int) -> ConstantBreakdown:
     boundary = J in (a1 + a2, -(a1 + a2), a1 - a2, -(a1 - a2))
     s2 = len(S2prime(J, a1, a2))
     c0 = C0(a, J) - (unit if boundary else 0)
-    correction = unit * s2 - (unit if boundary else 0)
-    c1 = C1(a, J) + correction
+    c1 = C1(a, J) + unit * s2 - (unit if boundary else 0)
     if c0 < 0 or c1 < 0:
         raise ArithmeticError(f"C_k2: negative constant part c0={c0}, c1={c1}")
     return ConstantBreakdown(
-        k=2, c0=c0, c1=c1, c2=Fraction(0), total=c0 + c1,
-        h_exponent=n - 2,
+        k=2, c0=c0, c1=c1, c2=Fraction(0), h_exponent=n - 2,
         regime=f"fixed J != 0, H -> infinity; {s2} dependent line pairs",
-        c1_correction=correction,
     )
 
 
@@ -335,13 +333,13 @@ def _breakdown_e1(J: int, H: int, n: int) -> ConstantBreakdown:
     c0 = 2 * unit * (n - 1)
     c1 = unit * (n - 1) * (n - 2 + 2 * t)
     c2 = 2 * unit * Fraction((n - 1) * (n - 2), f - 1)
-    total = c0 + c1 + c2
-    if total != C_e1(J, H, n):
-        raise ArithmeticError(f"C_e1: parts sum to {total}, closed form gives {C_e1(J, H, n)}")
-    return ConstantBreakdown(
-        k=1, c0=c0, c1=c1, c2=c2, total=total, h_exponent=n - 2,
+    bd = ConstantBreakdown(
+        k=1, c0=c0, c1=c1, c2=c2, h_exponent=n - 2,
         regime=f"single unit coefficient, |J| > 1; affine in floor(log H/log {f}), here H = {H}",
     )
+    if bd.total != C_e1(J, H, n):
+        raise ArithmeticError(f"C_e1: parts sum to {bd.total}, closed form gives {C_e1(J, H, n)}")
+    return bd
 
 
 def C_total(alpha, J: int, H: int | None = None) -> ConstantBreakdown:
@@ -359,10 +357,8 @@ def C_total(alpha, J: int, H: int | None = None) -> ConstantBreakdown:
         if J != 0:
             raise RegimeError("all-zero alpha admits no solutions for J != 0 (degenerate)")
         unit = Fraction(2) ** (n - 1)
-        c0 = unit * 2 * n
-        c1 = unit * n * (n - 1)
         return ConstantBreakdown(
-            k=0, c0=c0, c1=c1, c2=Fraction(0), total=unit * n * (n + 1),
+            k=0, c0=unit * 2 * n, c1=unit * n * (n - 1), c2=Fraction(0),
             h_exponent=n - 1, regime="no linear constraint (box law)",
         )
     if k == 1:
@@ -371,7 +367,7 @@ def C_total(alpha, J: int, H: int | None = None) -> ConstantBreakdown:
         if abs(J) == 1:
             unit = Fraction(2) ** (n - 1)
             return ConstantBreakdown(
-                k=1, c0=unit, c1=Fraction(0), c2=Fraction(0), total=unit,
+                k=1, c0=unit, c1=Fraction(0), c2=Fraction(0),
                 h_exponent=n - 1,
                 regime="single unit coefficient, |J| = 1: exact count (2H)^(n-1)",
             )
@@ -379,31 +375,24 @@ def C_total(alpha, J: int, H: int | None = None) -> ConstantBreakdown:
     if k == 2:
         return C_k2(a, J)
     if k == 3:
-        c0 = C0(a, J)
-        c1_plain = C1(a, J)
-        c1 = C1_k3(a, J)
-        c2 = C2_k3(a, J)
         return ConstantBreakdown(
-            k=3, c0=c0, c1=c1, c2=c2, total=c0 + c1 + c2, h_exponent=n - 2,
+            k=3, c0=C0(a, J), c1=C1_k3(a, J), c2=C2_k3(a, J), h_exponent=n - 2,
             regime="three nonzero coefficients, J != 0, H >> |J|",
-            c1_correction=c1 - c1_plain,
         )
-    c0 = C0(a, J)
-    c1 = C1(a, J)
     note = "" if k >= 5 else "; error term established for J != 0"
     return ConstantBreakdown(
-        k=k, c0=c0, c1=c1, c2=Fraction(0), total=c0 + c1, h_exponent=n - 2,
+        k=k, c0=C0(a, J), c1=C1(a, J), c2=Fraction(0), h_exponent=n - 2,
         regime=f"{k} nonzero coefficients, H >> |J|" + note,
     )
 
 
 def C_positive(alpha, J: int) -> ConstantBreakdown:
-    """Positive-orthant constants.
+    """Positive-orthant constants c0 + c1 on the (growth variable)^{n−2}.
 
+    All coefficients positive: simplex densities, closed forms in J (the
+    height bound is implied by the plane, so J is the growth variable).
     Mixed signs (≥ 2 positive and ≥ 2 negative coefficients): unit-cube
-    densities on H^{n−2}.  All coefficients positive: closed forms on J^{n−2}
-    (the height bound is implied by the plane, so J is the growth variable).
-    Other sign patterns are unsupported regimes.
+    densities, growth in H.  Other sign patterns are unsupported regimes.
     """
     a = tuple(int(x) for x in alpha)
     n = len(a)
@@ -411,22 +400,18 @@ def C_positive(alpha, J: int) -> ConstantBreakdown:
         raise RegimeError("positive-orthant constants require n >= 3")
     pos = sum(1 for x in a if x > 0)
     neg = sum(1 for x in a if x < 0)
-    if all(x > 0 for x in a):
-        c0 = _family_sum(_rank0_families(a, J, (1,)), _V_simplex)
-        c1 = _family_sum(_rank1_families(a, J, (1,)), _V_simplex)
-        return ConstantBreakdown(
-            k=n, c0=c0, c1=c1, c2=Fraction(0), total=c0 + c1, h_exponent=n - 2,
-            regime="all-positive coefficients, positive orthant; growth in J (J > max alpha_i)",
+    if pos == n:
+        density, regime = _V_simplex, "all-positive coefficients, positive orthant; growth in J (J > max alpha_i)"
+    elif pos >= 2 and neg >= 2:
+        density, regime = _V_unit, "mixed-sign coefficients (>=2 positive, >=2 negative), positive orthant, H >> |J|"
+    else:
+        raise RegimeError(
+            "positive-orthant constants support only all-positive coefficients or "
+            ">=2 positive and >=2 negative coefficients"
         )
-    if pos >= 2 and neg >= 2:
-        c0 = _family_sum(_rank0_families(a, J, (1,)), _V_unit)
-        c1 = _family_sum(_rank1_families(a, J, (1,)), _V_unit)
-        return ConstantBreakdown(
-            k=len(_nonzero_indices(a)), c0=c0, c1=c1, c2=Fraction(0), total=c0 + c1,
-            h_exponent=n - 2,
-            regime="mixed-sign coefficients (>=2 positive, >=2 negative), positive orthant, H >> |J|",
-        )
-    raise RegimeError(
-        "positive-orthant constants support only all-positive coefficients or "
-        ">=2 positive and >=2 negative coefficients"
+    return ConstantBreakdown(
+        k=pos + neg,
+        c0=_family_sum(_rank0_families(a, J, (1,)), density),
+        c1=_family_sum(_rank1_families(a, J, (1,)), density),
+        c2=Fraction(0), h_exponent=n - 2, regime=regime,
     )

@@ -71,18 +71,10 @@ def convergence_study(alpha, J: int, grid, domain: str = "signed") -> list[Conve
     j_mode = domain == "positive" and all(x > 0 for x in a)
     rows = []
     for g in grid:
-        if j_mode:
-            spec = HyperplaneSpec(a, g)
-            dom = DomainSpec("positive", g)
-            bd = constants.C_positive(a, g)
-        elif domain == "positive":
-            spec = HyperplaneSpec(a, J)
-            dom = DomainSpec("positive", g)
-            bd = constants.C_positive(a, J)
-        else:
-            spec = HyperplaneSpec(a, J)
-            dom = DomainSpec("signed", g)
-            bd = constants.C_total(a, J, H=g)
+        level = g if j_mode else J
+        spec = HyperplaneSpec(a, level)
+        dom = DomainSpec(domain, g)
+        bd = constants.C_positive(a, level) if domain == "positive" else constants.C_total(a, J, H=g)
         rep = latticecount.count_S(spec, dom)
         normalized = Fraction(rep.dependent_total, g**bd.h_exponent)
         predicted = bd.total

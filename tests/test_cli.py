@@ -299,10 +299,10 @@ def test_guards_and_output_under_python_O(capsys):
     bad = ("from fractions import Fraction as F\n"
            "from multdep.constants import ConstantBreakdown\n"
            "assert False, 'asserts are on'\n"
-           "ConstantBreakdown(k=3, c0=F(1), c1=F(1), c2=F(0), total=F(3), h_exponent=1, regime='x')\n")
+           "ConstantBreakdown(k=3, c0=F(1), c1=F(-1), c2=F(0), h_exponent=1, regime='x')\n")
     proc = _python_O("-c", bad)
     assert proc.returncode == 1
-    assert "ValueError: total 3 != c0 + c1 + c2 = 2" in proc.stderr
+    assert "ValueError: negative constant part: c0=1, c1=-1, c2=0" in proc.stderr
     # three-coefficient planes, whose rank 0 and rank 1 are closed-form strata
     for argv in (["count", "--alpha", "1,1,1", "--J", "1", "--H", "30", "--by-rank"],
                  ["count", "--alpha=2,-1,3", "--J", "7", "--H", "60", "--positive", "--by-rank"],

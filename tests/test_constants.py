@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -185,6 +186,29 @@ def test_C_total_dispatch():
         cn.C_total((0, 0), 5)
     with pytest.raises(RegimeError):
         cn.C_total((1, 0, 0), 2)  # k = 1 needs H
+
+
+def test_breakdown_stores_only_its_parts(monkeypatch):
+    names = [f.name for f in dataclasses.fields(cn.ConstantBreakdown)]
+    assert names == ["k", "c0", "c1", "c2", "h_exponent", "regime"]
+    breakdowns = [
+        cn.C_total((0, 0, 0), 0),  # k = 0
+        cn.C_total((1, 0, 0), 1, H=100),  # k = 1, |J| = 1
+        cn.C_total((1, 0, 0), 2, H=1024),  # k = 1, |J| > 1
+        cn.C_total((1, 2, 0), 5),  # k = 2
+        cn.C_total((1, 1, 2), 3),  # k = 3
+        cn.C_total((1, 1, 1, 1), 3),  # k = 4
+        cn.C_positive((1, 1, 1), 7),  # all positive
+        cn.C_positive((1, -1, 1, -1), 1),  # mixed signs
+    ]
+    assert [bd.k for bd in breakdowns] == [0, 1, 1, 2, 3, 4, 3, 4]
+    for bd in breakdowns:
+        assert bd.total == bd.c0 + bd.c1 + bd.c2
+    calls = []
+    c1 = cn.C1
+    monkeypatch.setattr(cn, "C1", lambda a, J: calls.append(a) or c1(a, J))
+    assert cn.C_total((1, 1, 2), 3).total == breakdowns[4].total
+    assert len(calls) == 1  # C1_k3 computes the plain C1; nothing else does
 
 
 def test_C_positive_examples():

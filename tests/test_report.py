@@ -36,6 +36,8 @@ def test_convergence_empty_grid():
 def test_convergence_grid_must_ascend():
     with pytest.raises(ValueError):
         report.convergence_study((1, 1, 1), 1, [10, 10])
+    with pytest.raises(ValueError, match="domain kind"):
+        report.convergence_study((1, 1, 1), 1, [10, 20], domain="both")
 
 
 def test_residual_decay_smoke():
