@@ -333,13 +333,13 @@ def _breakdown_e1(J: int, H: int, n: int) -> ConstantBreakdown:
     c0 = 2 * unit * (n - 1)
     c1 = unit * (n - 1) * (n - 2 + 2 * t)
     c2 = 2 * unit * Fraction((n - 1) * (n - 2), f - 1)
-    bd = ConstantBreakdown(
+    total = c0 + c1 + c2
+    if total != C_e1(J, H, n):
+        raise ArithmeticError(f"C_e1: parts sum to {total}, closed form gives {C_e1(J, H, n)}")
+    return ConstantBreakdown(
         k=1, c0=c0, c1=c1, c2=c2, h_exponent=n - 2,
         regime=f"single unit coefficient, |J| > 1; affine in floor(log H/log {f}), here H = {H}",
     )
-    if bd.total != C_e1(J, H, n):
-        raise ArithmeticError(f"C_e1: parts sum to {bd.total}, closed form gives {C_e1(J, H, n)}")
-    return bd
 
 
 def C_total(alpha, J: int, H: int | None = None) -> ConstantBreakdown:
