@@ -35,13 +35,13 @@ Classification cascade per solution (cheapest first):
            dependent subset of exponent rows (``relations.rank_from_rows``).
 
 On a plane with strata the sweep counts neither rank 0 nor rank 1, and it
-visits only cells whose outer coordinate o is covered, rad(o) | c·p.  A
-prime q ∤ a_p of rad(o) divides p exactly when a_c·c ≡ rem (mod q), so c
-lies in at most 2^ω(o) residue classes mod s·rad(o) (``_cover_classes``):
+prunes its cells: a prime q ∤ a_p of rad(o), o the outer coordinate,
+divides p exactly when a_c·c ≡ rem (mod q), so where rad(o) | c·p, c lies
+in at most 2^ω(o) classes mod s·rad(o) (``_cover_classes``).  As
 Σ 2^ω(o)/rad(o) over o ≤ H grows slower than any power of H (105 at
-H = 2000, 859 at 10⁶), so the cells number H^{1+o(1)} where the class of c
-mod s alone leaves O(H²).  Of those cells ``_deep_residue`` keeps the rows
-the cascade would hand on.
+H = 2000, 859 at 10⁶), the cells number H^{1+o(1)}, not O(H²).  Then
+``_deep_residue`` tests every cover exactly and keeps the rows the cascade
+would hand on.
 
 The deep stage is batched per count: survivors of every block wait, each
 sorted, in one buffer of one block's size.  When it is full, and once at
@@ -121,7 +121,7 @@ class CountReport:
     """Exact counts for one (spec, domain) pair.
 
     ``by_rank`` maps each multiplicative rank met to its count and sums to
-    ``dependent_total``.
+    ``dependent_total``; ``degenerate`` flags all-zero α with J ≠ 0.
     """
 
     alpha: tuple[int, ...]
@@ -129,9 +129,15 @@ class CountReport:
     domain: str
     H: int
     total_on_plane: int = 0
-    dependent_total: int = 0
     by_rank: dict[int, int] = field(default_factory=dict)
-    degenerate: bool = False
+
+    @property
+    def dependent_total(self) -> int:
+        return sum(self.by_rank.values())
+
+    @property
+    def degenerate(self) -> bool:
+        return not any(self.alpha) and self.J != 0
 
 
 # ── lattice-point counting on boxes (no dependence condition) ────────────
@@ -193,15 +199,13 @@ def _pivot_index(alpha) -> int:
 # ── dependence classification kernel ─────────────────────────────────────
 
 
-def _axis_values(a_i: int, H: int, signed: bool) -> tuple[np.ndarray, int]:
-    """Sweep values and fold multiplicity for one free coordinate."""
+def _axis(a_i: int, H: int, signed: bool) -> tuple[int, int]:
+    """(lo, fold) for a free coordinate with coefficient a_i: it is swept over
+    [lo, H] without 0, each value standing for ``fold`` vectors.  A signed
+    coordinate off the plane (a_i = 0) folds onto [1, H] with fold 2."""
     if signed and a_i == 0:
-        return np.arange(1, H + 1, dtype=np.int64), 2
-    if signed:
-        return np.concatenate(
-            [np.arange(-H, 0, dtype=np.int64), np.arange(1, H + 1, dtype=np.int64)]
-        ), 1
-    return np.arange(1, H + 1, dtype=np.int64), 1
+        return 1, 2
+    return (-H if signed else 1), 1
 
 
 def _unit_or_pair(cols: list[np.ndarray], base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -272,30 +276,28 @@ def _classify_block(
     return np.sort(np.stack(cols, axis=1), axis=1)
 
 
-def _deep_residue(
-    o: np.ndarray, c: np.ndarray, p: np.ndarray, base: np.ndarray, rad: np.ndarray
-) -> np.ndarray:
-    """The deep-stage rows among cells of a plane with three nonzero
+def _deep_residue(cols: list[np.ndarray], base: np.ndarray, rad: np.ndarray) -> np.ndarray:
+    """The deep-stage rows among solutions of a plane with three nonzero
     coefficients, whose total, rank 0 and rank 1 come from ``_strata``.
 
-    ``o``, ``c`` and ``p`` hold the absolute values of the outer, inner and
-    pivot coordinates of solutions in range whose outer coordinate is
-    covered, rad(o) | c·p (the cover classes of ``_cover_classes``).  Returns
-    the rows the cascade (``_classify_block``) would leave for
-    ``_rank_deep``: c and p covered too (with n = 3 a dependent subset of
-    size 3 is the whole row), no 1, no shared base, each sorted ascending.
-    Every product is of two values up to H ≤ 2²², so exact in int64.
+    ``cols`` holds the absolute values (o, c, p) of the outer, inner and
+    pivot coordinates, and ``base`` and ``rad`` are tables, as for
+    ``_classify_block``.  Returns the rows that cascade would leave for
+    ``_rank_deep``, each sorted ascending: no 1, no shared base, and every
+    coordinate covered, rad(o) | c·p, rad(c) | o·p and rad(p) | o·c (with
+    n = 3 a dependent subset of size 3 is the whole row).  Each product is
+    of two values up to H ≤ 2²², so exact in int64.
     """
-    keep = np.flatnonzero((o * p % rad[c] == 0) & (o * c % rad[p] == 0))
-    cols = [o[keep], c[keep], p[keep]]
+    o, c, p = cols
+    keep = np.flatnonzero((c * p % rad[o] == 0) & (o * p % rad[c] == 0) & (o * c % rad[p] == 0))
+    cols = [x[keep] for x in cols]
     unit, pair = _unit_or_pair(cols, base)
-    keep = ~(unit | pair)
-    return np.sort(np.stack([x[keep] for x in cols], axis=1), axis=1)
+    return np.sort(np.stack(cols, axis=1)[~(unit | pair)], axis=1)
 
 
 def _rank_deep(report: CountReport, rows: np.ndarray, weight: int) -> None:
-    """Rank deep-stage rows from ``_classify_block`` or ``_deep_residue`` and
-    add the dependent ones to ``report``; ``rows`` is reordered in place.
+    """Rank the rows ``_classify_block`` or ``_deep_residue`` left for the
+    deep stage and add the dependent ones to ``report``, reordering ``rows``.
 
     Equal rows are ranked once, in stacks of ``_RANK_CELLS`` // n² distinct
     rows (Gram entries), each laid out by one ``relations.exponent_stack`` and
@@ -353,8 +355,7 @@ def count_S(spec: HyperplaneSpec, domain: DomainSpec) -> CountReport:
     H = domain.H
     signed = domain.kind == "signed"
     report = CountReport(spec.alpha, spec.J, domain.kind, H)
-    if spec.nnz == 0 and spec.J != 0:
-        report.degenerate = True
+    if report.degenerate:
         return report
 
     n = spec.n
@@ -380,13 +381,11 @@ def count_S(spec: HyperplaneSpec, domain: DomainSpec) -> CountReport:
             report.by_rank.update((r, c) for r, c in ((0, rank0), (1, rank1)) if c)
         _sweep(report, spec, signed, pivot, free, base, rad, strata)
     else:
-        # n == 1 with a single constrained coordinate
-        q, r = divmod(spec.J, alpha[pivot])
-        if r == 0 and q != 0 and abs(q) <= H and (signed or q >= 1):
-            report.total_on_plane = 1
-            if abs(q) == 1:
-                report.by_rank[0] = 1
-    report.dependent_total = sum(report.by_rank.values())
+        # n == 1: N₁ points, N₁ − N₂ of rank 0, as in ``_strata``; no table
+        report.total_on_plane = _points([alpha], spec.J, 1, H, signed)
+        rank0 = report.total_on_plane - _points([alpha], spec.J, 2, H, signed)
+        if rank0:
+            report.by_rank[0] = rank0
     return report
 
 
@@ -436,12 +435,12 @@ def _inner_range(rem: np.ndarray, ac: int, ap: int, lo: int, H: int, p_lo: int):
 
 def _cover_classes(o: np.ndarray, rem: np.ndarray, x: np.ndarray, s: int, ap: int, ac: int,
                    rad: np.ndarray, tables):
-    """(combo, class, modulus, check): the residue classes that hold every c
-    of a combo (outer value o, line ac·c + ap·p = rem, c ≡ x mod s) with
-    rad(o) | c·p, one row each, with the index of its combo; ``rad`` is the
-    radical table and ``tables`` is ``arith.inverse_tables(H, s, ac)``.
-    ``check`` is gcd(rad(o), ap) per row, the part of rad(o) left to an
-    exact test of c·p.
+    """(combo, class, modulus): residue classes that hold every c of a combo
+    (outer value o, line ac·c + ap·p = rem, c ≡ x mod s) with rad(o) | c·p,
+    one row each, with the index of its combo; ``rad`` is the radical table
+    and ``tables`` is ``arith.inverse_tables(H, s, ac)``.  The classes only
+    prune: they leave out the primes of ap, so some of their c fail the
+    cover, and ``_deep_residue`` tests it exactly.
 
     A prime q | rad(o) with q ∤ ap divides p exactly when ac·c ≡ rem (mod q),
     so q | c·p puts c in the class 0 or rem·ac⁻¹ mod q; when q | ac that is
@@ -453,8 +452,7 @@ def _cover_classes(o: np.ndarray, rem: np.ndarray, x: np.ndarray, s: int, ap: in
     """
     spf, s_inv, ac_inv, pair_inv = tables
     r = rad[o]
-    check = np.gcd(r, ap)
-    r //= check
+    r //= np.gcd(r, ap)
     r //= np.gcd(r, np.gcd(rem, ac))
     combo = np.arange(len(o))
     m = np.full(len(o), s, dtype=np.int64)
@@ -478,20 +476,19 @@ def _cover_classes(o: np.ndarray, rem: np.ndarray, x: np.ndarray, s: int, ap: in
         k[second] = (k[second] + step[combo[second]]) % q[combo[second]]
         x += m[combo] * k
         m *= q
-    return combo, x, m[combo], check[combo]
+    return combo, x, m[combo]
 
 
 def _block_cells(t0: int, t1: int, edges: np.ndarray, first, c_step, p0, p_step, outer,
-                 check, c_zero: bool, signed: bool) -> list[np.ndarray]:
+                 c_zero: bool, signed: bool) -> list[np.ndarray]:
     """Absolute values of the solutions among cells t0 ≤ t < t1, the cells of
     the sweep's rows laid end to end (row r holds cells edges[r] to
     edges[r + 1] − 1), one column per coordinate: ``outer`` values, then c,
     then p.
 
     Along row r, c = first[r] + k·c_step and p = p0[r] + k·p_step for
-    k = 0, 1, …; a step is one value or one per row, and ``p0`` is None
-    without a pivot.  Dropped are cells with c = 0 (``c_zero``), p = 0
-    (``signed``) and, given ``check`` (one per row), check ∤ c·p.
+    k = 0, 1, …; a step is a value or one per row, ``p0`` None without a
+    pivot.  Cells with c = 0 (``c_zero``) or p = 0 (``signed``) are dropped.
     """
     r0 = int(np.searchsorted(edges, t0, "right")) - 1
     r1 = int(np.searchsorted(edges, t1 - 1, "right"))
@@ -507,8 +504,6 @@ def _block_cells(t0: int, t1: int, edges: np.ndarray, first, c_step, p0, p_step,
         cols.append(p)
         if signed:
             masks.append(p != 0)
-        if check is not None:
-            masks.append(c * p % check[row] == 0)
     if masks:
         ok = np.logical_and.reduce(masks)
         cols = [x[ok] for x in cols]
@@ -534,11 +529,11 @@ def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool, pivot, free,
     Each combo carries rows (first c, step): one, c's class mod s, or with
     ``strata`` (three nonzero coefficients, whose total, rank 0 and rank 1
     ``_strata`` counted) the cover classes of the outer value, at most
-    2^ω(o) (``_cover_classes``).  Along a row c grows by its step and p by
-    a fixed multiple, so no cell needs a division; the cells of all rows
-    are laid out ragged, ``_BLOCK_ROWS`` at a time, and only c = 0 and
-    p = 0 are masked.  With ``strata`` a block hands its deep residue
-    (``_deep_residue``) to the deep stage; otherwise the cascade
+    2^ω(o) (``_cover_classes``), which only prune.  Along a row c grows by
+    its step and p by a fixed multiple, so no cell needs a division; the
+    cells of all rows are laid out ragged, ``_BLOCK_ROWS`` at a time, and
+    only c = 0 and p = 0 are masked.  With ``strata`` a block hands its deep
+    residue (``_deep_residue``) to the deep stage; otherwise the cascade
     (``_classify_block``) counts every cell.  Without a pivot (all-zero α) a
     unit stand-in for a_p makes the whole axis one class.
 
@@ -549,13 +544,12 @@ def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool, pivot, free,
     """
     H = report.H
     alpha = spec.alpha
-    axes = [_axis_values(alpha[i], H, signed) for i in free[:-1]]
-    outer_vals = [v for v, _ in axes]
+    axes = [_axis(alpha[i], H, signed) for i in free]
+    weight = math.prod(fold for _, fold in axes)
+    outer_vals = [np.arange(start, H + 1, dtype=np.int64) for start, _ in axes[:-1]]
+    outer_vals = [v[v != 0] for v in outer_vals]
     outer_coef = [alpha[i] for i in free[:-1]]
-    ac = alpha[free[-1]]
-    # inner axis: [−H, H] with c = 0 masked, or [1, H] folded as in ``_axis_values``
-    lo, fold = (-H, 1) if signed and ac else (1, 2 if signed else 1)
-    weight = fold * math.prod(w for _, w in axes)
+    ac, lo = alpha[free[-1]], axes[-1][0]
     ap = 1 if pivot is None else alpha[pivot]
     g, s, u = _line_class(ac, ap)
     dp = -(ac // g) if ap > 0 else ac // g
@@ -582,25 +576,24 @@ def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool, pivot, free,
         keep = np.flatnonzero((_mod(rem, g) == 0) & (c_lo <= c_hi))
         rem, c_lo, c_hi = rem[keep], c_lo[keep], c_hi[keep]
         outer = [o[keep] for o in outer]
-        x, m, check = _class_residue(rem, g, s, u), s, None
+        x, m = _class_residue(rem, g, s, u), s
         if strata:
-            combo, x, m, check = _cover_classes(outer[0], rem, x, s, ap, ac, rad, tables)
+            combo, x, m = _cover_classes(outer[0], rem, x, s, ap, ac, rad, tables)
             rem, c_lo, c_hi, outer = rem[combo], c_lo[combo], c_hi[combo], [outer[0][combo]]
         # rows whose class has a member in range, the first one at ``first``
         first = c_lo + _mod(x - c_lo, m)
         live = np.flatnonzero(first <= c_hi)
         first, rem, c_hi, outer = first[live], rem[live], c_hi[live], [o[live] for o in outer]
-        if strata:
-            m, check = m[live], check[live] if (check > 1).any() else None  # none if a_p = ±1
+        m = m[live] if strata else m
         edges = np.concatenate([[0], np.cumsum((c_hi - first) // m + 1)])
         p0 = None if pivot is None else (rem - ac * first) // ap
         c_step, p_step = m, dp * (m // s)
         del flat, rem, x, c_lo, c_hi, live  # not needed past here
         for t0 in range(0, edges[-1], cells):
             t1 = min(t0 + cells, edges[-1])
-            cols = _block_cells(t0, t1, edges, first, c_step, p0, p_step, outer, check, lo < 0, signed)
+            cols = _block_cells(t0, t1, edges, first, c_step, p0, p_step, outer, lo < 0, signed)
             if strata:
-                rows = _deep_residue(*cols, base, rad)
+                rows = _deep_residue(cols, base, rad)
             else:
                 rows = _classify_block(report, cols, weight, base, rad)
             del cols  # freed before a flush of the deep buffer
@@ -721,7 +714,7 @@ def _strata(spec: HyperplaneSpec, domain: DomainSpec, base: np.ndarray) -> tuple
     w are w^s ≠ w^t with w ≤ √H (``_power_pairs``): each pair, with its signs,
     solves the third coordinate from the plane.
 
-    The caller checks the sweep's regime first (H ≤ ``_TABLE_CAP``,
+    The caller tests the sweep's regime first (H ≤ ``_TABLE_CAP``,
     Σ|a_i|·H + |J| < 2⁶²), which keeps every int64 value here exact.
     """
     a, J, H = spec.alpha, spec.J, domain.H

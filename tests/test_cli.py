@@ -28,6 +28,10 @@ def test_depcheck(capsys):
     assert code == 0 and out == "no full-support relation\n"
     code, out, _ = run(capsys, "depcheck", "--vector", "2,3,12", "--full-support", "--witness")
     assert code == 0 and out.startswith("full-support dependent k=(")
+    code, out, _ = run(capsys, "depcheck", "--vector", "2,3,12")
+    assert code == 0 and out == "dependent\n"
+    code, out, _ = run(capsys, "depcheck", "--vector", "2,3,12", "--full-support")
+    assert code == 0 and out == "full-support dependent\n"
 
 
 def test_rank(capsys):
@@ -39,6 +43,8 @@ def test_count_text(capsys):
     code, out, _ = run(capsys, "count", "--alpha", "1,0,0", "--J", "1", "--H", "5")
     assert code == 0
     assert out == "total_on_plane 100\ndependent 100\n"
+    code, out, _ = run(capsys, "count", "--alpha=0,0", "--J", "1", "--H", "5")
+    assert code == 0 and out == "degenerate: all-zero alpha with J != 0 has no solutions\n"
 
 
 def test_count_by_rank_json(capsys):
@@ -227,6 +233,10 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "depcheck", "--vector", "2,x,3")[0] == 2
     assert run(capsys, "volume", "--alpha", "1,1", "--box", "sphere", "--r", "1")[0] == 2
     assert run(capsys, "converge", "--alpha", "1,1", "--J", "1", "--grid", "bad")[0] == 2
+    code, _, err = run(capsys, "converge", "--alpha", "1,1", "--J", "1", "--grid", "1:5")
+    assert code == 2 and "grid must be start:stop:step or a comma list" in err
+    code, _, err = run(capsys, "converge", "--alpha", "1,1", "--J", "1", "--grid", "1:x:2")
+    assert code == 2 and "grid bounds must be integers" in err
     assert run(capsys, "nonsense")[0] == 2
     # a top-level error after a subcommand still names every subcommand
     code, _, err = run(capsys, "rank", "--vector", "2,4", "extra")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from fractions import Fraction as F
@@ -165,6 +166,9 @@ def test_count_examples():
 def test_count_degenerate():
     rep = count_S(HyperplaneSpec((0, 0), 3), DomainSpec("signed", 5))
     assert rep.degenerate and rep.dependent_total == 0 and rep.total_on_plane == 0
+    # the report stores what a count measures; the sum and the flag are derived
+    assert [f.name for f in dataclasses.fields(lc.CountReport)] == [
+        "alpha", "J", "domain", "H", "total_on_plane", "by_rank"]
 
 
 def _oracle_report(spec, ds):
@@ -432,6 +436,9 @@ def test_count_single_coordinate():
     assert (rep.total_on_plane, rep.dependent_total) == (1, 0)
     rep = count_S(HyperplaneSpec((3,), -3), DomainSpec("positive", 5))
     assert rep.total_on_plane == 0
+    # no table is built for one coordinate, so H may pass the sweep's cap
+    rep = count_S(HyperplaneSpec((-3,), 3), DomainSpec("signed", 10**12))
+    assert (rep.total_on_plane, rep.by_rank) == (1, {0: 1})
 
 
 def test_scaled_positive_density_matches_closed_form():
@@ -759,6 +766,25 @@ def test_class_sweep_deep_rows_match_the_covered_count_rule(monkeypatch):
                         assert got == sorted(map(tuple, _cover_rule_by_row(list(sols.T), base, rad))), (alpha, J, dom, H)
 
 
+def test_deep_residue_tests_every_cover():
+    # pivot coefficients with small primes, which the cover classes leave to
+    # ``_deep_residue``: on every solution it keeps the cascade's rows
+    base, rad = arith.power_base_table(30), arith.radical_table(30)
+    kept = 0
+    for alpha in [(1, 2, -4), (3, 5, 6), (2, 3, 4)]:
+        for J in (0, 1, -1, 7, 12, -30):
+            for dom in ("signed", "positive"):
+                for H in (7, 30):
+                    spec, ds = HyperplaneSpec(alpha, J), DomainSpec(dom, H)
+                    sols = np.abs(np.array(list(orc.enumerate_solutions(spec, ds)), dtype=np.int64).reshape(-1, 3))
+                    rep = lc.CountReport(alpha, J, dom, H)
+                    want = lc._classify_block(rep, list(sols.T), 1, base, rad)
+                    got = lc._deep_residue(list(sols.T), base, rad)
+                    assert np.array_equal(got, want), (alpha, J, dom, H)
+                    kept += len(got)
+    assert kept > 0
+
+
 def test_cover_classes_are_exact_above_the_sieve_limit():
     # outer values past arith.SIEVE_LIMIT take their primes from a table of
     # the count's own; each combo's classes are exactly the c mod s·r with
@@ -770,10 +796,11 @@ def test_cover_classes_are_exact_above_the_sieve_limit():
         g, s, u = lc._line_class(ac, ap)
         o, rem = np.array([o], dtype=np.int64), np.array([rem], dtype=np.int64)
         x0 = lc._class_residue(rem, g, s, u)
-        _, x, m, check = lc._cover_classes(o, rem, x0, s, ap, ac, rad, arith.inverse_tables(H, s, ac))
+        _, x, m = lc._cover_classes(o, rem, x0, s, ap, ac, rad, arith.inverse_tables(H, s, ac))
         M = int(m[0])
-        assert (m == M).all() and M % s == 0 and int(check[0]) == math.gcd(int(rad[o[0]]), ap)
+        assert (m == M).all() and M % s == 0
         c = np.arange(x0[0], M, s, dtype=np.int64)
         p = (rem[0] - ac * c) // ap
-        want = c[c * p % (int(rad[o[0]]) // int(check[0])) == 0]
+        r = int(rad[o[0]])
+        want = c[c * p % (r // math.gcd(r, ap)) == 0]
         assert sorted(x.tolist()) == want.tolist(), (ac, ap, int(o[0]))
