@@ -2,18 +2,17 @@
 
 Factorization (smallest-prime-factor sieve with deterministic trial division
 beyond the sieve bound), radicals, the smooth-number walk and its count ψ₀,
-minimal perfect power bases, vector gcds, the signed convolution kernel
-that multiplies sparse integer polynomials, and tables of modular inverses
-for Chinese-remainder lifts.  Everything here is exact; nothing uses floats
-or probabilistic primality.
+minimal perfect power bases, vector gcds, and the signed convolution kernel
+that multiplies sparse integer polynomials.  Everything here is exact;
+nothing uses floats or probabilistic primality.
 
 The sieve starts at 4096 entries on first use and doubles when a value past
 its end is factorized, up to ``SIEVE_LIMIT`` (10**6); values above the limit
 use trial division.  A regrown table replaces the old one, which is never
 modified.  The factorization cache is bounded, at most ``_FACTOR_CACHE``
-factorizations, and it is the only state besides the sieve: the power-base,
-radical and inverse lookup tables are built for each caller and not kept.
-The radical and inverse tables sieve their own primes with ``_sieve``.
+factorizations, and it is the only state besides the sieve: the power-base
+and radical lookup tables are built for each caller and not kept.  The
+radical table sieves its own primes with ``_sieve``.
 """
 
 from __future__ import annotations
@@ -310,38 +309,3 @@ def radical_table(limit: int) -> np.ndarray:
             q *= p
     rad *= rest  # rest[0] = 0 keeps rad[0] = 0
     return rad
-
-
-def _inverses(x: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """x⁻¹ mod q for int64 arrays x and prime moduli q < 2³¹, 0 where q | x:
-    Fermat's x^(q−2), all entries squared and multiplied in step."""
-    x = x % q
-    out = (x != 0).astype(np.int64)
-    e = q - 2
-    while e.any():
-        out = np.where(e & 1, out * x % q, out)
-        x = x * x % q
-        e >>= 1
-    return out
-
-
-def inverse_tables(limit: int, s: int, a: int) -> tuple[np.ndarray, ...]:
-    """(spf, s_inv, a_inv, pair_inv) over [0, limit], for Chinese-remainder
-    lifts across the primes of squarefree values up to ``limit``: the
-    smallest-prime table, s⁻¹ and a⁻¹ mod each prime q (0 where q divides
-    them), and q⁻¹ mod q' at index q·q' for primes q < q' (1 at each prime
-    index, as if q = 1).  One vectorized Fermat pass computes every inverse.
-    """
-    spf = _sieve(limit + 1).astype(np.int64)
-    n = np.arange(limit + 1, dtype=np.int64)
-    primes = n[2:][spf[2:] == n[2:]]
-    small = spf[2:]
-    big = n[2:] // small
-    semi = (big > small) & (spf[big] == big)
-    x = np.concatenate([np.full_like(primes, s), np.full_like(primes, a), small[semi]])
-    inv = np.split(_inverses(x, np.concatenate([primes, primes, big[semi]])), [len(primes), 2 * len(primes)])
-    s_inv, a_inv = np.zeros((2, limit + 1), dtype=np.int64)
-    s_inv[primes], a_inv[primes] = inv[:2]
-    pair_inv = np.ones(limit + 1, dtype=np.int64)
-    pair_inv[n[2:][semi]] = inv[2]
-    return spf, s_inv, a_inv, pair_inv

@@ -326,19 +326,19 @@ def C_e1(J: int, H: int, n: int) -> Fraction:
     return Fraction(2) ** (n - 2) * (n - 1) * (n + 2 * t + Fraction(2 * (n - 2), f - 1))
 
 
-def _breakdown_e1(J: int, H: int, n: int) -> ConstantBreakdown:
-    f = arith.f_base(abs(J))
+def _breakdown_e1(m: int, H: int, n: int) -> ConstantBreakdown:
+    f = arith.f_base(abs(m))
     t = floor_log(H, f)
     unit = Fraction(2) ** (n - 2)
     c0 = 2 * unit * (n - 1)
     c1 = unit * (n - 1) * (n - 2 + 2 * t)
     c2 = 2 * unit * Fraction((n - 1) * (n - 2), f - 1)
     total = c0 + c1 + c2
-    if total != C_e1(J, H, n):
-        raise ArithmeticError(f"C_e1: parts sum to {total}, closed form gives {C_e1(J, H, n)}")
+    if total != C_e1(m, H, n):
+        raise ArithmeticError(f"C_e1: parts sum to {total}, closed form gives {C_e1(m, H, n)}")
     return ConstantBreakdown(
         k=1, c0=c0, c1=c1, c2=c2, h_exponent=n - 2,
-        regime=f"single unit coefficient, |J| > 1; affine in floor(log H/log {f}), here H = {H}",
+        regime=f"single nonzero coefficient a, |J/a| > 1; affine in floor(log H/log {f}), here H = {H}",
     )
 
 
@@ -346,13 +346,18 @@ def C_total(alpha, J: int, H: int | None = None) -> ConstantBreakdown:
     """Dispatch on k = #nonzero coefficients.
 
     k ≥ 4: C0 + C1 on H^{n−2}.   k = 3: C0 + C1_k3 + C2_k3 (J ≠ 0).
-    k = 2: line corrections (J ≠ 0).   k = 1: affine-in-log law (needs H);
-    |J| = 1 follows the exact law (2H)^{n−1}.   k = 0 with J = 0: the
-    unconstrained box constant 2^{n−1}·n·(n+1) on H^{n−1}.
+    k = 2: line corrections (J ≠ 0).   k = 1, coefficient a: the plane
+    fixes that coordinate at m = J/a, so the affine-in-log law in f(|m|)
+    (needs H), and |m| = 1 follows the exact law (2H)^{n−1}; a ∤ J admits
+    no solutions.  k = 0 with J = 0: the unconstrained box constant
+    2^{n−1}·n·(n+1) on H^{n−1}.  A given H must be at least 1.
     """
+    if H is not None and H < 1:
+        raise ValueError(f"H must be >= 1, got {H}")
     a = tuple(int(x) for x in alpha)
     n = len(a)
-    k = len(_nonzero_indices(a))
+    nz = _nonzero_indices(a)
+    k = len(nz)
     if k == 0:
         if J != 0:
             raise RegimeError("all-zero alpha admits no solutions for J != 0 (degenerate)")
@@ -364,14 +369,16 @@ def C_total(alpha, J: int, H: int | None = None) -> ConstantBreakdown:
     if k == 1:
         if H is None:
             raise RegimeError("k = 1 constant depends on H; pass H")
-        if abs(J) == 1:
-            unit = Fraction(2) ** (n - 1)
+        m, r = divmod(J, a[nz[0]])
+        if r:
+            raise RegimeError(f"coefficient {a[nz[0]]} does not divide J = {J}: no solutions (degenerate)")
+        if abs(m) == 1:
             return ConstantBreakdown(
-                k=1, c0=unit, c1=Fraction(0), c2=Fraction(0),
+                k=1, c0=Fraction(2) ** (n - 1), c1=Fraction(0), c2=Fraction(0),
                 h_exponent=n - 1,
-                regime="single unit coefficient, |J| = 1: exact count (2H)^(n-1)",
+                regime="single nonzero coefficient a, |J/a| = 1: exact count (2H)^(n-1)",
             )
-        return _breakdown_e1(J, H, n)
+        return _breakdown_e1(m, H, n)
     if k == 2:
         return C_k2(a, J)
     if k == 3:

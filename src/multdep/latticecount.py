@@ -34,14 +34,21 @@ Classification cascade per solution (cheapest first):
            survivor's rank is one less than the size of its smallest
            dependent subset of exponent rows (``relations.rank_from_rows``).
 
-On a plane with strata the sweep counts neither rank 0 nor rank 1, and it
-prunes its cells: a prime q ∤ a_p of rad(o), o the outer coordinate,
-divides p exactly when a_c·c ≡ rem (mod q), so where rad(o) | c·p, c lies
-in at most 2^ω(o) classes mod s·rad(o) (``_cover_classes``).  As
-Σ 2^ω(o)/rad(o) over o ≤ H grows slower than any power of H (105 at
-H = 2000, 859 at 10⁶), the cells number H^{1+o(1)}, not O(H²).  Then
-``_deep_residue`` tests every cover exactly and keeps the rows the cascade
-would hand on.
+On a plane with strata the sweep counts neither rank 0 nor rank 1; it
+hunts the rank-2 rows by the side lemma.  Such a row has no ±1 and no two
+coordinates of one base, so no smaller subset is dependent and its relation
+has every exponent nonzero.  With the positive exponents on one side,
+∏_P |x|^a = ∏_N |x|^b, each side is nonempty and every prime of one side
+divides the other.  With three coordinates one side is a single
+dominant coordinate d, and rad(d) = rad(row).  So the sweep runs once per
+role of d, with the third coordinate e outer over 2 ≤ |e| ≤ H, and steps d
+along its side class: d ≡ 0 (mod rad(e)) within the line's class mod s,
+one class mod rad(e)·s/gcd(rad(e), s) per combo (``_side_class``).  As
+Σ 1/rad(e) over e ≤ H grows slower than any power of H (28 at H = 2000,
+141 at 10⁶), the cells number H^{1+o(1)}, not O(H²).  Then
+``_deep_residue`` tests the rest of the side exactly, rad(p) | d and
+rad(d) | e·p, and keeps the rows the cascade would hand on that have a
+dominant coordinate, each under its first one.
 
 The deep stage is batched per count: survivors of every block wait, each
 sorted, in one buffer of one block's size.  When it is full, and once at
@@ -276,23 +283,33 @@ def _classify_block(
     return np.sort(np.stack(cols, axis=1), axis=1)
 
 
-def _deep_residue(cols: list[np.ndarray], base: np.ndarray, rad: np.ndarray) -> np.ndarray:
-    """The deep-stage rows among solutions of a plane with three nonzero
-    coefficients, whose total, rank 0 and rank 1 come from ``_strata``.
+def _deep_residue(cols: list[np.ndarray], d: int, p: int, base: np.ndarray, rad: np.ndarray) -> np.ndarray:
+    """The deep-stage rows among one role's cells of a plane with three
+    nonzero coefficients, whose total, rank 0 and rank 1 come from
+    ``_strata``.
 
-    ``cols`` holds the absolute values (o, c, p) of the outer, inner and
-    pivot coordinates, and ``base`` and ``rad`` are tables, as for
-    ``_classify_block``.  Returns the rows that cascade would leave for
-    ``_rank_deep``, each sorted ascending: no 1, no shared base, and every
-    coordinate covered, rad(o) | c·p, rad(c) | o·p and rad(p) | o·c (with
-    n = 3 a dependent subset of size 3 is the whole row).  Each product is
-    of two values up to H ≤ 2²², so exact in int64.
+    ``cols`` holds the absolute values of the three coordinates in plane
+    order; d indexes the dominant one, p the pivot and e the third, and the
+    sweep gives rad(e) | d.  ``base`` and ``rad`` are tables, as for
+    ``_classify_block``.  A row is kept when rad(p) | d, then rad(d) | e·p
+    (so every coordinate is covered and rad(d) = rad(row)), it has no 1 and
+    no shared base, and no coordinate before d has rad(d), the role that
+    keeps a row with several dominant coordinates.  Returns the kept rows,
+    each sorted ascending: across the roles, exactly the cascade's rows that
+    have a dominant coordinate, each once, which holds every dependent one.
+    e·p is a product of two values up to H ≤ 2²², so exact in int64.
     """
-    o, c, p = cols
-    keep = np.flatnonzero((c * p % rad[o] == 0) & (o * p % rad[c] == 0) & (o * c % rad[p] == 0))
+    e = 3 - d - p
+    keep = np.flatnonzero(cols[d] % rad[cols[p]] == 0)
     cols = [x[keep] for x in cols]
+    rd = rad[cols[d]]
+    keep = np.flatnonzero(cols[e] * cols[p] % rd == 0)
+    cols, rd = [x[keep] for x in cols], rd[keep]
     unit, pair = _unit_or_pair(cols, base)
-    return np.sort(np.stack(cols, axis=1)[~(unit | pair)], axis=1)
+    drop = unit | pair
+    for j in range(d):
+        drop |= rad[cols[j]] == rd
+    return np.sort(np.stack(cols, axis=1)[~drop], axis=1)
 
 
 def _rank_deep(report: CountReport, rows: np.ndarray, weight: int) -> None:
@@ -333,8 +350,8 @@ _TABLE_CAP = 1 << 22
 
 # most cells in a sweep block, so also the most rows one ``_classify_block``
 # or ``_deep_residue`` call gets, and the most outer combos whose congruence
-# is solved at once; each int64 column then stays at 64 KiB, so many combos
-# share one block's numpy calls while peak memory barely moves
+# (and side class) is solved at once; each int64 column then stays at 64 KiB,
+# so many combos share one block's numpy calls while peak memory barely moves
 _BLOCK_ROWS = 1 << 13
 
 # most Gram entries in one deep-stage stack, so n-coordinate rows are ranked
@@ -412,7 +429,7 @@ def _class_residue(m: np.ndarray, g, s, u) -> np.ndarray:
     mod s before the product with u < s, which takes Python ints once s²
     could pass 2⁶³."""
     r = _mod(m // g, s)
-    if int(np.max(s)) ** 2 < 2**63:
+    if int(np.max(s, initial=1)) ** 2 < 2**63:
         return _mod(r * u, s)
     u, s = (np.asarray(x).astype(object) for x in (u, s))
     return (r.astype(object) * u % s).astype(np.int64)
@@ -433,50 +450,21 @@ def _inner_range(rem: np.ndarray, ac: int, ap: int, lo: int, H: int, p_lo: int):
     return np.maximum(-(-low // abs(ac)), lo), np.minimum(high // abs(ac), H)
 
 
-def _cover_classes(o: np.ndarray, rem: np.ndarray, x: np.ndarray, s: int, ap: int, ac: int,
-                   rad: np.ndarray, tables):
-    """(combo, class, modulus): residue classes that hold every c of a combo
-    (outer value o, line ac·c + ap·p = rem, c ≡ x mod s) with rad(o) | c·p,
-    one row each, with the index of its combo; ``rad`` is the radical table
-    and ``tables`` is ``arith.inverse_tables(H, s, ac)``.  The classes only
-    prune: they leave out the primes of ap, so some of their c fail the
-    cover, and ``_deep_residue`` tests it exactly.
+def _side_class(r: np.ndarray, x: np.ndarray, s: int):
+    """(ok, y, m): where ok, the d with d ≡ x (mod s) and d ≡ 0 (mod r) are
+    those with d ≡ y (mod m), m = r·s/g₂ and g₂ = gcd(r, s); elsewhere
+    (g₂ ∤ x) there are none.  r holds squarefree values, so r/g₂ is prime
+    to s/g₂, and y = r·k with k ≡ (x/g₂)·(r/g₂)⁻¹ (mod s/g₂).
 
-    A prime q | rad(o) with q ∤ ap divides p exactly when ac·c ≡ rem (mod q),
-    so q | c·p puts c in the class 0 or rem·ac⁻¹ mod q; when q | ac that is
-    class 0 alone if q ∤ rem, and every c if q | rem (then q | p always).
-    So c lies in at most 2^ω(r) classes mod s·r, r being rad(o) without the
-    primes of ap and of gcd(ac, rem), which is prime to s.  They are built
-    by Garner's lift over the primes of r in ascending order, each splitting
-    the rows of its combos in one or two.
-    """
-    spf, s_inv, ac_inv, pair_inv = tables
-    r = rad[o]
-    r //= np.gcd(r, ap)
-    r //= np.gcd(r, np.gcd(rem, ac))
-    combo = np.arange(len(o))
-    m = np.full(len(o), s, dtype=np.int64)
-    lifted = []
-    while r.max(initial=1) > 1:
-        # q = 1 where r is used up: one class mod 1 leaves the row as it is
-        q = spf[r]
-        r //= q
-        t = _mod(rem, q) * ac_inv[q] % q
-        inv = s_inv[q]  # m⁻¹ mod q for m = s·∏ lifted
-        for q0 in lifted:
-            inv = inv * pair_inv[q0 * q] % q
-        lifted.append(q)
-        # class 0 lifts x by m·k with k = −x·m⁻¹ mod q, class t by k + t·m⁻¹
-        step = t * inv % q
-        qr = q[combo]
-        k = _mod(-x, qr) * inv[combo] % qr
-        reps = 1 + (step[combo] != 0)
-        second = np.cumsum(reps)[reps == 2] - 1
-        combo, k, x = (np.repeat(v, reps) for v in (combo, k, x))
-        k[second] = (k[second] + step[combo[second]]) % q[combo[second]]
-        x += m[combo] * k
-        m *= q
-    return combo, x, m[combo]
+    As r mod s = g₂·(r/g₂ mod s/g₂), each distinct r mod s takes one
+    ``pow``, and ``_class_residue`` forms the product, in Python ints once
+    (s/g₂)² could pass 2⁶³."""
+    t, at = np.unique(_mod(r, s), return_inverse=True)
+    g2 = np.gcd(t, s)
+    inv = np.array([pow(q // g, -1, s // g) for q, g in zip(t.tolist(), g2.tolist())], dtype=np.int64)
+    g2, inv = g2[at], inv[at]
+    s2 = s // g2
+    return _mod(x, g2) == 0, r * _class_residue(x, g2, s2, inv), r * s2
 
 
 def _block_cells(t0: int, t1: int, edges: np.ndarray, first, c_step, p0, p_step, outer,
@@ -515,39 +503,83 @@ def _block_cells(t0: int, t1: int, edges: np.ndarray, first, c_step, p0, p_step,
 
 def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool, pivot, free,
            base: np.ndarray, rad: np.ndarray, strata: bool) -> None:
-    """Classify every solution, the pivot p (if any) solved from the ``free``
-    coordinates, in blocks of at most ``_BLOCK_ROWS`` cells; ``base`` and
-    ``rad`` are the minimal-base and radical tables up to H.
+    """Classify every solution, in blocks of at most ``_BLOCK_ROWS`` cells
+    (``_solutions``); ``base`` and ``rad`` are the minimal-base and radical
+    tables up to H.
+
+    Without ``strata`` one pass solves the pivot from the ``free``
+    coordinates, and the cascade (``_classify_block``) counts every cell.
+    With ``strata`` (three nonzero coefficients, whose total, rank 0 and
+    rank 1 ``_strata`` counted) only rank 2 is left, and each of its rows
+    has a dominant coordinate d (module docstring).  So there is one pass
+    per role of d: the pivot p is the other coordinate with the larger |α|
+    (``_pivot_index``), the third, e, is outer, and d runs along its side
+    class; ``_deep_residue`` keeps each row the cascade would rank under
+    its first dominant coordinate.  The deep-stage rows of every block and
+    pass wait in one buffer of one block's size, which ``_rank_deep`` ranks
+    when it is full and once at the end.
+    """
+    weight = math.prod(_axis(spec.alpha[i], report.H, signed)[1] for i in free)
+    passes = [(pivot, free)]
+    if strata:
+        passes = []
+        for d in range(3):
+            p = _pivot_index([0 if i == d else a for i, a in enumerate(spec.alpha)])
+            passes.append((p, [3 - d - p, d]))
+    # deep-stage rows wait here, across blocks and passes, until the buffer
+    # is full; one buffer for the whole count, so no small arrays outlive
+    # their block.  Rows reach the deep stage only from three coordinates on
+    deep = np.empty((_BLOCK_ROWS if spec.n >= 3 else 0, spec.n), dtype=np.int64)
+    held = 0
+    for pivot, free in passes:
+        for cols in _solutions(spec, report.H, signed, pivot, free, rad if strata else None):
+            if strata:
+                # the pass yields (e, d, p); the side test takes plane order
+                order = (*free, pivot)
+                cols = [cols[order.index(i)] for i in range(3)]
+                rows = _deep_residue(cols, free[1], pivot, base, rad)
+            else:
+                rows = _classify_block(report, cols, weight, base, rad)
+            del cols  # freed before a flush of the deep buffer
+            if held + len(rows) > len(deep):
+                _rank_deep(report, deep[:held], weight)
+                held = 0
+            deep[held:held + len(rows)] = rows
+            held += len(rows)
+    _rank_deep(report, deep[:held], weight)
+
+
+def _solutions(spec: HyperplaneSpec, H: int, signed: bool, pivot, free, rad=None):
+    """Yield the absolute values of the solutions, the pivot p (if any)
+    solved from the ``free`` coordinates, at most ``_BLOCK_ROWS`` cells at a
+    time: one column per free coordinate, then p.
 
     The last free coordinate c is the inner one, the others are outer.  An
     outer combo leaves a_c·c + a_p·p = rem, rem = J − Σ a_o·o, with solutions
     only when g | rem ((g, s, u) from ``_line_class``), and then c lies in
     one class mod s (``_class_residue``).  Its range is c's axis cut to the
     values that keep p in its own (``_inner_range``).  Combos are decoded
-    (``product`` order) and solved ``_BLOCK_ROWS`` at a time.
+    (``product`` order) and solved ``_BLOCK_ROWS`` at a time.  Given ``rad``,
+    the radical table, the one outer coordinate e runs over 2 ≤ |e| ≤ H, and
+    c only over its side class, c ≡ 0 (mod rad(e)): one class mod
+    rad(e)·s/gcd(rad(e), s) (``_side_class``).
 
-    Each combo carries rows (first c, step): one, c's class mod s, or with
-    ``strata`` (three nonzero coefficients, whose total, rank 0 and rank 1
-    ``_strata`` counted) the cover classes of the outer value, at most
-    2^ω(o) (``_cover_classes``), which only prune.  Along a row c grows by
-    its step and p by a fixed multiple, so no cell needs a division; the
-    cells of all rows are laid out ragged, ``_BLOCK_ROWS`` at a time, and
-    only c = 0 and p = 0 are masked.  With ``strata`` a block hands its deep
-    residue (``_deep_residue``) to the deep stage; otherwise the cascade
-    (``_classify_block``) counts every cell.  Without a pivot (all-zero α) a
-    unit stand-in for a_p makes the whole axis one class.
+    Along a combo's class c grows by its step and p by a fixed multiple, so
+    no cell needs a division; the cells of all combos are laid out ragged,
+    ``_BLOCK_ROWS`` at a time, and only c = 0 and p = 0 are masked.  Without
+    a pivot (all-zero α) a unit stand-in for a_p makes the whole axis one
+    class.
 
-    Exact in int64 on the planes ``count_S`` lets through: |rem|, |a_c·c| and
-    |a_p|·H stay below 2⁶², a class modulus s·r is at most s·H, rows with no
-    cell in range are dropped before p is formed, and along a row c moves by
-    at most 2H.
+    Exact in int64 on the planes ``count_S`` lets through: |rem|, |a_c·c|
+    and |a_p|·H stay below 2⁶², a class modulus is at most s·H, combos with
+    no cell in range are dropped before p is formed, and along a class c
+    moves by at most 2H.
     """
-    H = report.H
     alpha = spec.alpha
     axes = [_axis(alpha[i], H, signed) for i in free]
-    weight = math.prod(fold for _, fold in axes)
+    low = 1 if rad is None else 2
     outer_vals = [np.arange(start, H + 1, dtype=np.int64) for start, _ in axes[:-1]]
-    outer_vals = [v[v != 0] for v in outer_vals]
+    outer_vals = [v[np.abs(v) >= low] for v in outer_vals]
     outer_coef = [alpha[i] for i in free[:-1]]
     ac, lo = alpha[free[-1]], axes[-1][0]
     ap = 1 if pivot is None else alpha[pivot]
@@ -555,12 +587,6 @@ def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool, pivot, free,
     dp = -(ac // g) if ap > 0 else ac // g
     combos = math.prod(len(v) for v in outer_vals)
     cells = _BLOCK_ROWS
-    tables = arith.inverse_tables(H, s, ac) if strata else None
-    # deep-stage rows wait here, across blocks, until the buffer is full; one
-    # buffer for the whole count, so no small arrays outlive their block.
-    # Rows reach the deep stage only from three coordinates on
-    deep = np.empty((cells if spec.n >= 3 else 0, spec.n), dtype=np.int64)
-    held = 0
     for start in range(0, combos, cells):
         flat = np.arange(start, min(start + cells, combos))
         rem = np.full(len(flat), spec.J, dtype=np.int64)
@@ -576,33 +602,21 @@ def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool, pivot, free,
         keep = np.flatnonzero((_mod(rem, g) == 0) & (c_lo <= c_hi))
         rem, c_lo, c_hi = rem[keep], c_lo[keep], c_hi[keep]
         outer = [o[keep] for o in outer]
-        x, m = _class_residue(rem, g, s, u), s
-        if strata:
-            combo, x, m = _cover_classes(outer[0], rem, x, s, ap, ac, rad, tables)
-            rem, c_lo, c_hi, outer = rem[combo], c_lo[combo], c_hi[combo], [outer[0][combo]]
-        # rows whose class has a member in range, the first one at ``first``
+        ok, x, m = True, _class_residue(rem, g, s, u), s
+        if rad is not None:
+            ok, x, m = _side_class(rad[outer[0]], x, s)
+        # combos whose class has a member in range, the first one at ``first``
         first = c_lo + _mod(x - c_lo, m)
-        live = np.flatnonzero(first <= c_hi)
+        live = np.flatnonzero(ok & (first <= c_hi))
         first, rem, c_hi, outer = first[live], rem[live], c_hi[live], [o[live] for o in outer]
-        m = m[live] if strata else m
+        m = m[live] if np.ndim(m) else m
         edges = np.concatenate([[0], np.cumsum((c_hi - first) // m + 1)])
         p0 = None if pivot is None else (rem - ac * first) // ap
         c_step, p_step = m, dp * (m // s)
-        del flat, rem, x, c_lo, c_hi, live  # not needed past here
+        del flat, rem, x, ok, c_lo, c_hi, live  # not needed past here
         for t0 in range(0, edges[-1], cells):
             t1 = min(t0 + cells, edges[-1])
-            cols = _block_cells(t0, t1, edges, first, c_step, p0, p_step, outer, lo < 0, signed)
-            if strata:
-                rows = _deep_residue(cols, base, rad)
-            else:
-                rows = _classify_block(report, cols, weight, base, rad)
-            del cols  # freed before a flush of the deep buffer
-            if held + len(rows) > cells:
-                _rank_deep(report, deep[:held], weight)
-                held = 0
-            deep[held:held + len(rows)] = rows
-            held += len(rows)
-    _rank_deep(report, deep[:held], weight)
+            yield _block_cells(t0, t1, edges, first, c_step, p0, p_step, outer, lo < 0, signed)
 
 
 # ── rank-0/1 strata of three-coefficient planes ──────────────────────────

@@ -226,17 +226,6 @@ def test_sieve_stops_at_the_limit(fresh_sieve, monkeypatch):
         assert arith.factorize(v).value() == v
 
 
-def test_inverse_tables_spf_above_the_sieve_limit(fresh_sieve):
-    # the inverse tables sieve their own smallest-prime table, which leaves
-    # the factorization sieve unbuilt; checked against trial division past it
-    assert arith.inverse_tables(10, 1, 1)[0].tolist() == [0, 1, 2, 3, 2, 5, 2, 7, 2, 3, 2]
-    top = 2 * 1_000_003
-    t = arith.inverse_tables(top, 1, 1)[0]
-    assert t.shape == (top + 1,) and arith._spf_table is None
-    for m in [*range(top - 60, top + 1), 1_000_003, 1_000_033, 1009 * 1013, 2 * 999_983]:
-        assert m > arith.SIEVE_LIMIT and t[m] == arith._abs_exponents(m)[0][0], m
-
-
 # ── signed convolution kernel ─────────────────────────────────────────────
 
 

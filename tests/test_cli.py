@@ -85,6 +85,22 @@ def test_constant(capsys):
     assert "total 15" in out and "exponent 1" in out
 
 
+def test_constant_rejects_a_height_below_one(capsys):
+    for argv in (["--alpha=1", "--J", "1", "--H", "-5"], ["--alpha=1,1", "--J", "1", "--H", "0"]):
+        code, out, err = run(capsys, "constant", *argv)
+        assert (code, out) == (1, "") and err == f"error: H must be >= 1, got {argv[-1]}\n", argv
+
+
+def test_converge_k1_follows_the_fixed_coordinate(capsys):
+    # (2, 0, 0)·ν = 2 fixes ν₁ = 1, so every one of the (2H)² vectors is
+    # dependent and the exact law predicts each count
+    code, out, _ = run(capsys, "converge", "--alpha=2,0,0", "--J", "2", "--grid", "64,256")
+    assert code == 0
+    assert out.splitlines()[1:] == ["64,16384,4,4,0,0", "256,262144,4,4,0,0"]
+    code, out, err = run(capsys, "converge", "--alpha=3,0,0", "--J", "1", "--grid", "64")
+    assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_constant_positive(capsys):
     code, out, _ = run(capsys, "constant", "--alpha", "1,1,1", "--J", "9", "--positive")
     assert code == 0 and "total 9/2" in out

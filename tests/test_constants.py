@@ -188,6 +188,28 @@ def test_C_total_dispatch():
         cn.C_total((1, 0, 0), 2)  # k = 1 needs H
 
 
+def test_C_total_k1_follows_J_over_a():
+    # a single coefficient a fixes its coordinate at m = J/a: the constant is
+    # that of the unit coefficient on level m, and a ∤ J has no solutions
+    for H in (5, 64, 1024):
+        assert cn.C_total((2, 0, 0), 4, H) == cn.C_total((1, 0, 0), 2, H)
+        assert cn.C_total((0, -3, 0), 3, H) == cn.C_total((0, 1, 0), -1, H)
+    for H in (64, 256):
+        bd = cn.C_total((2, 0, 0), 2, H)
+        rep = count_S(HyperplaneSpec((2, 0, 0), 2), DomainSpec("signed", H))
+        assert bd.total * H**bd.h_exponent == rep.dependent_total == (2 * H) ** 2
+    with pytest.raises(RegimeError, match="does not divide"):
+        cn.C_total((3, 0, 0), 1, H=64)
+
+
+def test_C_total_rejects_a_height_below_one():
+    for alpha, J in [((1,), 1), ((1, 1), 1), ((1, 1, 1), 1), ((1, 0, 0), 2), ((0, 0), 0)]:
+        for H in (0, -5):
+            with pytest.raises(ValueError, match="H must be >= 1"):
+                cn.C_total(alpha, J, H)
+        cn.C_total(alpha, J, 1)
+
+
 def test_breakdown_stores_only_its_parts(monkeypatch):
     names = [f.name for f in dataclasses.fields(cn.ConstantBreakdown)]
     assert names == ["k", "c0", "c1", "c2", "h_exponent", "regime"]

@@ -2,7 +2,8 @@ import dataclasses
 import math
 import time
 from fractions import Fraction as F
-from itertools import product
+from collections import Counter
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -501,19 +502,20 @@ def test_cover_filter_boundary_on_hand_built_blocks(rng, monkeypatch):
     assert 0 < deep_tests[0] < deep_tests[1]
 
 
+def _deep_candidate(row, base, rad):
+    """Whether the cascade hands ``row`` to the deep stage: no ±1, no two
+    equal power bases, and at least three coordinates whose primes all
+    divide the other coordinates."""
+    bases = [int(base[x]) for x in row]
+    if 1 in row or len(set(bases)) < len(bases):
+        return False
+    prod_all = math.prod(row)
+    return sum((prod_all // x) % int(rad[x]) == 0 for x in row) >= 3
+
+
 def _cover_rule_by_row(cols, base, rad):
-    """The cascade's deep-stage rows, one row at a time: no ±1, no two equal
-    power bases, and at least three coordinates whose primes all divide the
-    other coordinates (``cov >= 3``), each row sorted."""
-    left = []
-    for row in zip(*(c.tolist() for c in cols)):
-        bases = [int(base[x]) for x in row]
-        if 1 in row or len(set(bases)) < len(bases):
-            continue
-        prod_all = math.prod(row)
-        if sum((prod_all // x) % int(rad[x]) == 0 for x in row) >= 3:
-            left.append(sorted(row))
-    return left
+    """The cascade's deep-stage rows, one row at a time, each sorted."""
+    return [sorted(row) for row in zip(*(c.tolist() for c in cols)) if _deep_candidate(row, base, rad)]
 
 
 def test_cover_filter_matches_the_covered_count_rule(rng):
@@ -583,7 +585,7 @@ def test_count_pinned_at_moderate_heights():
 
 def test_count_pinned_at_larger_heights():
     # counts taken from a sweep that visited every cell of the residue grid
-    # (H = 10⁴ took it 6 s); the cover classes visit about ×50 fewer
+    # (H = 10⁴ took it 6 s); the side classes visit about ×85 fewer
     for alpha, J, H, dom, total, by_rank in [
         ((1, 1, 1), 1, 10**4, "signed", 299970003, {0: 119982, 1: 35661, 2: 2250}),
         ((1, 1, 1), 5000, 5000, "positive", 12492501, {0: 14991, 1: 8538, 2: 150}),
@@ -735,20 +737,41 @@ def test_strata_alone_at_large_heights():
     assert 0 < rank0 + rank1 < total
 
 
-# a prime of a_p that can divide o ((3, 1, 6), (−10, 4, 6)), a_c sharing a
-# prime with rem ((5, 6, 7), (1, −15, 14)), and s = |a_p|/gcd(a_c, a_p) > 1
-# in all four
+def _first_dominant(row, rad):
+    """Index of the first coordinate d with rad(x) | d for every x, so
+    rad(d) = rad(row), or None."""
+    return next((i for i, d in enumerate(row) if all(d % int(rad[x]) == 0 for x in row)), None)
+
+
+def _dominant(rows, rad):
+    """Mask of the (r, 3) rows that have a dominant coordinate."""
+    return (rows[:, :, None] % rad[rows][:, None, :] == 0).all(axis=2).any(axis=1)
+
+
+# s = |a_p|/gcd(a_d, a_p) > 1 under some role in most planes, and
+# gcd(rad(e), s) > 1 for even e in (3, 1, 6), (−10, 4, 6) and (1, 1, 2)
 CLASS_PLANES = [*STRATA_PLANES, (3, 1, 6), (5, 6, 7), (-10, 4, 6), (1, -15, 14)]
 
 
 def test_class_sweep_deep_rows_match_the_covered_count_rule(monkeypatch):
-    # the rows the sweep hands to the deep stage, against the cascade run on
-    # every plane point and against the covered-count rule row by row
-    handed = []
+    # the rows the sweep hands to the deep stage are the cascade's rows (run
+    # on every plane point) that have a dominant coordinate, each once, and
+    # they hold every dependent row.  J = 21 and 36 on (1, 1, 1) put
+    # (3, 6, 12), with two dominant coordinates, and (6, 12, 18), with
+    # three, on the plane
+    handed, sides = [], set()
     monkeypatch.setattr(lc, "_rank_deep", lambda report, rows, weight: handed.extend(map(tuple, rows.tolist())))
+    side_class = lc._side_class
+
+    def recording(r, x, s):
+        sides.add((s > 1, bool((np.gcd(r, s) > 1).any())))
+        return side_class(r, x, s)
+
+    monkeypatch.setattr(lc, "_side_class", recording)
     base, rad = arith.power_base_table(200), arith.radical_table(200)
+    seen = set()
     for i, alpha in enumerate(CLASS_PLANES):
-        for J in (0, 1, -1, 7, -7, 2, -6, 30):
+        for J in (0, 1, -1, 7, -7, 2, -6, 30, 21, 36):
             for dom in ("signed", "positive"):
                 for H in (1, 2, 3, 7, 30, 200):
                     # the oracle enumerates O(H²) combos: H = 200 once per plane
@@ -758,49 +781,84 @@ def test_class_sweep_deep_rows_match_the_covered_count_rule(monkeypatch):
                     handed.clear()
                     count_S(spec, ds)
                     got = sorted(handed)
+                    seen.update(got)
                     sols = np.abs(np.array(list(orc.enumerate_solutions(spec, ds)), dtype=np.int64).reshape(-1, 3))
                     rep = lc.CountReport(alpha, J, dom, H)
                     cascade = lc._classify_block(rep, list(sols.T), 1, base, rad)
-                    assert got == sorted(map(tuple, cascade.tolist())), (alpha, J, dom, H)
+                    assert got == sorted(map(tuple, cascade[_dominant(cascade, rad)].tolist())), (alpha, J, dom, H)
                     if H <= 30:
-                        assert got == sorted(map(tuple, _cover_rule_by_row(list(sols.T), base, rad))), (alpha, J, dom, H)
+                        want = [row for row in _cover_rule_by_row(list(sols.T), base, rad)
+                                if _first_dominant(row, rad) is not None]
+                        assert got == sorted(map(tuple, want)), (alpha, J, dom, H)
+                        dependent = [row for row in map(tuple, cascade.tolist()) if orc.dependent_oracle(row)]
+                        assert not Counter(dependent) - Counter(got), (alpha, J, dom, H)
+    assert {(3, 6, 12), (6, 12, 18)} <= seen
+    assert (True, True) in sides and (True, False) in sides
 
 
 def test_deep_residue_tests_every_cover():
-    # pivot coefficients with small primes, which the cover classes leave to
-    # ``_deep_residue``: on every solution it keeps the cascade's rows
+    # per role, d dominant and p the pivot (every ordered pair, not only the
+    # sweep's), on the solutions of the side class rad(e) | d: the rows kept
+    # are the cascade's rows whose first dominant coordinate is d.  Rows like
+    # (6, 12, 18), dominant in all three coordinates, are kept under one role
     base, rad = arith.power_base_table(30), arith.radical_table(30)
-    kept = 0
-    for alpha in [(1, 2, -4), (3, 5, 6), (2, 3, 4)]:
-        for J in (0, 1, -1, 7, 12, -30):
+    kept, several = 0, 0
+    for alpha in [(1, 2, -4), (3, 5, 6), (2, 3, 4), (1, 1, 1)]:
+        for J in (0, 1, -1, 7, 12, -30, 21, 36):
             for dom in ("signed", "positive"):
                 for H in (7, 30):
                     spec, ds = HyperplaneSpec(alpha, J), DomainSpec(dom, H)
                     sols = np.abs(np.array(list(orc.enumerate_solutions(spec, ds)), dtype=np.int64).reshape(-1, 3))
-                    rep = lc.CountReport(alpha, J, dom, H)
-                    want = lc._classify_block(rep, list(sols.T), 1, base, rad)
-                    got = lc._deep_residue(list(sols.T), base, rad)
-                    assert np.array_equal(got, want), (alpha, J, dom, H)
-                    kept += len(got)
-    assert kept > 0
+                    for d, p in permutations(range(3), 2):
+                        e = 3 - d - p
+                        side = sols[sols[:, d] % rad[sols[:, e]] == 0]
+                        got = lc._deep_residue(list(side.T), d, p, base, rad).tolist()
+                        want = [sorted(row) for row in side.tolist()
+                                if _deep_candidate(row, base, rad) and _first_dominant(row, rad) == d]
+                        assert sorted(got) == sorted(want), (alpha, J, dom, H, d, p)
+                        kept += len(got)
+                        several += sum(sum(x % rad[y] == 0 for y in row) == 3 for row in got for x in row) > 1
+    assert kept > 0 and several > 0
 
 
-def test_cover_classes_are_exact_above_the_sieve_limit():
-    # outer values past arith.SIEVE_LIMIT take their primes from a table of
-    # the count's own; each combo's classes are exactly the c mod s·r with
-    # c in the line's class mod s and every prime of r dividing c·p
+def test_side_classes_are_exact_above_the_sieve_limit():
+    # the radical table sieves its own primes, checked against trial
+    # division past arith.SIEVE_LIMIT.  For e there, each combo's side class
+    # (ok, first d, step) is the d in one period, [0, lcm(rad e, s)), with
+    # d ≡ x (mod s) and rad(e) | d: one member, or none when not ok
     H = 2 * 1_000_003
     rad = arith.radical_table(H)
-    for ac, ap, o, rem in [(3, 1, 2 * 1_000_003, 5), (1, 1, 2 * 1_000_003, 1_000_003),
-                           (6, 5, 510510, 12), (2, 7, 1_000_003, -9), (4, -9, 1_999_998, 35)]:
+    es = [*range(H - 40, H + 1, 4), 1_000_003, 1_000_033, 1009 * 1013, 2 * 999_983]
+    for e in es:
+        assert e > arith.SIEVE_LIMIT and rad[e] == arith.radical(e), e
+    es = np.array([H, H - 4, 1_999_998, 1_000_003, 1009 * 1013, 2 * 999_983], dtype=np.int64)
+    for ac, ap in [(3, 1), (1, 4), (6, 5), (2, 7), (4, -9), (5, 12), (7, 30)]:
         g, s, u = lc._line_class(ac, ap)
-        o, rem = np.array([o], dtype=np.int64), np.array([rem], dtype=np.int64)
-        x0 = lc._class_residue(rem, g, s, u)
-        _, x, m = lc._cover_classes(o, rem, x0, s, ap, ac, rad, arith.inverse_tables(H, s, ac))
-        M = int(m[0])
-        assert (m == M).all() and M % s == 0
-        c = np.arange(x0[0], M, s, dtype=np.int64)
-        p = (rem[0] - ac * c) // ap
-        r = int(rad[o[0]])
-        want = c[c * p % (r // math.gcd(r, ap)) == 0]
-        assert sorted(x.tolist()) == want.tolist(), (ac, ap, int(o[0]))
+        for rem in (g, 5 * g, -35 * g):
+            r = rad[es]
+            x = lc._class_residue(np.full(len(es), rem, dtype=np.int64), g, s, u)
+            ok, y, m = lc._side_class(r, x, s)
+            for r1, x1, ok1, y1, m1 in zip(*(v.tolist() for v in (r, x, ok, y, m))):
+                period = r1 * s // math.gcd(r1, s)
+                d = np.arange(x1, period, s, dtype=np.int64)
+                want = d[d % r1 == 0].tolist()
+                assert want == ([y1] if ok1 else []), (ac, ap, rem, r1)
+                assert m1 == period, (ac, ap, rem, r1)
+
+
+def test_side_class_counts_match_the_cascade(rng):
+    # by rank, count_S against the cascade (``_classify_block`` on every
+    # solution, then ``_rank_deep``) on random three-coefficient planes
+    base, rad = arith.power_base_table(60), arith.radical_table(60)
+    deep = 0
+    for _ in range(80):
+        alpha = tuple(rng.choice((-1, 1)) * rng.randint(1, 12) for _ in range(3))
+        J, H, dom = rng.randint(-60, 60), rng.randint(1, 60), rng.choice(("signed", "positive"))
+        spec, ds = HyperplaneSpec(alpha, J), DomainSpec(dom, H)
+        sols = np.abs(np.array(list(orc.enumerate_solutions(spec, ds)), dtype=np.int64).reshape(-1, 3))
+        want = lc.CountReport(alpha, J, dom, H)
+        lc._rank_deep(want, lc._classify_block(want, list(sols.T), 1, base, rad), 1)
+        got = count_S(spec, ds)
+        assert (got.total_on_plane, got.by_rank) == (want.total_on_plane, want.by_rank), (alpha, J, dom, H)
+        deep += want.by_rank.get(2, 0)
+    assert deep > 0

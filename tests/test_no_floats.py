@@ -34,3 +34,14 @@ def test_exact_modules_use_no_floats():
         for line, what in _float_uses(ast.parse((SRC / f"{name}.py").read_text()))
     ]
     assert not found, found
+
+
+def test_exact_modules_use_no_assert():
+    # a check that ``python -O`` strips is no check: the exact modules raise
+    found = [
+        f"{name}.py:{node.lineno}: assert"
+        for name in EXACT_MODULES
+        for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found
