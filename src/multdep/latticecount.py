@@ -20,9 +20,10 @@ pivot) is solved from the others.  Each combination of the outer free
 coordinates leaves the last free coordinate c and p on a line
 a_c·c + a_p·p = rem; its integer points have c in one residue class mod
 s = |a_p|/g, and there are none unless g = gcd(a_c, a_p) divides rem.  The
-sweep steps c along that class, over the range that keeps p in its own, so
-every cell solves the plane in range, and classifies the cells exactly, at
-most ``_BLOCK_ROWS`` at a time.
+sweep steps c along that class, over the range that keeps p in its own, and
+solves p = (rem − a_c·c)/a_p, one floor division by the scalar a_p per cell
+(exact in int64, as |rem − a_c·c| < 2⁶²), so every cell solves the plane in
+range; it classifies the cells exactly, at most ``_BLOCK_ROWS`` at a time.
 
 Classification cascade per solution (cheapest first):
   rank 0   some coordinate is ±1;
@@ -435,19 +436,20 @@ def _class_residue(m: np.ndarray, g, s, u) -> np.ndarray:
     return (r.astype(object) * u % s).astype(np.int64)
 
 
-def _inner_range(rem: np.ndarray, ac: int, ap: int, lo: int, H: int, p_lo: int):
+def _inner_range(rem: np.ndarray, ac, ap, lo: int, H: int, p_lo: int):
     """(c_lo, c_hi) per entry of rem: the c in [lo, H] whose pivot
     p = (rem − ac·c)/ap, a rational here, lies in [p_lo, H]; empty where
-    c_lo > c_hi.  With ac = 0, p is the same for every c, so the range is all
-    of [lo, H] or nothing."""
-    # ac·c = rem − ap·p runs over [rem − top, rem − bottom]
-    bottom, top = sorted((ap * p_lo, ap * H))
-    low, high = rem - top, rem - bottom
-    if ac == 0:
-        return np.full_like(rem, lo), np.where((low <= 0) & (high >= 0), H, lo - 1)
-    if ac < 0:
-        low, high = -high, -low
-    return np.maximum(-(-low // abs(ac)), lo), np.minimum(high // abs(ac), H)
+    c_lo > c_hi.  ac and ap are ints, or int64 columns that broadcast with
+    rem (a column ac must be positive).  With ac = 0, p is the same for
+    every c, so the range is all of [lo, H] or nothing."""
+    # ac·c = rem − ap·p runs over [low, high]
+    low = rem - np.maximum(ap * p_lo, ap * H)
+    high = rem - np.minimum(ap * p_lo, ap * H)
+    if np.ndim(ac) == 0 and ac <= 0:
+        if ac == 0:
+            return np.full_like(rem, lo), np.where((low <= 0) & (high >= 0), H, lo - 1)
+        low, high, ac = -high, -low, -ac
+    return np.maximum(-(-low // ac), lo), np.minimum(high // ac, H)
 
 
 def _side_class(r: np.ndarray, x: np.ndarray, s: int):
@@ -465,40 +467,6 @@ def _side_class(r: np.ndarray, x: np.ndarray, s: int):
     g2, inv = g2[at], inv[at]
     s2 = s // g2
     return _mod(x, g2) == 0, r * _class_residue(x, g2, s2, inv), r * s2
-
-
-def _block_cells(t0: int, t1: int, edges: np.ndarray, first, c_step, p0, p_step, outer,
-                 c_zero: bool, signed: bool) -> list[np.ndarray]:
-    """Absolute values of the solutions among cells t0 ≤ t < t1, the cells of
-    the sweep's rows laid end to end (row r holds cells edges[r] to
-    edges[r + 1] − 1), one column per coordinate: ``outer`` values, then c,
-    then p.
-
-    Along row r, c = first[r] + k·c_step and p = p0[r] + k·p_step for
-    k = 0, 1, …; a step is a value or one per row, ``p0`` None without a
-    pivot.  Cells with c = 0 (``c_zero``) or p = 0 (``signed``) are dropped.
-    """
-    r0 = int(np.searchsorted(edges, t0, "right")) - 1
-    r1 = int(np.searchsorted(edges, t1 - 1, "right"))
-    starts = edges[r0:r1]
-    row = np.repeat(np.arange(r0, r1), np.minimum(edges[r0 + 1:r1 + 1], t1) - np.maximum(starts, t0))
-    k = np.arange(t0, t1) - edges[row]
-    c_step, p_step = (v if np.ndim(v) == 0 else v[row] for v in (c_step, p_step))
-    c = first[row] + c_step * k
-    cols = [o[row] for o in outer] + [c]
-    masks = [c != 0] if c_zero else []
-    if p0 is not None:
-        p = p0[row] + p_step * k
-        cols.append(p)
-        if signed:
-            masks.append(p != 0)
-    if masks:
-        ok = np.logical_and.reduce(masks)
-        cols = [x[ok] for x in cols]
-    if signed:
-        for x in cols[len(outer):]:
-            np.abs(x, out=x)
-    return cols
 
 
 def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool, pivot, free,
@@ -564,16 +532,17 @@ def _solutions(spec: HyperplaneSpec, H: int, signed: bool, pivot, free, rad=None
     c only over its side class, c ≡ 0 (mod rad(e)): one class mod
     rad(e)·s/gcd(rad(e), s) (``_side_class``).
 
-    Along a combo's class c grows by its step and p by a fixed multiple, so
-    no cell needs a division; the cells of all combos are laid out ragged,
-    ``_BLOCK_ROWS`` at a time, and only c = 0 and p = 0 are masked.  Without
-    a pivot (all-zero α) a unit stand-in for a_p makes the whole axis one
+    The cells of all combos are laid out ragged, end to end, and cut into
+    runs of ``_BLOCK_ROWS``: along its class c = first + k·m, and the pivot
+    is p = (rem − a_c·c)/a_p, exact on c's class, so one floor division by
+    the scalar a_p per cell.  Only c = 0 and p = 0 are masked.  Without a
+    pivot (all-zero α) a unit stand-in for a_p makes the whole axis one
     class.
 
     Exact in int64 on the planes ``count_S`` lets through: |rem|, |a_c·c|
-    and |a_p|·H stay below 2⁶², a class modulus is at most s·H, combos with
-    no cell in range are dropped before p is formed, and along a class c
-    moves by at most 2H.
+    and |a_p|·H stay below 2⁶², so |rem − a_c·c| = |a_p·p| < 2⁶² too; a
+    class modulus is at most s·H, and ``first`` stays below 2⁶³ also on the
+    combos its mask drops.
     """
     alpha = spec.alpha
     axes = [_axis(alpha[i], H, signed) for i in free]
@@ -584,7 +553,6 @@ def _solutions(spec: HyperplaneSpec, H: int, signed: bool, pivot, free, rad=None
     ac, lo = alpha[free[-1]], axes[-1][0]
     ap = 1 if pivot is None else alpha[pivot]
     g, s, u = _line_class(ac, ap)
-    dp = -(ac // g) if ap > 0 else ac // g
     combos = math.prod(len(v) for v in outer_vals)
     cells = _BLOCK_ROWS
     for start in range(0, combos, cells):
@@ -599,24 +567,32 @@ def _solutions(spec: HyperplaneSpec, H: int, signed: bool, pivot, free, rad=None
             c_lo, c_hi = np.full_like(rem, lo), np.full_like(rem, H)
         else:
             c_lo, c_hi = _inner_range(rem, ac, ap, lo, H, -H if signed else 1)
-        keep = np.flatnonzero((_mod(rem, g) == 0) & (c_lo <= c_hi))
-        rem, c_lo, c_hi = rem[keep], c_lo[keep], c_hi[keep]
-        outer = [o[keep] for o in outer]
         ok, x, m = True, _class_residue(rem, g, s, u), s
         if rad is not None:
             ok, x, m = _side_class(rad[outer[0]], x, s)
-        # combos whose class has a member in range, the first one at ``first``
+        # combos with a solution in range, the first one at c = ``first``
         first = c_lo + _mod(x - c_lo, m)
-        live = np.flatnonzero(ok & (first <= c_hi))
-        first, rem, c_hi, outer = first[live], rem[live], c_hi[live], [o[live] for o in outer]
+        live = np.flatnonzero((_mod(rem, g) == 0) & ok & (first <= c_hi))
+        first, rem, outer = first[live], rem[live], [o[live] for o in outer]
         m = m[live] if np.ndim(m) else m
-        edges = np.concatenate([[0], np.cumsum((c_hi - first) // m + 1)])
-        p0 = None if pivot is None else (rem - ac * first) // ap
-        c_step, p_step = m, dp * (m // s)
-        del flat, rem, x, ok, c_lo, c_hi, live  # not needed past here
+        edges = np.concatenate([[0], np.cumsum((c_hi[live] - first) // m + 1)])
+        del flat, x, ok, c_lo, c_hi, live  # not needed past here
         for t0 in range(0, edges[-1], cells):
             t1 = min(t0 + cells, edges[-1])
-            yield _block_cells(t0, t1, edges, first, c_step, p0, p_step, outer, lo < 0, signed)
+            # combo r holds cells edges[r] to edges[r + 1] − 1
+            r0 = int(np.searchsorted(edges, t0, "right")) - 1
+            r1 = int(np.searchsorted(edges, t1 - 1, "right"))
+            row = np.repeat(np.arange(r0, r1), np.minimum(edges[r0 + 1:r1 + 1], t1) - np.maximum(edges[r0:r1], t0))
+            c = first[row] + (np.arange(t0, t1) - edges[row]) * (m[row] if np.ndim(m) else m)
+            cols = [o[row] for o in outer] + [c]
+            if pivot is not None:
+                cols.append((rem[row] - ac * c) // ap)
+            if signed:
+                nonzero = np.logical_and.reduce([x != 0 for x in cols[len(outer):]])
+                cols = [x[nonzero] for x in cols]
+                for x in cols[len(outer):]:
+                    np.abs(x, out=x)
+            yield cols
 
 
 # ── rank-0/1 strata of three-coefficient planes ──────────────────────────
@@ -630,7 +606,7 @@ def _line_points(b, c, m: np.ndarray, lo: int, H: int, signed: bool) -> np.ndarr
     Each sign pattern of (y, z) is a line on [lo, H]²: (±y, ±z) turns (b, c)
     into (b, ±c), or into (−b, ∓c), which on m is (b, ±c) on −m.  On such a
     line y lies in one residue class mod s (``_line_class``), and z ∈ [lo, H]
-    bounds b·y to an interval, so y once b > 0 (the line is negated where
+    bounds y to an interval (``_inner_range``, with the line negated where
     b < 0); the count is that of the class members in it.
     """
     K = len(b)
@@ -646,10 +622,7 @@ def _line_points(b, c, m: np.ndarray, lo: int, H: int, signed: bool) -> np.ndarr
                            for v in (*zip(*map(_line_class, b, c)), b, c, flip))
     m = m * flip
     r = _class_residue(m, g, s, u)
-    low = m - np.maximum(c * lo, c * H)
-    high = m - np.minimum(c * lo, c * H)
-    y_lo = np.maximum(-(-low // b), lo)
-    y_hi = np.minimum(high // b, H)
+    y_lo, y_hi = _inner_range(m, b, c, lo, H, lo)
     count = (y_hi - r) // s - (y_lo - 1 - r) // s
     count = np.broadcast_to(np.where(_mod(m, g) == 0, np.maximum(count, 0), 0), shape)
     if signed:

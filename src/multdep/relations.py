@@ -35,6 +35,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from . import arith
+from .errors import RegimeError
 
 
 def validate_vector(nu) -> tuple[int, ...]:
@@ -182,18 +183,28 @@ def rank_of_rows(rows):
 # of int64), so a long vector's scan never holds all C(n, s) blocks at once
 _SCAN_CELLS = 1 << 15
 
+# most subsets one scan may test: every subset of a vector with n ≤ 20
+# coordinates fits, and a longer vector fails fast instead of testing ~2ⁿ
+_SCAN_SUBSETS = 1 << 20
+
 
 def _subset_rank(g: np.ndarray, smallest: int) -> np.ndarray:
     """``rank_from_rows`` on a stack (m, n, n) of Gram matrices.
 
     Subsets of one size are taken in chunks of at most ``_SCAN_CELLS`` block
     entries, and a matrix leaves the scan at its first dependent subset.
+    Raises RegimeError before a size whose subsets would take the scan past
+    ``_SCAN_SUBSETS``.
     """
     n = g.shape[-1]
     rank = np.full(len(g), n, dtype=np.int64)
     todo = np.flatnonzero(_psd_rank(g) < n)
     rank[todo] = n - 1
+    scanned = 0
     for size in range(smallest, n):
+        scanned += math.comb(n, size)
+        if todo.size and scanned > _SCAN_SUBSETS:
+            raise RegimeError(f"the rank of {n} coordinates needs more than {_SCAN_SUBSETS} subset tests")
         subsets = combinations(range(n), size)
         while todo.size:
             step = max(1, _SCAN_CELLS // (len(todo) * size * size))

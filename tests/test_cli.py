@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -37,6 +38,21 @@ def test_depcheck(capsys):
 def test_rank(capsys):
     code, out, _ = run(capsys, "rank", "--vector", "2,3,12")
     assert code == 0 and out == "rank 2\n"
+
+
+def test_rank_of_a_long_vector_fails_fast(capsys):
+    # 29 primes and their product: only the whole vector is dependent, so
+    # the subset scan would test about 2³⁰ subsets; it stops at its budget
+    primes = [p for p in range(2, 110) if all(p % q for q in range(2, p))]
+    assert len(primes) == 29
+    vector = primes + [math.prod(primes)]
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rank", "--vector", ",".join(map(str, vector)))
+    assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+    assert time.perf_counter() - start < 10
+    # the same length with a dependent pair stops at size 2
+    code, out, _ = run(capsys, "rank", "--vector", ",".join(map(str, [2, 4, *vector[2:]])))
+    assert (code, out) == (0, "rank 1\n")
 
 
 def test_count_text(capsys):

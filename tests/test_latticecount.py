@@ -589,6 +589,11 @@ def test_count_pinned_at_larger_heights():
     for alpha, J, H, dom, total, by_rank in [
         ((1, 1, 1), 1, 10**4, "signed", 299970003, {0: 119982, 1: 35661, 2: 2250}),
         ((1, 1, 1), 5000, 5000, "positive", 12492501, {0: 14991, 1: 8538, 2: 150}),
+        # measured with the sweep that stepped p along c's class; blocks split
+        # long runs of cells here, and p reaches its largest values
+        ((1, 1, 1), 1, 10**5, "signed", 29999700003, {0: 1199982, 1: 314013, 2: 5514}),
+        ((2, 3, 4), 5, 10**5, "signed", 9583274999, {0: 433325, 1: 288677, 2: 173}),
+        ((1, 1, 1), 10**5, 10**5, "positive", 4999850001, {0: 299991, 1: 153486, 2: 168}),
     ]:
         rep = count_S(HyperplaneSpec(alpha, J), DomainSpec(dom, H))
         assert (rep.total_on_plane, rep.by_rank) == (total, by_rank), (alpha, dom)
@@ -642,6 +647,52 @@ def test_block_boundaries_do_not_change_counts(monkeypatch):
             rep = count_S(spec, ds)
             got.add((rep.total_on_plane, tuple(sorted(rep.by_rank.items()))))
         assert len(got) == 1, (alpha, J, H, got)
+
+
+def _yielded(spec, H, signed, pivot, free, rad=None):
+    """Every row ``_solutions`` yields, one tuple each, after checking that
+    no block passes ``_BLOCK_ROWS``."""
+    rows = []
+    for cols in lc._solutions(spec, H, signed, pivot, free, rad):
+        assert len(cols) == len(free) + (pivot is not None) and len(cols[0]) <= lc._BLOCK_ROWS
+        rows.extend(zip(*(c.tolist() for c in cols)))
+    return rows
+
+
+def test_solutions_yield_the_oracle_cells(monkeypatch):
+    # the cell layer alone, at block sizes that split every run of cells:
+    # in cascade mode the rows, sorted and absolute, times the fold weight,
+    # are the plane's solutions; in strata mode each role's cells (e, d, p)
+    # are the solutions with |e| ≥ 2 and rad(e) | d
+    sizes = (1, 7, lc._BLOCK_ROWS)
+    for alpha, J in BLOCK_GRID:
+        spec, n = HyperplaneSpec(alpha, J), len(alpha)
+        pivot = lc._pivot_index(alpha) if spec.nnz else None
+        free = [i for i in range(n) if i != pivot]
+        if not free:
+            continue
+        for dom in ("signed", "positive"):
+            signed = dom == "signed"
+            weight = math.prod(lc._axis(alpha[i], 1, signed)[1] for i in free)
+            for H in ((1, 3, 7) if n <= 3 else (1, 3) if n == 4 else (1, 2)):
+                want = Counter(tuple(sorted(map(abs, v))) for v in orc.enumerate_solutions(spec, DomainSpec(dom, H)))
+                for rows in sizes:
+                    monkeypatch.setattr(lc, "_BLOCK_ROWS", rows)
+                    got = Counter(tuple(sorted(r)) for r in _yielded(spec, H, signed, pivot, free))
+                    assert Counter({r: k * weight for r, k in got.items()}) == want, (rows, alpha, J, dom, H)
+    rad = arith.radical_table(30)
+    for alpha in CLASS_PLANES:
+        for J, dom, H in product((0, 1, -7, 30), ("signed", "positive"), (1, 7, 30)):
+            spec = HyperplaneSpec(alpha, J)
+            sols = [tuple(map(abs, v)) for v in orc.enumerate_solutions(spec, DomainSpec(dom, H))]
+            for d in range(3):
+                p = lc._pivot_index([0 if i == d else a for i, a in enumerate(alpha)])
+                e = 3 - d - p
+                want = Counter((v[e], v[d], v[p]) for v in sols if v[e] >= 2 and v[d] % rad[v[e]] == 0)
+                for rows in sizes:
+                    monkeypatch.setattr(lc, "_BLOCK_ROWS", rows)
+                    got = _yielded(spec, H, dom == "signed", p, [e, d], rad)
+                    assert Counter(got) == want, (rows, alpha, J, dom, H, d)
 
 
 def test_count_refuses_int64_overflow():
