@@ -53,16 +53,25 @@ dominant coordinate, each under its first one.
 
 The deep stage is batched per count: survivors of every block wait, each
 sorted, in one buffer of one block's size.  When it is full, and once at
-the end, equal rows are merged with their multiplicities, and the distinct
+the end, equal rows are merged by summing their weights, and the distinct
 rows are ranked in a few large integer stacks, at most ``_RANK_CELLS`` Gram
 entries each: one ``relations.exponent_stack`` lays a stack out and one
 ``relations.rank_from_rows`` ranks it.  Nothing is remembered between
 flushes.
 
-Sign symmetry: dependence and rank depend only on absolute values, so any
-free coordinate with α_i = 0 is swept over [1, H] with multiplicity 2 in the
-signed domain.  The linear constraint never involves those coordinates, so
-the folding is exact, for the total count as well as per rank.
+Orbits.  Dependence and rank depend only on the multiset of |ν_i|.  In the
+signed domain a free coordinate with α_i = 0 is swept over [1, H] with
+multiplicity 2 (its fold), as the constraint never involves it.  Group the
+free coordinates into classes: equal |α_i| (signed) or equal α_i (positive),
+all α_i = 0 together; the pivot is in none.  With w_i = sign(α_i)·ν_i in the
+signed domain (ν_i on a folded axis) and w_i = ν_i in the positive one, the
+lemma: permuting the w of a class keeps Σ α_i·ν_i = |α|·Σ w_i (or α·Σ w_i),
+the box and every |ν_i|, so it maps the plane's points onto points of the
+same rank.  So the cascade sweep visits one cell per orbit, the one whose w
+is nondecreasing within each class in free order, and the cell stands for
+fold × ∏ k!/∏ r! vectors: k is a class's size and r the lengths of its runs
+of equal w.  A plane without repeated |α| has singleton classes and weight
+fold.  The strata passes fix roles, so there every cell stands for itself.
 
 Curve systems (one power-product equation with one linear equation) run one
 loop for every variant, ``curve_counts``: it solves the inner pair of plane
@@ -235,39 +244,40 @@ def _unit_or_pair(cols: list[np.ndarray], base: np.ndarray) -> tuple[np.ndarray,
 def _classify_block(
     report: CountReport,
     cols: list[np.ndarray],
-    weight: int,
+    weights: np.ndarray,
     base: np.ndarray,
     rad: np.ndarray,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Classify one block of solutions and add its settled counts to ``report``.
 
     ``cols`` holds one array of absolute values per coordinate, each entry in
     [1, H]; row i is the solution (cols[0][i], cols[1][i], …) and stands for
-    ``weight`` vectors.  ``base`` and ``rad`` are the minimal-base and radical
-    tables up to H.  Returns the rows the cascade leaves for the deep stage,
-    each sorted ascending, as an (r, n) array for ``_rank_deep``.
+    weights[i] vectors (int64).  ``base`` and ``rad`` are the minimal-base and
+    radical tables up to H.  Returns the rows the cascade leaves for the deep
+    stage, each sorted ascending, as an (r, n) array, and their weights, for
+    ``_rank_deep``.
     """
-    rows = len(cols[0])
     n = len(cols)
-    none = np.empty((0, n), dtype=np.int64)
-    if rows == 0:
+    none = np.empty((0, n), dtype=np.int64), weights[:0]
+    if len(weights) == 0:
         return none
-    report.total_on_plane += rows * weight
+    report.total_on_plane += int(weights.sum())
     by_rank = report.by_rank
 
     unit, pair = _unit_or_pair(cols, base)
-    c0 = int(np.count_nonzero(unit)) * weight
+    c0 = int(weights @ unit)
     if c0:
         by_rank[0] = by_rank.get(0, 0) + c0
     pair &= ~unit
-    c1 = int(np.count_nonzero(pair)) * weight
+    c1 = int(weights @ pair)
     if c1:
         by_rank[1] = by_rank.get(1, 0) + c1
-    rest = ~(unit | pair)
-    if n < 3 or not rest.any():
+    # index gathers: numpy compresses by a boolean mask several times slower
+    rest = np.flatnonzero(~(unit | pair))
+    if n < 3 or len(rest) == 0:
         return none
 
-    cols = [c[rest] for c in cols]
+    cols, weights = [c[rest] for c in cols], weights[rest]
     # cover filter: a dependent subset of size ≥ 3 needs each member's primes
     # to reappear among the other coordinates (else its exponent is forced 0).
     # A row drops once more than n − 3 of its coordinates are uncovered
@@ -280,8 +290,8 @@ def _classify_block(
             if i >= n - 3:
                 keep = np.flatnonzero(miss <= n - 3)
                 cols = [c[keep] for c in cols]
-                prod_all, miss = prod_all[keep], miss[keep]
-    return np.sort(np.stack(cols, axis=1), axis=1)
+                prod_all, miss, weights = prod_all[keep], miss[keep], weights[keep]
+    return np.sort(np.stack(cols, axis=1), axis=1), weights
 
 
 def _deep_residue(cols: list[np.ndarray], d: int, p: int, base: np.ndarray, rad: np.ndarray) -> np.ndarray:
@@ -291,8 +301,9 @@ def _deep_residue(cols: list[np.ndarray], d: int, p: int, base: np.ndarray, rad:
 
     ``cols`` holds the absolute values of the three coordinates in plane
     order; d indexes the dominant one, p the pivot and e the third, and the
-    sweep gives rad(e) | d.  ``base`` and ``rad`` are tables, as for
-    ``_classify_block``.  A row is kept when rad(p) | d, then rad(d) | e·p
+    sweep gives rad(e) | d and |e| ≥ 2, but also cells with d = 0 or p = 0,
+    off the box, which are dropped first.  ``base`` and ``rad`` are tables,
+    as for ``_classify_block``.  A row is kept when rad(p) | d, then rad(d) | e·p
     (so every coordinate is covered and rad(d) = rad(row)), it has no 1 and
     no shared base, and no coordinate before d has rad(d), the role that
     keeps a row with several dominant coordinates.  Returns the kept rows,
@@ -301,7 +312,9 @@ def _deep_residue(cols: list[np.ndarray], d: int, p: int, base: np.ndarray, rad:
     e·p is a product of two values up to H ≤ 2²², so exact in int64.
     """
     e = 3 - d - p
-    keep = np.flatnonzero(cols[d] % rad[cols[p]] == 0)
+    # rad(0) = 0: the remainder by it is discarded with its cell
+    with np.errstate(divide="ignore"):
+        keep = np.flatnonzero((cols[d] % rad[cols[p]] == 0) & (cols[d] != 0) & (cols[p] != 0))
     cols = [x[keep] for x in cols]
     rd = rad[cols[d]]
     keep = np.flatnonzero(cols[e] * cols[p] % rd == 0)
@@ -313,25 +326,28 @@ def _deep_residue(cols: list[np.ndarray], d: int, p: int, base: np.ndarray, rad:
     return np.sort(np.stack(cols, axis=1)[~drop], axis=1)
 
 
-def _rank_deep(report: CountReport, rows: np.ndarray, weight: int) -> None:
+def _rank_deep(report: CountReport, rows: np.ndarray, weights: np.ndarray) -> None:
     """Rank the rows ``_classify_block`` or ``_deep_residue`` left for the
-    deep stage and add the dependent ones to ``report``, reordering ``rows``.
+    deep stage, row i standing for weights[i] vectors (int64), and add the
+    dependent ones to ``report``.
 
-    Equal rows are ranked once, in stacks of ``_RANK_CELLS`` // n² distinct
-    rows (Gram entries), each laid out by one ``relations.exponent_stack`` and
-    ranked by one ``relations.rank_from_rows``.  They have no ±1 and no
-    dependent pair, so subsets start at size 3, and the rank is below n
-    exactly when the vector is dependent.
+    Equal rows are merged by summing their weights and ranked once, in
+    stacks of ``_RANK_CELLS`` // n² distinct rows (Gram entries), each laid
+    out by one ``relations.exponent_stack`` and ranked by one
+    ``relations.rank_from_rows``.  They have no ±1 and no dependent pair, so
+    subsets start at size 3, and the rank is below n exactly when the vector
+    is dependent.
     """
     if len(rows) == 0:
         return
-    # sort in place as opaque byte strings: equal rows become adjacent, which
-    # is all the merge needs
-    rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).sort(axis=0)
+    # order as opaque byte strings: equal rows become adjacent, which is all
+    # the merge needs
+    order = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().argsort()
+    rows = rows[order]
     first = np.ones(len(rows), dtype=bool)
     first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     start = np.flatnonzero(first)
-    counts = np.diff(start, append=len(rows))
+    counts = np.add.reduceat(weights[order], start)
     n = rows.shape[1]
     by_rank = report.by_rank
     step = max(1, _RANK_CELLS // (n * n))
@@ -340,7 +356,7 @@ def _rank_deep(report: CountReport, rows: np.ndarray, weight: int) -> None:
         ranks = relations.rank_from_rows(relations.exponent_stack(keys), smallest=3)
         part = counts[lo:lo + step]
         for r in range(2, n):
-            c = int(part[ranks == r].sum()) * weight
+            c = int(part[ranks == r].sum())
             if c:
                 by_rank[r] = by_rank.get(r, 0) + c
 
@@ -476,7 +492,8 @@ def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool, pivot, free,
     tables up to H.
 
     Without ``strata`` one pass solves the pivot from the ``free``
-    coordinates, and the cascade (``_classify_block``) counts every cell.
+    coordinates, and the cascade (``_classify_block``) counts every cell, one
+    per orbit, with its weight.
     With ``strata`` (three nonzero coefficients, whose total, rank 0 and
     rank 1 ``_strata`` counted) only rank 2 is left, and each of its rows
     has a dominant coordinate d (module docstring).  So there is one pass
@@ -484,10 +501,9 @@ def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool, pivot, free,
     (``_pivot_index``), the third, e, is outer, and d runs along its side
     class; ``_deep_residue`` keeps each row the cascade would rank under
     its first dominant coordinate.  The deep-stage rows of every block and
-    pass wait in one buffer of one block's size, which ``_rank_deep`` ranks
-    when it is full and once at the end.
+    pass wait in one buffer of one block's size, with their weights, which
+    ``_rank_deep`` ranks when it is full and once at the end.
     """
-    weight = math.prod(_axis(spec.alpha[i], report.H, signed)[1] for i in free)
     passes = [(pivot, free)]
     if strata:
         passes = []
@@ -498,46 +514,60 @@ def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool, pivot, free,
     # is full; one buffer for the whole count, so no small arrays outlive
     # their block.  Rows reach the deep stage only from three coordinates on
     deep = np.empty((_BLOCK_ROWS if spec.n >= 3 else 0, spec.n), dtype=np.int64)
+    deep_weights = np.empty(len(deep), dtype=np.int64)
     held = 0
     for pivot, free in passes:
-        for cols in _solutions(spec, report.H, signed, pivot, free, rad if strata else None):
+        for cols, weights in _solutions(spec, report.H, signed, pivot, free, rad if strata else None):
             if strata:
                 # the pass yields (e, d, p); the side test takes plane order
                 order = (*free, pivot)
                 cols = [cols[order.index(i)] for i in range(3)]
                 rows = _deep_residue(cols, free[1], pivot, base, rad)
             else:
-                rows = _classify_block(report, cols, weight, base, rad)
+                rows, weights = _classify_block(report, cols, weights, base, rad)
             del cols  # freed before a flush of the deep buffer
             if held + len(rows) > len(deep):
-                _rank_deep(report, deep[:held], weight)
+                _rank_deep(report, deep[:held], deep_weights[:held])
                 held = 0
             deep[held:held + len(rows)] = rows
+            deep_weights[held:held + len(rows)] = weights
             held += len(rows)
-    _rank_deep(report, deep[:held], weight)
+    _rank_deep(report, deep[:held], deep_weights[:held])
 
 
 def _solutions(spec: HyperplaneSpec, H: int, signed: bool, pivot, free, rad=None):
-    """Yield the absolute values of the solutions, the pivot p (if any)
-    solved from the ``free`` coordinates, at most ``_BLOCK_ROWS`` cells at a
-    time: one column per free coordinate, then p.
+    """Yield (cols, weights) for the solutions, the pivot p (if any) solved
+    from the ``free`` coordinates, at most ``_BLOCK_ROWS`` cells at a time:
+    cols holds absolute values, one column per free coordinate, then p.
 
     The last free coordinate c is the inner one, the others are outer.  An
     outer combo leaves a_c·c + a_p·p = rem, rem = J − Σ a_o·o, with solutions
     only when g | rem ((g, s, u) from ``_line_class``), and then c lies in
     one class mod s (``_class_residue``).  Its range is c's axis cut to the
     values that keep p in its own (``_inner_range``).  Combos are decoded
-    (``product`` order) and solved ``_BLOCK_ROWS`` at a time.  Given ``rad``,
-    the radical table, the one outer coordinate e runs over 2 ≤ |e| ≤ H, and
-    c only over its side class, c ≡ 0 (mod rad(e)): one class mod
-    rad(e)·s/gcd(rad(e), s) (``_side_class``).
+    (``product`` order) and solved ``_BLOCK_ROWS`` at a time.
+
+    Without ``rad`` each orbit is one cell (module docstring): a combo is
+    kept when w is nondecreasing within each class, and c's range is cut to
+    w_c ≥ ℓ, ℓ the last outer w of c's class (c ≥ ℓ, or c ≤ −ℓ where the
+    signed domain has a_c < 0).  weights holds each cell's int64 weight,
+    fold × ∏ k!/∏ r!, from adjacent comparisons: the t-th member of a class
+    multiplies it by t and divides it by the length of the run of equal w
+    it ends, and each partial product is a multinomial, so an integer, and
+    no larger than the vectors the cell stands for.  Cells with c = 0 or
+    p = 0 are masked.
+
+    Given ``rad``, the radical table (a strata pass), every cell is one
+    vector and weights is 1; the one outer coordinate e runs over
+    2 ≤ |e| ≤ H, and c only over its side class, c ≡ 0 (mod rad(e)): one
+    class mod rad(e)·s/gcd(rad(e), s) (``_side_class``).  Cells with c = 0
+    or p = 0 are left for ``_deep_residue`` to drop.
 
     The cells of all combos are laid out ragged, end to end, and cut into
     runs of ``_BLOCK_ROWS``: along its class c = first + k·m, and the pivot
     is p = (rem − a_c·c)/a_p, exact on c's class, so one floor division by
-    the scalar a_p per cell.  Only c = 0 and p = 0 are masked.  Without a
-    pivot (all-zero α) a unit stand-in for a_p makes the whole axis one
-    class.
+    the scalar a_p per cell.  Without a pivot (all-zero α) a unit stand-in
+    for a_p makes the whole axis one class.
 
     Exact in int64 on the planes ``count_S`` lets through: |rem|, |a_c·c|
     and |a_p|·H stay below 2⁶², so |rem − a_c·c| = |a_p·p| < 2⁶² too; a
@@ -553,6 +583,11 @@ def _solutions(spec: HyperplaneSpec, H: int, signed: bool, pivot, free, rad=None
     ac, lo = alpha[free[-1]], axes[-1][0]
     ap = 1 if pivot is None else alpha[pivot]
     g, s, u = _line_class(ac, ap)
+    # orbit classes; a strata pass keeps every coordinate apart, as its
+    # roles break the symmetry.  w = −ν where ``flip``
+    key = free if rad is not None else [abs(alpha[i]) if signed else alpha[i] for i in free]
+    flip = [signed and alpha[i] < 0 for i in free]
+    fold = math.prod(f for _, f in axes)
     combos = math.prod(len(v) for v in outer_vals)
     cells = _BLOCK_ROWS
     for start in range(0, combos, cells):
@@ -561,22 +596,46 @@ def _solutions(spec: HyperplaneSpec, H: int, signed: bool, pivot, free, rad=None
         outer = []
         for a, v in zip(reversed(outer_coef), reversed(outer_vals)):
             flat, d = np.divmod(flat, len(v))
-            rem -= a * v[d]
-            outer.append(np.abs(v[d]))
+            outer.append(v[d])
+            rem -= a * outer[-1]
+        outer.reverse()
         if pivot is None:
             c_lo, c_hi = np.full_like(rem, lo), np.full_like(rem, H)
         else:
             c_lo, c_hi = _inner_range(rem, ac, ap, lo, H, -H if signed else 1)
+        # per class: its last w so far, the run of equal w that w ends, and
+        # the members seen
+        weight, tail, ordered = np.full(len(rem), fold), {}, True
+        for k, f, o in zip(key, flip, outer):
+            w, run, t = (-o if f else o), 1, 1
+            if k in tail:
+                last, run, t = tail[k]
+                ordered &= last <= w
+                run, t = np.where(last == w, run + 1, 1), t + 1
+                weight = weight * t // run
+            tail[k] = w, run, t
+        cut = tail.get(key[-1])
+        if cut:
+            last, run, t = cut
+            edge = -last if flip[-1] else last  # the c with w_c = ℓ
+            if flip[-1]:
+                c_hi = np.minimum(c_hi, edge)
+            else:
+                c_lo = np.maximum(c_lo, edge)
+            weight, weight_eq = weight * (t + 1), weight * (t + 1) // (run + 1)
         ok, x, m = True, _class_residue(rem, g, s, u), s
         if rad is not None:
-            ok, x, m = _side_class(rad[outer[0]], x, s)
+            ok, x, m = _side_class(rad[np.abs(outer[0])], x, s)
         # combos with a solution in range, the first one at c = ``first``
         first = c_lo + _mod(x - c_lo, m)
-        live = np.flatnonzero((_mod(rem, g) == 0) & ok & (first <= c_hi))
-        first, rem, outer = first[live], rem[live], [o[live] for o in outer]
+        live = np.flatnonzero((_mod(rem, g) == 0) & ok & ordered & (first <= c_hi))
+        first, rem, outer = first[live], rem[live], [np.abs(o[live]) for o in outer]
         m = m[live] if np.ndim(m) else m
+        weight = weight[live]
+        if cut:
+            edge, weight_eq = edge[live], weight_eq[live]
         edges = np.concatenate([[0], np.cumsum((c_hi[live] - first) // m + 1)])
-        del flat, x, ok, c_lo, c_hi, live  # not needed past here
+        del flat, x, ok, c_lo, c_hi, live, ordered  # not needed past here
         for t0 in range(0, edges[-1], cells):
             t1 = min(t0 + cells, edges[-1])
             # combo r holds cells edges[r] to edges[r + 1] − 1
@@ -587,12 +646,16 @@ def _solutions(spec: HyperplaneSpec, H: int, signed: bool, pivot, free, rad=None
             cols = [o[row] for o in outer] + [c]
             if pivot is not None:
                 cols.append((rem[row] - ac * c) // ap)
+            weights = 1
+            if rad is None:
+                weights = np.where(c == edge[row], weight_eq[row], weight[row]) if cut else weight[row]
+                if signed:
+                    nonzero = np.flatnonzero(np.logical_and.reduce([x != 0 for x in cols[len(outer):]]))
+                    cols, weights = [x[nonzero] for x in cols], weights[nonzero]
             if signed:
-                nonzero = np.logical_and.reduce([x != 0 for x in cols[len(outer):]])
-                cols = [x[nonzero] for x in cols]
                 for x in cols[len(outer):]:
                     np.abs(x, out=x)
-            yield cols
+            yield cols, weights
 
 
 # ── rank-0/1 strata of three-coefficient planes ──────────────────────────

@@ -7,6 +7,8 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import _oracles as orc
 from multdep import arith
@@ -181,6 +183,34 @@ def _oracle_report(spec, ds):
             r = orc.subset_rank_oracle(v)
             by_rank[r] = by_rank.get(r, 0) + 1
     return total, by_rank
+
+
+@st.composite
+def repeated_planes(draw, n):
+    """(α, J, domain, H): n coefficients drawn from two values of [−3, 3], so
+    some α (or |α|, after the signed domain's sign flips) repeats, α = 0
+    included; H small enough for the brute-force oracle."""
+    dom = draw(st.sampled_from(("signed", "positive")))
+    palette = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+    alpha = draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
+    if dom == "signed":
+        alpha = [a * draw(st.sampled_from((1, -1))) for a in alpha]
+    top = {3: 16, 4: 9, 5: 4}[n]
+    return tuple(alpha), draw(st.integers(-6, 6)), dom, draw(st.integers(top // 2, top))
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+@given(data=st.data())
+def test_orbit_counts_match_brute_enumeration(n, data):
+    # count_S visits one cell per orbit of interchangeable coordinates; the
+    # oracle walks every vector and ranks each by brute force
+    alpha, J, dom, H = plane = data.draw(repeated_planes(n))
+    spec, ds = HyperplaneSpec(alpha, J), DomainSpec(dom, H)
+    rep = count_S(spec, ds)
+    if spec.nnz == 0 and J != 0:
+        assert rep.degenerate
+        return
+    assert (rep.total_on_plane, rep.by_rank) == _oracle_report(spec, ds), plane
 
 
 def test_count_matches_brute_enumeration(rng):
@@ -495,7 +525,7 @@ def test_cover_filter_boundary_on_hand_built_blocks(rng, monkeypatch):
         assert (H**3 >= 2**62) == (H == 1664511)
         rep = lc.CountReport((1, 1, 1), 0, "signed", H)
         ranked.clear()
-        lc._rank_deep(rep, lc._classify_block(rep, [outer, inner, pivot], 2, base, rad), 2)
+        lc._rank_deep(rep, *lc._classify_block(rep, [outer, inner, pivot], np.full(len(inner), 2), base, rad))
         assert rep.total_on_plane == 2 * len(inner)
         assert rep.by_rank == want
         deep_tests.append(sum(ranked))
@@ -527,11 +557,19 @@ def test_cover_filter_matches_the_covered_count_rule(rng):
     for n in range(3, 7):
         cols = [np.array([rng.choice(smooth) if rng.random() < 0.8 else rng.randint(1, top)
                           for _ in range(400)], dtype=np.int64) for _ in range(n)]
+        # distinct weights, so each kept row must carry its own
+        weights = np.arange(1, 401, dtype=np.int64)
         rep = lc.CountReport((1,) * n, 0, "signed", top)
-        got = lc._classify_block(rep, cols, 1, base, rad).tolist()
-        want = _cover_rule_by_row(cols, base, rad)
+        rows, kept = lc._classify_block(rep, cols, weights, base, rad)
+        got = list(zip(rows.tolist(), kept.tolist()))
+        block = list(zip(zip(*(c.tolist() for c in cols)), weights.tolist()))
+        want = [(sorted(row), w) for row, w in block if _deep_candidate(row, base, rad)]
         assert got == want, n
-        passed_ranks = 400 - sum(rep.by_rank.values())
+        unit = [w for row, w in block if 1 in row]
+        pair = [w for row, w in block if 1 not in row and len({int(base[x]) for x in row}) < n]
+        assert rep.total_on_plane == int(weights.sum())
+        assert (rep.by_rank.get(0, 0), rep.by_rank.get(1, 0)) == (sum(unit), sum(pair)), n
+        passed_ranks = 400 - len(unit) - len(pair)
         assert 0 < len(want) < passed_ranks, (n, len(want), passed_ranks)
 
 
@@ -577,6 +615,9 @@ def test_count_pinned_at_moderate_heights():
         ((-1, -1, -2), -12, 407, "signed", 330463, {0: 3218, 1: 4855, 2: 470}),
         ((3, 2, -1), 10, 1016, "positive", 87376, {0: 847, 1: 411, 2: 51}),
         ((3, 4, 6), 7, 500, "signed", 163263, {0: 1662, 1: 1353, 2: 43}),
+        # one class of three free coordinates; measured on the sweep that
+        # visited every cell
+        ((1, 1, 1, 1), 1, 100, "signed", 5293596, {0: 232892, 1: 509800, 2: 173064, 3: 38640}),
     ]:
         rep = count_S(HyperplaneSpec(alpha, J), DomainSpec(dom, H))
         assert (rep.total_on_plane, rep.by_rank) == (total, by_rank), alpha
@@ -598,6 +639,13 @@ def test_count_pinned_at_larger_heights():
         rep = count_S(HyperplaneSpec(alpha, J), DomainSpec(dom, H))
         assert (rep.total_on_plane, rep.by_rank) == (total, by_rank), (alpha, dom)
 
+
+# planes whose free coordinates repeat |α| (signed) or α (positive), with
+# mixed signs, α = 0 coordinates beside them and the pivot's |α| repeated
+REPEAT_GRID = [
+    ((1, 1, 2), 3), ((1, -1, 2), 0), ((0, 0, 3), 3), ((2, 2, -2, 3), 1), ((1, 1, 1, 1), 1), ((1, -1, 1, 2), 2),
+    ((0, 1, 0, 1), 2), ((0, 0, 1, -1), 0), ((1, 1, -1, -1, 2), 1), ((0, 2, 2, 0, 3), 4), ((1, 1, 1, 1, 1), 0),
+]
 
 # n = 1..5; J = 0, α = 0 boxes, zero coefficients (inner one included, as in
 # (2, 3, 0)) and composite α, some with gcd(α_inner, α_pivot) > 1
@@ -650,22 +698,29 @@ def test_block_boundaries_do_not_change_counts(monkeypatch):
 
 
 def _yielded(spec, H, signed, pivot, free, rad=None):
-    """Every row ``_solutions`` yields, one tuple each, after checking that
-    no block passes ``_BLOCK_ROWS``."""
+    """Every row ``_solutions`` yields, one (tuple, weight) pair each, after
+    checking that no block passes ``_BLOCK_ROWS`` and that the weights are
+    one int64 per row, or 1 on a strata pass (``rad`` given)."""
     rows = []
-    for cols in lc._solutions(spec, H, signed, pivot, free, rad):
+    for cols, weights in lc._solutions(spec, H, signed, pivot, free, rad):
         assert len(cols) == len(free) + (pivot is not None) and len(cols[0]) <= lc._BLOCK_ROWS
-        rows.extend(zip(*(c.tolist() for c in cols)))
+        if rad is None:
+            assert weights.dtype == np.int64 and weights.shape == cols[0].shape
+        else:
+            assert weights == 1
+        rows.extend(zip(zip(*(c.tolist() for c in cols)), np.broadcast_to(weights, cols[0].shape).tolist()))
     return rows
 
 
 def test_solutions_yield_the_oracle_cells(monkeypatch):
     # the cell layer alone, at block sizes that split every run of cells:
-    # in cascade mode the rows, sorted and absolute, times the fold weight,
-    # are the plane's solutions; in strata mode each role's cells (e, d, p)
-    # are the solutions with |e| ≥ 2 and rad(e) | d
+    # in cascade mode the rows, sorted and absolute, each counted with its
+    # weight, are the plane's solutions; the grid's planes with repeated |α|
+    # put many cells into one orbit.  In strata mode each role's cells
+    # (e, d, p) are the solutions with |e| ≥ 2 and rad(e) | d, and, signed,
+    # the points with d = 0 or p = 0 that ``_deep_residue`` drops
     sizes = (1, 7, lc._BLOCK_ROWS)
-    for alpha, J in BLOCK_GRID:
+    for alpha, J in BLOCK_GRID + REPEAT_GRID:
         spec, n = HyperplaneSpec(alpha, J), len(alpha)
         pivot = lc._pivot_index(alpha) if spec.nnz else None
         free = [i for i in range(n) if i != pivot]
@@ -673,13 +728,14 @@ def test_solutions_yield_the_oracle_cells(monkeypatch):
             continue
         for dom in ("signed", "positive"):
             signed = dom == "signed"
-            weight = math.prod(lc._axis(alpha[i], 1, signed)[1] for i in free)
             for H in ((1, 3, 7) if n <= 3 else (1, 3) if n == 4 else (1, 2)):
                 want = Counter(tuple(sorted(map(abs, v))) for v in orc.enumerate_solutions(spec, DomainSpec(dom, H)))
                 for rows in sizes:
                     monkeypatch.setattr(lc, "_BLOCK_ROWS", rows)
-                    got = Counter(tuple(sorted(r)) for r in _yielded(spec, H, signed, pivot, free))
-                    assert Counter({r: k * weight for r, k in got.items()}) == want, (rows, alpha, J, dom, H)
+                    got = Counter()
+                    for r, w in _yielded(spec, H, signed, pivot, free):
+                        got[tuple(sorted(r))] += w
+                    assert got == want, (rows, alpha, J, dom, H)
     rad = arith.radical_table(30)
     for alpha in CLASS_PLANES:
         for J, dom, H in product((0, 1, -7, 30), ("signed", "positive"), (1, 7, 30)):
@@ -689,10 +745,25 @@ def test_solutions_yield_the_oracle_cells(monkeypatch):
                 p = lc._pivot_index([0 if i == d else a for i, a in enumerate(alpha)])
                 e = 3 - d - p
                 want = Counter((v[e], v[d], v[p]) for v in sols if v[e] >= 2 and v[d] % rad[v[e]] == 0)
+                for ve, vd in product(range(-H, H + 1), repeat=2):
+                    q, r = divmod(J - alpha[e] * ve - alpha[d] * vd, alpha[p])
+                    if dom == "signed" and abs(ve) >= 2 and not r and abs(q) <= H and 0 in (vd, q) \
+                            and vd % rad[abs(ve)] == 0:
+                        want[abs(ve), abs(vd), abs(q)] += 1
                 for rows in sizes:
                     monkeypatch.setattr(lc, "_BLOCK_ROWS", rows)
-                    got = _yielded(spec, H, dom == "signed", p, [e, d], rad)
-                    assert Counter(got) == want, (rows, alpha, J, dom, H, d)
+                    got = Counter(r for r, _ in _yielded(spec, H, dom == "signed", p, [e, d], rad))
+                    assert got == want, (rows, alpha, J, dom, H, d)
+
+
+def test_orbit_cells_cut_the_sweep():
+    # (1, 1, 1, 2)/J = 12: the pivot is the 2, and the three free coordinates
+    # form one class, so most orbits hold 3! = 6 vectors
+    spec, H = HyperplaneSpec((1, 1, 1, 2), 12), 32
+    rows = _yielded(spec, H, True, 3, [0, 1, 2])
+    total = count_S(spec, DomainSpec("signed", H)).total_on_plane
+    assert total == sum(w for _, w in rows) == 120259
+    assert 5 * len(rows) <= total
 
 
 def test_count_refuses_int64_overflow():
@@ -756,7 +827,7 @@ def _cascade_strata(spec, ds, base, rad):
     every solution of the plane as one block."""
     sols = np.array(list(orc.enumerate_solutions(spec, ds)), dtype=np.int64).reshape(-1, 3)
     rep = lc.CountReport(spec.alpha, spec.J, ds.kind, ds.H)
-    lc._classify_block(rep, list(np.abs(sols).T), 1, base, rad)
+    lc._classify_block(rep, list(np.abs(sols).T), np.ones(len(sols), dtype=np.int64), base, rad)
     return rep.total_on_plane, rep.by_rank.get(0, 0), rep.by_rank.get(1, 0)
 
 
@@ -811,7 +882,12 @@ def test_class_sweep_deep_rows_match_the_covered_count_rule(monkeypatch):
     # (3, 6, 12), with two dominant coordinates, and (6, 12, 18), with
     # three, on the plane
     handed, sides = [], set()
-    monkeypatch.setattr(lc, "_rank_deep", lambda report, rows, weight: handed.extend(map(tuple, rows.tolist())))
+
+    def handing(report, rows, weights):
+        assert (weights == 1).all()
+        handed.extend(map(tuple, rows.tolist()))
+
+    monkeypatch.setattr(lc, "_rank_deep", handing)
     side_class = lc._side_class
 
     def recording(r, x, s):
@@ -835,7 +911,7 @@ def test_class_sweep_deep_rows_match_the_covered_count_rule(monkeypatch):
                     seen.update(got)
                     sols = np.abs(np.array(list(orc.enumerate_solutions(spec, ds)), dtype=np.int64).reshape(-1, 3))
                     rep = lc.CountReport(alpha, J, dom, H)
-                    cascade = lc._classify_block(rep, list(sols.T), 1, base, rad)
+                    cascade, _ = lc._classify_block(rep, list(sols.T), np.ones(len(sols), dtype=np.int64), base, rad)
                     assert got == sorted(map(tuple, cascade[_dominant(cascade, rad)].tolist())), (alpha, J, dom, H)
                     if H <= 30:
                         want = [row for row in _cover_rule_by_row(list(sols.T), base, rad)
@@ -851,7 +927,8 @@ def test_deep_residue_tests_every_cover():
     # per role, d dominant and p the pivot (every ordered pair, not only the
     # sweep's), on the solutions of the side class rad(e) | d: the rows kept
     # are the cascade's rows whose first dominant coordinate is d.  Rows like
-    # (6, 12, 18), dominant in all three coordinates, are kept under one role
+    # (6, 12, 18), dominant in all three coordinates, are kept under one role.
+    # Cells with d = 0 or p = 0, which the sweep yields, are dropped
     base, rad = arith.power_base_table(30), arith.radical_table(30)
     kept, several = 0, 0
     for alpha in [(1, 2, -4), (3, 5, 6), (2, 3, 4), (1, 1, 1)]:
@@ -863,7 +940,10 @@ def test_deep_residue_tests_every_cover():
                     for d, p in permutations(range(3), 2):
                         e = 3 - d - p
                         side = sols[sols[:, d] % rad[sols[:, e]] == 0]
-                        got = lc._deep_residue(list(side.T), d, p, base, rad).tolist()
+                        off = np.repeat(side, 3, axis=0)
+                        off[0::3, d] = off[1::3, p] = off[2::3, d] = off[2::3, p] = 0
+                        cells = np.concatenate([off, side])
+                        got = lc._deep_residue(list(cells.T), d, p, base, rad).tolist()
                         want = [sorted(row) for row in side.tolist()
                                 if _deep_candidate(row, base, rad) and _first_dominant(row, rad) == d]
                         assert sorted(got) == sorted(want), (alpha, J, dom, H, d, p)
@@ -908,7 +988,7 @@ def test_side_class_counts_match_the_cascade(rng):
         spec, ds = HyperplaneSpec(alpha, J), DomainSpec(dom, H)
         sols = np.abs(np.array(list(orc.enumerate_solutions(spec, ds)), dtype=np.int64).reshape(-1, 3))
         want = lc.CountReport(alpha, J, dom, H)
-        lc._rank_deep(want, lc._classify_block(want, list(sols.T), 1, base, rad), 1)
+        lc._rank_deep(want, *lc._classify_block(want, list(sols.T), np.ones(len(sols), dtype=np.int64), base, rad))
         got = count_S(spec, ds)
         assert (got.total_on_plane, got.by_rank) == (want.total_on_plane, want.by_rank), (alpha, J, dom, H)
         deep += want.by_rank.get(2, 0)
