@@ -49,7 +49,8 @@ one class mod rad(e)·s/gcd(rad(e), s) per combo (``_side_class``).  As
 141 at 10⁶), the cells number H^{1+o(1)}, not O(H²).  Then
 ``_deep_residue`` tests the rest of the side exactly, rad(p) | d and
 rad(d) | e·p, and keeps the rows the cascade would hand on that have a
-dominant coordinate, each under its first one.
+dominant coordinate, each under the one of largest value (equal values share
+a base, so two dominant values of a kept row never tie).
 
 The deep stage is batched per count: survivors of every block wait, each
 sorted, in one buffer of one block's size.  When it is full, and once at
@@ -59,19 +60,19 @@ entries each: one ``relations.exponent_stack`` lays a stack out and one
 ``relations.rank_from_rows`` ranks it.  Nothing is remembered between
 flushes.
 
-Orbits.  Dependence and rank depend only on the multiset of |ν_i|.  In the
-signed domain a free coordinate with α_i = 0 is swept over [1, H] with
-multiplicity 2 (its fold), as the constraint never involves it.  Group the
-free coordinates into classes: equal |α_i| (signed) or equal α_i (positive),
-all α_i = 0 together; the pivot is in none.  With w_i = sign(α_i)·ν_i in the
-signed domain (ν_i on a folded axis) and w_i = ν_i in the positive one, the
-lemma: permuting the w of a class keeps Σ α_i·ν_i = |α|·Σ w_i (or α·Σ w_i),
-the box and every |ν_i|, so it maps the plane's points onto points of the
-same rank.  So the cascade sweep visits one cell per orbit, the one whose w
-is nondecreasing within each class in free order, and the cell stands for
-fold × ∏ k!/∏ r! vectors: k is a class's size and r the lengths of its runs
-of equal w.  A plane without repeated |α| has singleton classes and weight
-fold.  The strata passes fix roles, so there every cell stands for itself.
+Orbits.  Dependence and rank depend only on the multiset of |ν_i|.  A
+signed count first maps α to |α|: ν_i ↦ sign(α_i)·ν_i carries the plane onto
+the |α| plane and keeps every |ν_i|.  In the signed domain a free coordinate
+with α_i = 0 is swept over [1, H] with multiplicity 2 (its fold), as the
+constraint never involves it.  Group the free coordinates into classes of
+equal α_i; the pivot is in none.  The lemma: permuting the ν of a class
+keeps Σ α_i·ν_i, the box and every |ν_i|, so it maps the plane's points onto
+points of the same rank.  So the cascade sweep visits one cell per orbit,
+the one whose ν is nondecreasing within each class in free order, and the
+cell stands for fold × ∏ k!/∏ r! vectors: k is a class's size and r the
+lengths of its runs of equal ν.  A plane without repeated α has singleton
+classes and weight fold.  The strata passes fix roles, so there every cell
+stands for itself.
 
 Curve systems (one power-product equation with one linear equation) run one
 loop for every variant, ``curve_counts``: it solves the inner pair of plane
@@ -86,6 +87,7 @@ sweep or table.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -137,8 +139,11 @@ class DomainSpec:
 class CountReport:
     """Exact counts for one (spec, domain) pair.
 
-    ``by_rank`` maps each multiplicative rank met to its count and sums to
-    ``dependent_total``; ``degenerate`` flags all-zero α with J ≠ 0.
+    ``alpha`` is the caller's α, signs included.  ``by_rank`` maps each
+    multiplicative rank met to its count, ascending and without zero counts,
+    and sums to ``dependent_total``; ``degenerate`` flags all-zero α with
+    J ≠ 0.  While a count runs, ``by_rank`` is a ``Counter`` that the
+    classify stages add into, zero counts included.
     """
 
     alpha: tuple[int, ...]
@@ -146,7 +151,7 @@ class CountReport:
     domain: str
     H: int
     total_on_plane: int = 0
-    by_rank: dict[int, int] = field(default_factory=dict)
+    by_rank: dict[int, int] = field(default_factory=Counter)
 
     @property
     def dependent_total(self) -> int:
@@ -202,10 +207,11 @@ def hyperplane_lattice_count(spec: HyperplaneSpec, box) -> int:
 # ── pivot coordinate ─────────────────────────────────────────────────────
 
 
-def _pivot_index(alpha) -> int:
-    """Coordinate solved from the linear equation: largest |α_i|, last wins."""
+def _pivot_index(alpha) -> int | None:
+    """Coordinate solved from the linear equation: largest |α_i|, last wins;
+    None when α = 0."""
     best = 0
-    arg = -1
+    arg = None
     for i, a in enumerate(alpha):
         if abs(a) >= best and a != 0:
             best = abs(a)
@@ -248,30 +254,27 @@ def _classify_block(
     base: np.ndarray,
     rad: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Classify one block of solutions and add its settled counts to ``report``.
+    """Classify one block of solutions and add its settled counts to
+    ``report``, whose ``by_rank`` is a ``Counter``.
 
     ``cols`` holds one array of absolute values per coordinate, each entry in
     [1, H]; row i is the solution (cols[0][i], cols[1][i], …) and stands for
     weights[i] vectors (int64).  ``base`` and ``rad`` are the minimal-base and
     radical tables up to H.  Returns the rows the cascade leaves for the deep
     stage, each sorted ascending, as an (r, n) array, and their weights, for
-    ``_rank_deep``.
+    ``_rank_deep``.  The cover filter counts each row's uncovered
+    coordinates over all n of them, then takes one gather of the rows with
+    at most n − 3.
     """
     n = len(cols)
     none = np.empty((0, n), dtype=np.int64), weights[:0]
     if len(weights) == 0:
         return none
     report.total_on_plane += int(weights.sum())
-    by_rank = report.by_rank
-
     unit, pair = _unit_or_pair(cols, base)
-    c0 = int(weights @ unit)
-    if c0:
-        by_rank[0] = by_rank.get(0, 0) + c0
     pair &= ~unit
-    c1 = int(weights @ pair)
-    if c1:
-        by_rank[1] = by_rank.get(1, 0) + c1
+    report.by_rank[0] += int(weights @ unit)
+    report.by_rank[1] += int(weights @ pair)
     # index gathers: numpy compresses by a boolean mask several times slower
     rest = np.flatnonzero(~(unit | pair))
     if n < 3 or len(rest) == 0:
@@ -280,56 +283,52 @@ def _classify_block(
     cols, weights = [c[rest] for c in cols], weights[rest]
     # cover filter: a dependent subset of size ≥ 3 needs each member's primes
     # to reappear among the other coordinates (else its exponent is forced 0).
-    # A row drops once more than n − 3 of its coordinates are uncovered
+    # A row drops when more than n − 3 of its coordinates are uncovered
     if report.H**n < 2**62:
         prod_all = math.prod(cols)
-        miss = np.zeros(len(prod_all), dtype=np.int8)
-        for i in range(n):
-            c = cols[i]
-            miss += prod_all // c % rad[c] != 0
-            if i >= n - 3:
-                keep = np.flatnonzero(miss <= n - 3)
-                cols = [c[keep] for c in cols]
-                prod_all, miss, weights = prod_all[keep], miss[keep], weights[keep]
+        miss = sum(prod_all // c % rad[c] != 0 for c in cols)
+        keep = np.flatnonzero(miss <= n - 3)
+        cols, weights = [c[keep] for c in cols], weights[keep]
     return np.sort(np.stack(cols, axis=1), axis=1), weights
 
 
-def _deep_residue(cols: list[np.ndarray], d: int, p: int, base: np.ndarray, rad: np.ndarray) -> np.ndarray:
+def _deep_residue(cols: list[np.ndarray], base: np.ndarray, rad: np.ndarray) -> np.ndarray:
     """The deep-stage rows among one role's cells of a plane with three
     nonzero coefficients, whose total, rank 0 and rank 1 come from
     ``_strata``.
 
-    ``cols`` holds the absolute values of the three coordinates in plane
-    order; d indexes the dominant one, p the pivot and e the third, and the
-    sweep gives rad(e) | d and |e| ≥ 2, but also cells with d = 0 or p = 0,
-    off the box, which are dropped first.  ``base`` and ``rad`` are tables,
-    as for ``_classify_block``.  A row is kept when rad(p) | d, then rad(d) | e·p
-    (so every coordinate is covered and rad(d) = rad(row)), it has no 1 and
-    no shared base, and no coordinate before d has rad(d), the role that
-    keeps a row with several dominant coordinates.  Returns the kept rows,
-    each sorted ascending: across the roles, exactly the cascade's rows that
-    have a dominant coordinate, each once, which holds every dependent one.
-    e·p is a product of two values up to H ≤ 2²², so exact in int64.
+    ``cols`` holds the absolute values (e, d, p) in the order the strata
+    pass yields them: the outer coordinate e, the dominant one d and the
+    pivot p.  The sweep gives rad(e) | d and |e| ≥ 2, but also cells with
+    d = 0 or p = 0, off the box, which are dropped first.  ``base`` and
+    ``rad`` are tables, as for ``_classify_block``.  A row is kept when
+    rad(p) | d, then rad(d) | e·p (so every coordinate is covered and
+    rad(d) = rad(row)), it has no 1 and no shared base, and no other
+    coordinate with rad(d) is larger than d, the role that keeps a row with
+    several dominant coordinates (their values never tie, as equal values
+    share a base).  Returns the kept rows, each sorted ascending: across the
+    roles, exactly the cascade's rows that have a dominant coordinate, each
+    once, which holds every dependent one.  e·p is a product of two values
+    up to H ≤ 2²², so exact in int64.
     """
-    e = 3 - d - p
+    e, d, p = cols
     # rad(0) = 0: the remainder by it is discarded with its cell
     with np.errstate(divide="ignore"):
-        keep = np.flatnonzero((cols[d] % rad[cols[p]] == 0) & (cols[d] != 0) & (cols[p] != 0))
-    cols = [x[keep] for x in cols]
-    rd = rad[cols[d]]
-    keep = np.flatnonzero(cols[e] * cols[p] % rd == 0)
-    cols, rd = [x[keep] for x in cols], rd[keep]
+        keep = np.flatnonzero((d % rad[p] == 0) & (d != 0) & (p != 0))
+    e, d, p = cols = [x[keep] for x in cols]
+    rd = rad[d]
+    keep = np.flatnonzero(e * p % rd == 0)
+    e, d, p = cols = [x[keep] for x in cols]
+    rd = rd[keep]
     unit, pair = _unit_or_pair(cols, base)
-    drop = unit | pair
-    for j in range(d):
-        drop |= rad[cols[j]] == rd
+    drop = unit | pair | (rad[e] == rd) & (e > d) | (rad[p] == rd) & (p > d)
     return np.sort(np.stack(cols, axis=1)[~drop], axis=1)
 
 
 def _rank_deep(report: CountReport, rows: np.ndarray, weights: np.ndarray) -> None:
     """Rank the rows ``_classify_block`` or ``_deep_residue`` left for the
     deep stage, row i standing for weights[i] vectors (int64), and add the
-    dependent ones to ``report``.
+    dependent ones to ``report``'s ``Counter``.
 
     Equal rows are merged by summing their weights and ranked once, in
     stacks of ``_RANK_CELLS`` // n² distinct rows (Gram entries), each laid
@@ -349,16 +348,13 @@ def _rank_deep(report: CountReport, rows: np.ndarray, weights: np.ndarray) -> No
     start = np.flatnonzero(first)
     counts = np.add.reduceat(weights[order], start)
     n = rows.shape[1]
-    by_rank = report.by_rank
     step = max(1, _RANK_CELLS // (n * n))
     for lo in range(0, len(start), step):
         keys = rows[start[lo:lo + step]]
         ranks = relations.rank_from_rows(relations.exponent_stack(keys), smallest=3)
         part = counts[lo:lo + step]
         for r in range(2, n):
-            c = int(part[ranks == r].sum())
-            if c:
-                by_rank[r] = by_rank.get(r, 0) + c
+            report.by_rank[r] += int(part[ranks == r].sum())
 
 
 # largest H for which a sweep builds its minimal-base and radical tables
@@ -381,45 +377,40 @@ _RANK_CELLS = 1 << 15
 def count_S(spec: HyperplaneSpec, domain: DomainSpec) -> CountReport:
     """Exact count of multiplicatively dependent vectors on α·ν = J, by rank.
 
-    ``by_rank`` maps each multiplicative rank met to its count, and
-    ``dependent_total`` is their sum.  The all-zero α with J = 0 counts
-    unconstrained dependent vectors in the box; all-zero α with J ≠ 0 has no
-    solutions and returns a report flagged degenerate.
+    ``by_rank`` maps each multiplicative rank met to its count, ascending
+    and without zero counts, and ``dependent_total`` is their sum.  The
+    all-zero α with J = 0 counts unconstrained dependent vectors in the box;
+    all-zero α with J ≠ 0 has no solutions and returns a report flagged
+    degenerate.  A signed count runs on the |α| plane (module docstring);
+    the report keeps the caller's α.
     """
     H = domain.H
     signed = domain.kind == "signed"
     report = CountReport(spec.alpha, spec.J, domain.kind, H)
     if report.degenerate:
         return report
-
-    n = spec.n
+    if signed:
+        spec = HyperplaneSpec(tuple(map(abs, spec.alpha)), spec.J)
     alpha = spec.alpha
 
-    if spec.nnz == 0:
-        pivot = None
-        free = list(range(n))
-    else:
-        pivot = _pivot_index(alpha)
-        free = [i for i in range(n) if i != pivot]
-
-    if free:
+    if spec.n > 1 or not spec.nnz:
         if H > _TABLE_CAP:
             raise RegimeError(f"height {H} needs lookup tables above the cap {_TABLE_CAP}")
         if sum(abs(a) for a in alpha) * H + abs(spec.J) >= 2**62:
             raise RegimeError("sum of |alpha_i|*H plus |J| reaches 2^62, beyond the sweep's int64 arithmetic")
         base = arith.power_base_table(H)
         rad = arith.radical_table(H)
-        strata = n == spec.nnz == 3
+        strata = spec.n == spec.nnz == 3
         if strata:
             report.total_on_plane, rank0, rank1 = _strata(spec, domain, base)
-            report.by_rank.update((r, c) for r, c in ((0, rank0), (1, rank1)) if c)
-        _sweep(report, spec, signed, pivot, free, base, rad, strata)
+            report.by_rank.update({0: rank0, 1: rank1})
+        _sweep(report, spec, signed, base, rad, strata)
     else:
-        # n == 1: N₁ points, N₁ − N₂ of rank 0, as in ``_strata``; no table
+        # one nonzero coordinate: N₁ points, N₁ − N₂ of rank 0, as in
+        # ``_strata``; no table
         report.total_on_plane = _points([alpha], spec.J, 1, H, signed)
-        rank0 = report.total_on_plane - _points([alpha], spec.J, 2, H, signed)
-        if rank0:
-            report.by_rank[0] = rank0
+        report.by_rank[0] += report.total_on_plane - _points([alpha], spec.J, 2, H, signed)
+    report.by_rank = {r: c for r, c in sorted(report.by_rank.items()) if c}
     return report
 
 
@@ -485,31 +476,34 @@ def _side_class(r: np.ndarray, x: np.ndarray, s: int):
     return _mod(x, g2) == 0, r * _class_residue(x, g2, s2, inv), r * s2
 
 
-def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool, pivot, free,
+def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool,
            base: np.ndarray, rad: np.ndarray, strata: bool) -> None:
     """Classify every solution, in blocks of at most ``_BLOCK_ROWS`` cells
     (``_solutions``); ``base`` and ``rad`` are the minimal-base and radical
     tables up to H.
 
-    Without ``strata`` one pass solves the pivot from the ``free``
-    coordinates, and the cascade (``_classify_block``) counts every cell, one
-    per orbit, with its weight.
+    Without ``strata`` one pass solves the pivot (``_pivot_index``, none
+    when α = 0) from the other coordinates, and the cascade
+    (``_classify_block``) counts every cell, one per orbit, with its weight.
     With ``strata`` (three nonzero coefficients, whose total, rank 0 and
     rank 1 ``_strata`` counted) only rank 2 is left, and each of its rows
     has a dominant coordinate d (module docstring).  So there is one pass
     per role of d: the pivot p is the other coordinate with the larger |α|
     (``_pivot_index``), the third, e, is outer, and d runs along its side
-    class; ``_deep_residue`` keeps each row the cascade would rank under
-    its first dominant coordinate.  The deep-stage rows of every block and
+    class; each pass yields its cells as (e, d, p), and ``_deep_residue``
+    keeps each row the cascade would rank under its dominant coordinate of
+    largest value.  The deep-stage rows of every block and
     pass wait in one buffer of one block's size, with their weights, which
     ``_rank_deep`` ranks when it is full and once at the end.
     """
-    passes = [(pivot, free)]
     if strata:
         passes = []
         for d in range(3):
             p = _pivot_index([0 if i == d else a for i, a in enumerate(spec.alpha)])
             passes.append((p, [3 - d - p, d]))
+    else:
+        pivot = _pivot_index(spec.alpha)
+        passes = [(pivot, [i for i in range(spec.n) if i != pivot])]
     # deep-stage rows wait here, across blocks and passes, until the buffer
     # is full; one buffer for the whole count, so no small arrays outlive
     # their block.  Rows reach the deep stage only from three coordinates on
@@ -519,10 +513,7 @@ def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool, pivot, free,
     for pivot, free in passes:
         for cols, weights in _solutions(spec, report.H, signed, pivot, free, rad if strata else None):
             if strata:
-                # the pass yields (e, d, p); the side test takes plane order
-                order = (*free, pivot)
-                cols = [cols[order.index(i)] for i in range(3)]
-                rows = _deep_residue(cols, free[1], pivot, base, rad)
+                rows = _deep_residue(cols, base, rad)
             else:
                 rows, weights = _classify_block(report, cols, weights, base, rad)
             del cols  # freed before a flush of the deep buffer
@@ -547,15 +538,16 @@ def _solutions(spec: HyperplaneSpec, H: int, signed: bool, pivot, free, rad=None
     values that keep p in its own (``_inner_range``).  Combos are decoded
     (``product`` order) and solved ``_BLOCK_ROWS`` at a time.
 
-    Without ``rad`` each orbit is one cell (module docstring): a combo is
-    kept when w is nondecreasing within each class, and c's range is cut to
-    w_c ≥ ℓ, ℓ the last outer w of c's class (c ≥ ℓ, or c ≤ −ℓ where the
-    signed domain has a_c < 0).  weights holds each cell's int64 weight,
-    fold × ∏ k!/∏ r!, from adjacent comparisons: the t-th member of a class
-    multiplies it by t and divides it by the length of the run of equal w
-    it ends, and each partial product is a multinomial, so an integer, and
-    no larger than the vectors the cell stands for.  Cells with c = 0 or
-    p = 0 are masked.
+    Without ``rad`` each orbit is one cell (module docstring), its classes
+    keyed by α_i in both domains: a combo is kept when ν is nondecreasing
+    within each class, and c's range is cut to c ≥ ℓ, ℓ the last outer value
+    of c's class.  weights holds each cell's int64 weight, fold × ∏ k!/∏ r!,
+    from adjacent comparisons: the t-th member of a class multiplies it by t
+    and divides it by the length of the run of equal ν it ends, and each
+    partial product is a multinomial, so an integer, and no larger than the
+    vectors the cell stands for.  Cells with c = 0 or p = 0 are masked.
+    ``count_S`` hands a signed plane over as its |α| plane; on a signed
+    plane with α_i < 0 the cells still cover it, in smaller orbits.
 
     Given ``rad``, the radical table (a strata pass), every cell is one
     vector and weights is 1; the one outer coordinate e runs over
@@ -584,9 +576,8 @@ def _solutions(spec: HyperplaneSpec, H: int, signed: bool, pivot, free, rad=None
     ap = 1 if pivot is None else alpha[pivot]
     g, s, u = _line_class(ac, ap)
     # orbit classes; a strata pass keeps every coordinate apart, as its
-    # roles break the symmetry.  w = −ν where ``flip``
-    key = free if rad is not None else [abs(alpha[i]) if signed else alpha[i] for i in free]
-    flip = [signed and alpha[i] < 0 for i in free]
+    # roles break the symmetry
+    key = free if rad is not None else [alpha[i] for i in free]
     fold = math.prod(f for _, f in axes)
     combos = math.prod(len(v) for v in outer_vals)
     cells = _BLOCK_ROWS
@@ -603,25 +594,21 @@ def _solutions(spec: HyperplaneSpec, H: int, signed: bool, pivot, free, rad=None
             c_lo, c_hi = np.full_like(rem, lo), np.full_like(rem, H)
         else:
             c_lo, c_hi = _inner_range(rem, ac, ap, lo, H, -H if signed else 1)
-        # per class: its last w so far, the run of equal w that w ends, and
-        # the members seen
+        # per class: its last value so far, the run of equal values that
+        # value ends, and the members seen
         weight, tail, ordered = np.full(len(rem), fold), {}, True
-        for k, f, o in zip(key, flip, outer):
-            w, run, t = (-o if f else o), 1, 1
+        for k, o in zip(key, outer):
+            run, t = 1, 1
             if k in tail:
                 last, run, t = tail[k]
-                ordered &= last <= w
-                run, t = np.where(last == w, run + 1, 1), t + 1
+                ordered &= last <= o
+                run, t = np.where(last == o, run + 1, 1), t + 1
                 weight = weight * t // run
-            tail[k] = w, run, t
+            tail[k] = o, run, t
         cut = tail.get(key[-1])
         if cut:
-            last, run, t = cut
-            edge = -last if flip[-1] else last  # the c with w_c = ℓ
-            if flip[-1]:
-                c_hi = np.minimum(c_hi, edge)
-            else:
-                c_lo = np.maximum(c_lo, edge)
+            edge, run, t = cut  # edge = ℓ, the last outer value of c's class
+            c_lo = np.maximum(c_lo, edge)
             weight, weight_eq = weight * (t + 1), weight * (t + 1) // (run + 1)
         ok, x, m = True, _class_residue(rem, g, s, u), s
         if rad is not None:

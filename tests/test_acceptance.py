@@ -27,14 +27,12 @@ from fractions import Fraction as F
 import numpy as np
 
 import _oracles as orc
-from multdep import arith, constants, relations, slicevol
+from multdep import arith, constants, relations, report, slicevol
 from multdep.latticecount import (
     CurveSystemSpec,
     DomainSpec,
     HyperplaneSpec,
     count_S,
-    curve_counts,
-    hyperplane_lattice_count,
 )
 
 
@@ -173,12 +171,9 @@ def test_criterion_06_lattice_volume_consistency():
     stable = True
     worst = (0.0, 0.0)
     for alpha, J in cases:
-        n = len(alpha)
-        ratios = {}
-        for H in (50, 200):
-            cnt = hyperplane_lattice_count(HyperplaneSpec(alpha, J), [(-H, H)] * n)
-            v = slicevol.V_alpha(alpha, "scaled-symmetric", J, H=H)
-            ratios[H] = float(abs(F(cnt) - v)) / H ** (n - 2)
+        # |count − V_α| / H^{n−2} per H, from the evidence table
+        study = report.verify_lattice_approx(alpha, J, (50, 200))
+        ratios = {row["H"]: float(row["ratio"]) for row in study["rows"]}
         fitted = ratios[50]
         if ratios[200] > 2 * fitted + 1:
             stable = False
@@ -328,10 +323,9 @@ def test_criterion_10_dependent_line_pairs():
 def test_criterion_11_curve_bound_trend():
     t0 = time.perf_counter()
     sys = CurveSystemSpec("2var-a", 1, 1, (1, 1, 1), (1, 1), 2)
-    ratios = {}
-    for H in (100, 1000, 10000):
-        cnt = curve_counts(sys, H)[0]
-        ratios[H] = cnt / (math.sqrt(H) * (math.log(H) + 2))
+    # count / (H^{1/2}·(log H + 2)) per H, from the evidence table
+    study = report.curve_bound_study(sys, (100, 1000, 10000))
+    ratios = {row["H"]: row["ratio"] for row in study["rows"]}
     elapsed = time.perf_counter() - t0
     fitted = ratios[100]
     ok = all(ratios[H] <= fitted for H in (1000, 10000)) and elapsed < 60

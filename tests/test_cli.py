@@ -346,16 +346,19 @@ def test_guards_and_output_under_python_O(capsys):
     assert proc.returncode == 1
     assert "ValueError: negative constant part: c0=1, c1=-1, c2=0" in proc.stderr
     # three-coefficient planes, whose rank 0 and rank 1 are closed-form
-    # strata, and a four-coefficient one whose sweep weighs orbits of
-    # coordinates with equal |α|
+    # strata, and four-coefficient ones whose sweep weighs orbits of
+    # coordinates with equal |α|; the JSON echoes the signed α that the
+    # count maps to |α|
     for argv in (["count", "--alpha", "1,1,1", "--J", "1", "--H", "30", "--by-rank"],
                  ["count", "--alpha=2,-1,3", "--J", "7", "--H", "60", "--positive", "--by-rank"],
                  ["converge", "--alpha=1,-1,3", "--J", "2", "--grid", "20,40"],
-                 ["count", "--alpha=1,-1,1,2", "--J", "3", "--H", "20", "--by-rank"]):
+                 ["count", "--alpha=1,-1,1,2", "--J", "3", "--H", "20", "--by-rank"],
+                 ["count", "--alpha=-2,1,-1,0", "--J=-3", "--H", "12", "--by-rank", "--format", "json"]):
         proc = _python_O("-m", "multdep", *argv)
         code, out, _ = run(capsys, *argv)
         assert proc.returncode == code == 0 and proc.stderr == ""
         assert proc.stdout == out, argv
+    assert json.loads(out)["alpha"] == [-2, 1, -1, 0]
 
 
 def test_converge_positive_level_grid(capsys):

@@ -185,6 +185,12 @@ def _oracle_report(spec, ds):
     return total, by_rank
 
 
+def _nonzero(by_rank):
+    """``by_rank`` after the drop ``count_S`` applies to its tally: ranks
+    ascending, zero counts left out."""
+    return {r: c for r, c in sorted(by_rank.items()) if c}
+
+
 @st.composite
 def repeated_planes(draw, n):
     """(α, J, domain, H): n coefficients drawn from two values of [−3, 3], so
@@ -211,6 +217,28 @@ def test_orbit_counts_match_brute_enumeration(n, data):
         assert rep.degenerate
         return
     assert (rep.total_on_plane, rep.by_rank) == _oracle_report(spec, ds), plane
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+@given(data=st.data())
+def test_signed_counts_ignore_signs_and_order_of_alpha(n, data):
+    # ν_i ↦ sign(α_i)·ν_i, a permutation of the coordinates and ν ↦ −ν
+    # (which turns J into −J) each carry the signed plane's points onto
+    # another plane's, keeping every |ν_i|, so the count and its ranks agree
+    alpha = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+    J = data.draw(st.integers(-8, 8))
+    H = data.draw(st.integers(1, {2: 40, 3: 20, 4: 8, 5: 4}[n]))
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    order = data.draw(st.permutations(range(n)))
+    moved = tuple(t * alpha[i] for t, i in zip(signs, order))
+    ds = DomainSpec("signed", H)
+    got = set()
+    for a, j in ((alpha, J), (moved, J), (moved, -J)):
+        rep = count_S(HyperplaneSpec(a, j), ds)
+        assert (rep.alpha, rep.J) == (a, j)
+        assert list(rep.by_rank) == sorted(rep.by_rank) and all(rep.by_rank.values()), rep.by_rank
+        got.add((rep.total_on_plane, tuple(rep.by_rank.items()), rep.degenerate))
+    assert len(got) == 1, (alpha, moved, J, H, got)
 
 
 def test_count_matches_brute_enumeration(rng):
@@ -527,7 +555,7 @@ def test_cover_filter_boundary_on_hand_built_blocks(rng, monkeypatch):
         ranked.clear()
         lc._rank_deep(rep, *lc._classify_block(rep, [outer, inner, pivot], np.full(len(inner), 2), base, rad))
         assert rep.total_on_plane == 2 * len(inner)
-        assert rep.by_rank == want
+        assert _nonzero(rep.by_rank) == want
         deep_tests.append(sum(ranked))
     assert 0 < deep_tests[0] < deep_tests[1]
 
@@ -859,10 +887,11 @@ def test_strata_alone_at_large_heights():
     assert 0 < rank0 + rank1 < total
 
 
-def _first_dominant(row, rad):
-    """Index of the first coordinate d with rad(x) | d for every x, so
+def _largest_dominant(row, rad):
+    """Index of the largest coordinate d with rad(x) | d for every x, so
     rad(d) = rad(row), or None."""
-    return next((i for i, d in enumerate(row) if all(d % int(rad[x]) == 0 for x in row)), None)
+    dominant = [i for i, d in enumerate(row) if all(d % int(rad[x]) == 0 for x in row)]
+    return max(dominant, key=lambda i: row[i], default=None)
 
 
 def _dominant(rows, rad):
@@ -915,7 +944,7 @@ def test_class_sweep_deep_rows_match_the_covered_count_rule(monkeypatch):
                     assert got == sorted(map(tuple, cascade[_dominant(cascade, rad)].tolist())), (alpha, J, dom, H)
                     if H <= 30:
                         want = [row for row in _cover_rule_by_row(list(sols.T), base, rad)
-                                if _first_dominant(row, rad) is not None]
+                                if _largest_dominant(row, rad) is not None]
                         assert got == sorted(map(tuple, want)), (alpha, J, dom, H)
                         dependent = [row for row in map(tuple, cascade.tolist()) if orc.dependent_oracle(row)]
                         assert not Counter(dependent) - Counter(got), (alpha, J, dom, H)
@@ -925,8 +954,9 @@ def test_class_sweep_deep_rows_match_the_covered_count_rule(monkeypatch):
 
 def test_deep_residue_tests_every_cover():
     # per role, d dominant and p the pivot (every ordered pair, not only the
-    # sweep's), on the solutions of the side class rad(e) | d: the rows kept
-    # are the cascade's rows whose first dominant coordinate is d.  Rows like
+    # sweep's), on the solutions of the side class rad(e) | d, given as
+    # (e, d, p) columns like a strata pass yields them: the rows kept are the
+    # cascade's rows whose largest dominant coordinate is d.  Rows like
     # (6, 12, 18), dominant in all three coordinates, are kept under one role.
     # Cells with d = 0 or p = 0, which the sweep yields, are dropped
     base, rad = arith.power_base_table(30), arith.radical_table(30)
@@ -943,9 +973,9 @@ def test_deep_residue_tests_every_cover():
                         off = np.repeat(side, 3, axis=0)
                         off[0::3, d] = off[1::3, p] = off[2::3, d] = off[2::3, p] = 0
                         cells = np.concatenate([off, side])
-                        got = lc._deep_residue(list(cells.T), d, p, base, rad).tolist()
+                        got = lc._deep_residue([cells[:, e], cells[:, d], cells[:, p]], base, rad).tolist()
                         want = [sorted(row) for row in side.tolist()
-                                if _deep_candidate(row, base, rad) and _first_dominant(row, rad) == d]
+                                if _deep_candidate(row, base, rad) and _largest_dominant(row, rad) == d]
                         assert sorted(got) == sorted(want), (alpha, J, dom, H, d, p)
                         kept += len(got)
                         several += sum(sum(x % rad[y] == 0 for y in row) == 3 for row in got for x in row) > 1
@@ -990,6 +1020,6 @@ def test_side_class_counts_match_the_cascade(rng):
         want = lc.CountReport(alpha, J, dom, H)
         lc._rank_deep(want, *lc._classify_block(want, list(sols.T), np.ones(len(sols), dtype=np.int64), base, rad))
         got = count_S(spec, ds)
-        assert (got.total_on_plane, got.by_rank) == (want.total_on_plane, want.by_rank), (alpha, J, dom, H)
+        assert (got.total_on_plane, got.by_rank) == (want.total_on_plane, _nonzero(want.by_rank)), (alpha, J, dom, H)
         deep += want.by_rank.get(2, 0)
     assert deep > 0
