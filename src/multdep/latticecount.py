@@ -22,8 +22,9 @@ a_c·c + a_p·p = rem; its integer points have c in one residue class mod
 s = |a_p|/g, and there are none unless g = gcd(a_c, a_p) divides rem.  The
 sweep steps c along that class, over the range that keeps p in its own, and
 solves p = (rem − a_c·c)/a_p, one floor division by the scalar a_p per cell
-(exact in int64, as |rem − a_c·c| < 2⁶²), so every cell solves the plane in
-range; it classifies the cells exactly, at most ``_BLOCK_ROWS`` at a time.
+(exact in int64, as |rem − a_c·c| < 2⁶²), so every cell solves the plane
+with |c|, |p| ≤ H; it classifies the cells exactly, at most ``_BLOCK_ROWS``
+at a time, and drops a signed cell with c = 0 or p = 0, off the box.
 
 Classification cascade per solution (cheapest first):
   rank 0   some coordinate is ±1;
@@ -258,28 +259,26 @@ def _classify_block(
     ``report``, whose ``by_rank`` is a ``Counter``.
 
     ``cols`` holds one array of absolute values per coordinate, each entry in
-    [1, H]; row i is the solution (cols[0][i], cols[1][i], …) and stands for
-    weights[i] vectors (int64).  ``base`` and ``rad`` are the minimal-base and
-    radical tables up to H.  Returns the rows the cascade leaves for the deep
-    stage, each sorted ascending, as an (r, n) array, and their weights, for
-    ``_rank_deep``.  The cover filter counts each row's uncovered
-    coordinates over all n of them, then takes one gather of the rows with
-    at most n − 3.
+    [0, H]; row i is the solution (cols[0][i], cols[1][i], …) and stands for
+    weights[i] vectors (int64).  A row with a 0 (a signed cell with c = 0 or
+    p = 0) is off the box: it counts as weight 0 and is not handed on.
+    ``base`` and ``rad`` are the minimal-base and radical tables up to H.
+    Returns the rows the cascade leaves for the deep stage, each sorted
+    ascending, as an (r, n) array, and their weights, for ``_rank_deep``.
+    The cover filter counts each row's uncovered coordinates over all n of
+    them, then takes one gather of the rows with at most n − 3, so none for
+    n ≤ 2.
     """
     n = len(cols)
-    none = np.empty((0, n), dtype=np.int64), weights[:0]
-    if len(weights) == 0:
-        return none
+    off = np.logical_or.reduce([c == 0 for c in cols])
+    weights = np.where(off, 0, weights)
     report.total_on_plane += int(weights.sum())
     unit, pair = _unit_or_pair(cols, base)
     pair &= ~unit
     report.by_rank[0] += int(weights @ unit)
     report.by_rank[1] += int(weights @ pair)
     # index gathers: numpy compresses by a boolean mask several times slower
-    rest = np.flatnonzero(~(unit | pair))
-    if n < 3 or len(rest) == 0:
-        return none
-
+    rest = np.flatnonzero(~(unit | pair | off))
     cols, weights = [c[rest] for c in cols], weights[rest]
     # cover filter: a dependent subset of size ≥ 3 needs each member's primes
     # to reappear among the other coordinates (else its exponent is forced 0).
@@ -328,7 +327,7 @@ def _deep_residue(cols: list[np.ndarray], base: np.ndarray, rad: np.ndarray) -> 
 def _rank_deep(report: CountReport, rows: np.ndarray, weights: np.ndarray) -> None:
     """Rank the rows ``_classify_block`` or ``_deep_residue`` left for the
     deep stage, row i standing for weights[i] vectors (int64), and add the
-    dependent ones to ``report``'s ``Counter``.
+    dependent ones to ``report``'s ``Counter``; ``rows`` may be empty.
 
     Equal rows are merged by summing their weights and ranked once, in
     stacks of ``_RANK_CELLS`` // n² distinct rows (Gram entries), each laid
@@ -337,8 +336,6 @@ def _rank_deep(report: CountReport, rows: np.ndarray, weights: np.ndarray) -> No
     subsets start at size 3, and the rank is below n exactly when the vector
     is dependent.
     """
-    if len(rows) == 0:
-        return
     # order as opaque byte strings: equal rows become adjacent, which is all
     # the merge needs
     order = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().argsort()
@@ -382,7 +379,8 @@ def count_S(spec: HyperplaneSpec, domain: DomainSpec) -> CountReport:
     all-zero α with J = 0 counts unconstrained dependent vectors in the box;
     all-zero α with J ≠ 0 has no solutions and returns a report flagged
     degenerate.  A signed count runs on the |α| plane (module docstring);
-    the report keeps the caller's α.
+    the report keeps the caller's α.  A one-coordinate plane, α = (0,)
+    included, is counted by ``_points`` with no table, at any H.
     """
     H = domain.H
     signed = domain.kind == "signed"
@@ -393,7 +391,7 @@ def count_S(spec: HyperplaneSpec, domain: DomainSpec) -> CountReport:
         spec = HyperplaneSpec(tuple(map(abs, spec.alpha)), spec.J)
     alpha = spec.alpha
 
-    if spec.n > 1 or not spec.nnz:
+    if spec.n > 1:
         if H > _TABLE_CAP:
             raise RegimeError(f"height {H} needs lookup tables above the cap {_TABLE_CAP}")
         if sum(abs(a) for a in alpha) * H + abs(spec.J) >= 2**62:
@@ -492,9 +490,10 @@ def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool,
     (``_pivot_index``), the third, e, is outer, and d runs along its side
     class; each pass yields its cells as (e, d, p), and ``_deep_residue``
     keeps each row the cascade would rank under its dominant coordinate of
-    largest value.  The deep-stage rows of every block and
-    pass wait in one buffer of one block's size, with their weights, which
-    ``_rank_deep`` ranks when it is full and once at the end.
+    largest value, each row standing for one vector.  Either stage drops
+    the signed cells with c = 0 or p = 0.  The deep-stage rows of every
+    block and pass wait in one buffer of one block's size, with their
+    weights, which ``_rank_deep`` ranks when it is full and once at the end.
     """
     if strata:
         passes = []
@@ -507,13 +506,13 @@ def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool,
     # deep-stage rows wait here, across blocks and passes, until the buffer
     # is full; one buffer for the whole count, so no small arrays outlive
     # their block.  Rows reach the deep stage only from three coordinates on
-    deep = np.empty((_BLOCK_ROWS if spec.n >= 3 else 0, spec.n), dtype=np.int64)
+    deep = np.empty((_BLOCK_ROWS, spec.n), dtype=np.int64)
     deep_weights = np.empty(len(deep), dtype=np.int64)
     held = 0
     for pivot, free in passes:
         for cols, weights in _solutions(spec, report.H, signed, pivot, free, rad if strata else None):
             if strata:
-                rows = _deep_residue(cols, base, rad)
+                rows, weights = _deep_residue(cols, base, rad), 1
             else:
                 rows, weights = _classify_block(report, cols, weights, base, rad)
             del cols  # freed before a flush of the deep buffer
@@ -529,7 +528,9 @@ def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool,
 def _solutions(spec: HyperplaneSpec, H: int, signed: bool, pivot, free, rad=None):
     """Yield (cols, weights) for the solutions, the pivot p (if any) solved
     from the ``free`` coordinates, at most ``_BLOCK_ROWS`` cells at a time:
-    cols holds absolute values, one column per free coordinate, then p.
+    cols holds absolute values, one column per free coordinate, then p, and
+    weights one int64 per cell.  Nothing is masked: the stage that
+    classifies the cells drops a signed one with c = 0 or p = 0, off the box.
 
     The last free coordinate c is the inner one, the others are outer.  An
     outer combo leaves a_c·c + a_p·p = rem, rem = J − Σ a_o·o, with solutions
@@ -541,19 +542,18 @@ def _solutions(spec: HyperplaneSpec, H: int, signed: bool, pivot, free, rad=None
     Without ``rad`` each orbit is one cell (module docstring), its classes
     keyed by α_i in both domains: a combo is kept when ν is nondecreasing
     within each class, and c's range is cut to c ≥ ℓ, ℓ the last outer value
-    of c's class.  weights holds each cell's int64 weight, fold × ∏ k!/∏ r!,
-    from adjacent comparisons: the t-th member of a class multiplies it by t
-    and divides it by the length of the run of equal ν it ends, and each
-    partial product is a multinomial, so an integer, and no larger than the
-    vectors the cell stands for.  Cells with c = 0 or p = 0 are masked.
-    ``count_S`` hands a signed plane over as its |α| plane; on a signed
-    plane with α_i < 0 the cells still cover it, in smaller orbits.
+    of c's class.  A cell's weight, fold × ∏ k!/∏ r!, comes from adjacent
+    comparisons: the t-th member of a class multiplies it by t and divides
+    it by the length of the run of equal ν it ends, and each partial
+    product is a multinomial, so an integer, and no larger than the vectors
+    the cell stands for.  ``count_S`` hands a signed plane over as
+    its |α| plane; on a signed plane with α_i < 0 the cells still cover it,
+    in smaller orbits.
 
-    Given ``rad``, the radical table (a strata pass), every cell is one
-    vector and weights is 1; the one outer coordinate e runs over
-    2 ≤ |e| ≤ H, and c only over its side class, c ≡ 0 (mod rad(e)): one
-    class mod rad(e)·s/gcd(rad(e), s) (``_side_class``).  Cells with c = 0
-    or p = 0 are left for ``_deep_residue`` to drop.
+    Given ``rad``, the radical table (a strata pass), the fold is 1 and the
+    classes are singletons, so every weight is 1; the one outer coordinate e
+    runs over 2 ≤ |e| ≤ H, and c only over its side class, c ≡ 0
+    (mod rad(e)): one class mod rad(e)·s/gcd(rad(e), s) (``_side_class``).
 
     The cells of all combos are laid out ragged, end to end, and cut into
     runs of ``_BLOCK_ROWS``: along its class c = first + k·m, and the pivot
@@ -583,13 +583,13 @@ def _solutions(spec: HyperplaneSpec, H: int, signed: bool, pivot, free, rad=None
     cells = _BLOCK_ROWS
     for start in range(0, combos, cells):
         flat = np.arange(start, min(start + cells, combos))
+        # a leading axis of length 1 gives a plane without outer coordinates
+        # its one empty combo
+        index = np.unravel_index(flat, (1, *map(len, outer_vals)))[1:]
+        outer = [v[i] for v, i in zip(outer_vals, index)]
         rem = np.full(len(flat), spec.J, dtype=np.int64)
-        outer = []
-        for a, v in zip(reversed(outer_coef), reversed(outer_vals)):
-            flat, d = np.divmod(flat, len(v))
-            outer.append(v[d])
-            rem -= a * outer[-1]
-        outer.reverse()
+        for a, o in zip(outer_coef, outer):
+            rem -= a * o
         if pivot is None:
             c_lo, c_hi = np.full_like(rem, lo), np.full_like(rem, H)
         else:
@@ -622,7 +622,7 @@ def _solutions(spec: HyperplaneSpec, H: int, signed: bool, pivot, free, rad=None
         if cut:
             edge, weight_eq = edge[live], weight_eq[live]
         edges = np.concatenate([[0], np.cumsum((c_hi[live] - first) // m + 1)])
-        del flat, x, ok, c_lo, c_hi, live, ordered  # not needed past here
+        del flat, index, x, ok, c_lo, c_hi, live, ordered  # not needed past here
         for t0 in range(0, edges[-1], cells):
             t1 = min(t0 + cells, edges[-1])
             # combo r holds cells edges[r] to edges[r + 1] − 1
@@ -633,12 +633,7 @@ def _solutions(spec: HyperplaneSpec, H: int, signed: bool, pivot, free, rad=None
             cols = [o[row] for o in outer] + [c]
             if pivot is not None:
                 cols.append((rem[row] - ac * c) // ap)
-            weights = 1
-            if rad is None:
-                weights = np.where(c == edge[row], weight_eq[row], weight[row]) if cut else weight[row]
-                if signed:
-                    nonzero = np.flatnonzero(np.logical_and.reduce([x != 0 for x in cols[len(outer):]]))
-                    cols, weights = [x[nonzero] for x in cols], weights[nonzero]
+            weights = np.where(c == edge[row], weight_eq[row], weight[row]) if cut else weight[row]
             if signed:
                 for x in cols[len(outer):]:
                     np.abs(x, out=x)

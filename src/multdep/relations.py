@@ -374,8 +374,11 @@ def full_support_relation(nu):
     """A verified relation with every exponent nonzero, or None.
 
     Exists iff the relation kernel is not contained in any coordinate
-    hyperplane {k_i = 0}.  A combination of the kernel basis with coefficients
-    1, L, L², ... is generically full-support; L grows on the rare collision.
+    hyperplane {k_i = 0}.  Then k = Σ_j L^j·b_j over the kernel basis, with
+    L = 1 + n·maxabs and maxabs the largest |b_j[i]|, has every entry
+    nonzero: if b_j is the last basis vector with b_j[i] ≠ 0, it contributes
+    at least L^j in absolute value to k_i, and the earlier ones at most
+    maxabs·(L^j − 1)/(L − 1) < L^j together.
     """
     nu = validate_vector(nu)
     n = len(nu)
@@ -385,18 +388,8 @@ def full_support_relation(nu):
     for i in range(n):
         if all(b[i] == 0 for b in basis):
             return None
-    maxabs = max(abs(a) for b in basis for a in b)
-    L = 1 + maxabs * n
-    while True:
-        k = [0] * n
-        w = 1
-        for b in basis:
-            for i in range(n):
-                k[i] += w * b[i]
-            w *= L
-        if all(k):
-            return _repaired(nu, k)
-        L += 1 + maxabs
+    L = 1 + n * max(abs(a) for b in basis for a in b)
+    return _repaired(nu, [sum(L**j * b[i] for j, b in enumerate(basis)) for i in range(n)])
 
 
 def fatal_triple(N: int) -> tuple[int, int, int, tuple[int, ...]] | None:

@@ -353,12 +353,16 @@ def test_guards_and_output_under_python_O(capsys):
                  ["count", "--alpha=2,-1,3", "--J", "7", "--H", "60", "--positive", "--by-rank"],
                  ["converge", "--alpha=1,-1,3", "--J", "2", "--grid", "20,40"],
                  ["count", "--alpha=1,-1,1,2", "--J", "3", "--H", "20", "--by-rank"],
-                 ["count", "--alpha=-2,1,-1,0", "--J=-3", "--H", "12", "--by-rank", "--format", "json"]):
+                 ["count", "--alpha=-2,1,-1,0", "--J=-3", "--H", "12", "--by-rank", "--format", "json"],
+                 ["count", "--alpha=0", "--J", "0", "--H", "100000000", "--by-rank"]):
         proc = _python_O("-m", "multdep", *argv)
         code, out, _ = run(capsys, *argv)
         assert proc.returncode == code == 0 and proc.stderr == ""
         assert proc.stdout == out, argv
-    assert json.loads(out)["alpha"] == [-2, 1, -1, 0]
+        if argv[-1] == "json":
+            assert json.loads(out)["alpha"] == [-2, 1, -1, 0]
+    # α = (0,) counts in closed form, with no table, at any height
+    assert out == "total_on_plane 200000000\ndependent 2\nrank 0 2\n"
 
 
 def test_converge_positive_level_grid(capsys):

@@ -201,11 +201,11 @@ def repeated_planes(draw, n):
     alpha = draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
     if dom == "signed":
         alpha = [a * draw(st.sampled_from((1, -1))) for a in alpha]
-    top = {3: 16, 4: 9, 5: 4}[n]
+    top = {2: 40, 3: 16, 4: 9, 5: 4}[n]
     return tuple(alpha), draw(st.integers(-6, 6)), dom, draw(st.integers(top // 2, top))
 
 
-@pytest.mark.parametrize("n", (3, 4, 5))
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
 @given(data=st.data())
 def test_orbit_counts_match_brute_enumeration(n, data):
     # count_S visits one cell per orbit of interchangeable coordinates; the
@@ -498,6 +498,10 @@ def test_count_single_coordinate():
     # no table is built for one coordinate, so H may pass the sweep's cap
     rep = count_S(HyperplaneSpec((-3,), 3), DomainSpec("signed", 10**12))
     assert (rep.total_on_plane, rep.by_rank) == (1, {0: 1})
+    # α = (0,): every ν in the box is on the plane, and only ±1 is dependent
+    for dom, want in (("signed", (2 * 10**12, {0: 2})), ("positive", (10**12, {0: 1}))):
+        rep = count_S(HyperplaneSpec((0,), 0), DomainSpec(dom, 10**12))
+        assert (rep.total_on_plane, rep.by_rank) == want, dom
 
 
 def test_scaled_positive_density_matches_closed_form():
@@ -578,27 +582,32 @@ def _cover_rule_by_row(cols, base, rad):
 
 def test_cover_filter_matches_the_covered_count_rule(rng):
     # hand-built blocks, mostly smooth values so that many rows survive; the
-    # filter is on (H**n < 2**62) for every n here
+    # filter is on (H**n < 2**62) for every n here.  Each block ends with a
+    # copy of its rows with a 0 in the last column, as a signed sweep yields
+    # them at c = 0 or p = 0: off the box, they add nothing
     top = 1000
     base, rad = arith.power_base_table(top), arith.radical_table(top)
     smooth = [x for x in range(2, top + 1) if max(arith._abs_exponents(x))[0] <= 7]
-    for n in range(3, 7):
+    for n in range(2, 7):
         cols = [np.array([rng.choice(smooth) if rng.random() < 0.8 else rng.randint(1, top)
                           for _ in range(400)], dtype=np.int64) for _ in range(n)]
+        zeroed = [np.tile(c, 2) for c in cols]
+        zeroed[-1][400:] = 0
         # distinct weights, so each kept row must carry its own
-        weights = np.arange(1, 401, dtype=np.int64)
+        weights = np.arange(1, 801, dtype=np.int64)
         rep = lc.CountReport((1,) * n, 0, "signed", top)
-        rows, kept = lc._classify_block(rep, cols, weights, base, rad)
+        rows, kept = lc._classify_block(rep, zeroed, weights, base, rad)
         got = list(zip(rows.tolist(), kept.tolist()))
         block = list(zip(zip(*(c.tolist() for c in cols)), weights.tolist()))
         want = [(sorted(row), w) for row, w in block if _deep_candidate(row, base, rad)]
         assert got == want, n
         unit = [w for row, w in block if 1 in row]
         pair = [w for row, w in block if 1 not in row and len({int(base[x]) for x in row}) < n]
-        assert rep.total_on_plane == int(weights.sum())
+        assert rep.total_on_plane == int(weights[:400].sum())
         assert (rep.by_rank.get(0, 0), rep.by_rank.get(1, 0)) == (sum(unit), sum(pair)), n
         passed_ranks = 400 - len(unit) - len(pair)
-        assert 0 < len(want) < passed_ranks, (n, len(want), passed_ranks)
+        # two coordinates hand no row on: a deep subset needs three
+        assert (len(want) > 0) == (n >= 3) and len(want) < passed_ranks, (n, len(want), passed_ranks)
 
 
 def test_line_class_is_the_solving_residue_class():
@@ -727,26 +736,29 @@ def test_block_boundaries_do_not_change_counts(monkeypatch):
 
 def _yielded(spec, H, signed, pivot, free, rad=None):
     """Every row ``_solutions`` yields, one (tuple, weight) pair each, after
-    checking that no block passes ``_BLOCK_ROWS`` and that the weights are
-    one int64 per row, or 1 on a strata pass (``rad`` given)."""
+    checking that no block passes ``_BLOCK_ROWS``, that the weights are one
+    int64 per row, all 1 on a strata pass (``rad`` given), and that only a
+    signed sweep's last two columns, c and p, hold zeros."""
     rows = []
     for cols, weights in lc._solutions(spec, H, signed, pivot, free, rad):
         assert len(cols) == len(free) + (pivot is not None) and len(cols[0]) <= lc._BLOCK_ROWS
-        if rad is None:
-            assert weights.dtype == np.int64 and weights.shape == cols[0].shape
-        else:
-            assert weights == 1
-        rows.extend(zip(zip(*(c.tolist() for c in cols)), np.broadcast_to(weights, cols[0].shape).tolist()))
+        assert weights.dtype == np.int64 and weights.shape == cols[0].shape
+        assert rad is None or (weights == 1).all()
+        for i, c in enumerate(cols):
+            assert (c != 0).all() or (signed and i >= len(free) - 1), (i, c)
+        rows.extend(zip(zip(*(c.tolist() for c in cols)), weights.tolist()))
     return rows
 
 
 def test_solutions_yield_the_oracle_cells(monkeypatch):
     # the cell layer alone, at block sizes that split every run of cells:
-    # in cascade mode the rows, sorted and absolute, each counted with its
-    # weight, are the plane's solutions; the grid's planes with repeated |α|
-    # put many cells into one orbit.  In strata mode each role's cells
-    # (e, d, p) are the solutions with |e| ≥ 2 and rad(e) | d, and, signed,
-    # the points with d = 0 or p = 0 that ``_deep_residue`` drops
+    # in cascade mode the rows without a zero, sorted and absolute, each
+    # counted with its weight, are the plane's solutions (the classify stage
+    # drops a signed sweep's cells with c = 0 or p = 0); the grid's planes
+    # with repeated |α| put many cells into one orbit.  In strata mode each
+    # role's cells (e, d, p) are the solutions with |e| ≥ 2 and rad(e) | d,
+    # and, signed, the points with d = 0 or p = 0 that ``_deep_residue``
+    # drops
     sizes = (1, 7, lc._BLOCK_ROWS)
     for alpha, J in BLOCK_GRID + REPEAT_GRID:
         spec, n = HyperplaneSpec(alpha, J), len(alpha)
@@ -762,7 +774,8 @@ def test_solutions_yield_the_oracle_cells(monkeypatch):
                     monkeypatch.setattr(lc, "_BLOCK_ROWS", rows)
                     got = Counter()
                     for r, w in _yielded(spec, H, signed, pivot, free):
-                        got[tuple(sorted(r))] += w
+                        if 0 not in r:
+                            got[tuple(sorted(r))] += w
                     assert got == want, (rows, alpha, J, dom, H)
     rad = arith.radical_table(30)
     for alpha in CLASS_PLANES:
@@ -790,7 +803,7 @@ def test_orbit_cells_cut_the_sweep():
     spec, H = HyperplaneSpec((1, 1, 1, 2), 12), 32
     rows = _yielded(spec, H, True, 3, [0, 1, 2])
     total = count_S(spec, DomainSpec("signed", H)).total_on_plane
-    assert total == sum(w for _, w in rows) == 120259
+    assert total == sum(w for r, w in rows if 0 not in r) == 120259
     assert 5 * len(rows) <= total
 
 
