@@ -145,35 +145,38 @@ def _family_sum(families, density, degenerate: str = "a family has no nonzero co
     return total
 
 
+def _signed_constant(name: str, families, alpha, J: int, degenerate: str) -> Fraction:
+    """2^{n−2}·Σ δ·V_β(half box; 0) over the ±1 ``families`` of α on level J."""
+    a = tuple(int(x) for x in alpha)
+    if len(a) < 2:
+        raise RegimeError(f"{name} requires dimension n >= 2")
+    return Fraction(2) ** (len(a) - 2) * _family_sum(families(a, J, (1, -1)), _V_half, degenerate, _sorted_abs)
+
+
 def C0(alpha, J: int) -> Fraction:
     """Rank-0 constant: families with one coordinate pinned to ±1."""
-    a = tuple(int(x) for x in alpha)
-    n = len(a)
-    if n < 2:
-        raise RegimeError("C0 requires dimension n >= 2")
-    return Fraction(2) ** (n - 2) * _family_sum(
-        _rank0_families(a, J, (1, -1)), _V_half, "C0 needs a second nonzero coefficient (k >= 2)", _sorted_abs
-    )
+    return _signed_constant("C0", _rank0_families, alpha, J, "C0 needs a second nonzero coefficient (k >= 2)")
 
 
 def C1(alpha, J: int) -> Fraction:
     """Rank-1 constant: families with a coordinate pair ν_{i1} = ±ν_{i2}."""
-    a = tuple(int(x) for x in alpha)
-    n = len(a)
-    if n < 2:
-        raise RegimeError("C1 requires dimension n >= 2")
-    return Fraction(2) ** (n - 2) * _family_sum(
-        _rank1_families(a, J, (1, -1)), _V_half, "C1 with J = 0 needs a third nonzero coefficient", _sorted_abs
-    )
+    return _signed_constant("C1", _rank1_families, alpha, J, "C1 with J = 0 needs a third nonzero coefficient")
 
 
 def _nonzero_indices(alpha) -> list[int]:
     return [i for i, x in enumerate(alpha) if x != 0]
 
 
-def _is_rational_power(u: int, v: int) -> bool:
-    """u**s = v**t for some positive integers s, t (u, v > 1)."""
-    return arith.f_base(u) == arith.f_base(v)
+def _regime(name: str, alpha, J: int, k: int) -> tuple[tuple[int, ...], list[int]]:
+    """(α, its nonzero indices) for a constant that needs exactly k nonzero
+    coefficients and J ≠ 0; RegimeError otherwise."""
+    a = tuple(int(x) for x in alpha)
+    nz = _nonzero_indices(a)
+    if len(nz) != k:
+        raise RegimeError(f"{name} requires exactly {('two', 'three')[k - 2]} nonzero coefficients")
+    if J == 0:
+        raise RegimeError(f"{name} requires J != 0")
+    return a, nz
 
 
 def C2_k3(alpha, J: int) -> Fraction:
@@ -183,12 +186,7 @@ def C2_k3(alpha, J: int) -> Fraction:
     nonzero indices where |J/α_j| is an integer > 1 and |α_{j'}/α_{j''}| is
     an integer > 1 that is a rational power of |J/α_j|.
     """
-    a = tuple(int(x) for x in alpha)
-    nz = _nonzero_indices(a)
-    if len(nz) != 3:
-        raise RegimeError("C2_k3 requires exactly three nonzero coefficients")
-    if J == 0:
-        raise RegimeError("C2_k3 requires J != 0")
+    a, nz = _regime("C2_k3", alpha, J, 3)
     n = len(a)
     total = Fraction(0)
     for j in nz:
@@ -202,9 +200,7 @@ def C2_k3(alpha, J: int) -> Fraction:
             if abs(a[jp]) % abs(a[jpp]) != 0:
                 continue
             y = abs(a[jp]) // abs(a[jpp])
-            if y <= 1:
-                continue
-            if _is_rational_power(y, x):
+            if y > 1 and arith.f_base(y) == arith.f_base(x):
                 total += Fraction(1, y)
     return Fraction(2) ** (n - 2) * total
 
@@ -215,12 +211,7 @@ def C1_k3(alpha, J: int) -> Fraction:
     Removes 2^{n−2} per index j with |α_j| = |J| and the other two nonzero
     entries of equal absolute value (the pinned coordinate is then ±1).
     """
-    a = tuple(int(x) for x in alpha)
-    nz = _nonzero_indices(a)
-    if len(nz) != 3:
-        raise RegimeError("C1_k3 requires exactly three nonzero coefficients")
-    if J == 0:
-        raise RegimeError("C1_k3 requires J != 0")
+    a, nz = _regime("C1_k3", alpha, J, 3)
     x_size = 0
     for j in nz:
         jp, jpp = (i for i in nz if i != j)
@@ -277,12 +268,7 @@ def C_k2(alpha, J: int) -> ConstantBreakdown:
     Both the rank-0 and rank-1 parts lose 2^{n−2} when J = ±(α_{j1} + α_{j2})
     or ±(α_{j1} − α_{j2}); the rank-1 part gains 2^{n−2} per pair in S'₂.
     """
-    a = tuple(int(x) for x in alpha)
-    nz = _nonzero_indices(a)
-    if len(nz) != 2:
-        raise RegimeError("C_k2 requires exactly two nonzero coefficients")
-    if J == 0:
-        raise RegimeError("C_k2 requires J != 0")
+    a, nz = _regime("C_k2", alpha, J, 2)
     n = len(a)
     a1, a2 = a[nz[0]], a[nz[1]]
     unit = Fraction(2) ** (n - 2)
@@ -290,8 +276,6 @@ def C_k2(alpha, J: int) -> ConstantBreakdown:
     s2 = len(S2prime(J, a1, a2))
     c0 = C0(a, J) - (unit if boundary else 0)
     c1 = C1(a, J) + unit * s2 - (unit if boundary else 0)
-    if c0 < 0 or c1 < 0:
-        raise ArithmeticError(f"C_k2: negative constant part c0={c0}, c1={c1}")
     return ConstantBreakdown(
         k=2, c0=c0, c1=c1, c2=Fraction(0), h_exponent=n - 2,
         regime=f"fixed J != 0, H -> infinity; {s2} dependent line pairs",
@@ -348,9 +332,9 @@ def C_total(alpha, J: int, H: int | None = None) -> ConstantBreakdown:
     k ≥ 4: C0 + C1 on H^{n−2}.   k = 3: C0 + C1_k3 + C2_k3 (J ≠ 0).
     k = 2: line corrections (J ≠ 0).   k = 1, coefficient a: the plane
     fixes that coordinate at m = J/a, so the affine-in-log law in f(|m|)
-    (needs H), and |m| = 1 follows the exact law (2H)^{n−1}; a ∤ J admits
-    no solutions.  k = 0 with J = 0: the unconstrained box constant
-    2^{n−1}·n·(n+1) on H^{n−1}.  A given H must be at least 1.
+    (needs H), and |m| = 1 follows the exact law (2H)^{n−1}; a ∤ J and
+    m = 0 admit no solutions.  k = 0 with J = 0: the unconstrained box
+    constant 2^{n−1}·n·(n+1) on H^{n−1}.  A given H must be at least 1.
     """
     if H is not None and H < 1:
         raise ValueError(f"H must be >= 1, got {H}")
@@ -372,6 +356,8 @@ def C_total(alpha, J: int, H: int | None = None) -> ConstantBreakdown:
         m, r = divmod(J, a[nz[0]])
         if r:
             raise RegimeError(f"coefficient {a[nz[0]]} does not divide J = {J}: no solutions (degenerate)")
+        if m == 0:
+            raise RegimeError(f"J = 0 pins coordinate {nz[0] + 1} at 0, outside 0 < |nu_i| <= H: no solutions (degenerate)")
         if abs(m) == 1:
             return ConstantBreakdown(
                 k=1, c0=Fraction(2) ** (n - 1), c1=Fraction(0), c2=Fraction(0),

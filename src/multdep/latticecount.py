@@ -82,7 +82,8 @@ same residue class where no smoothness holds, and tests the power equation
 in exact integers (the lemma behind it is in its docstring).  A count that
 sweeps refuses H above ``_TABLE_CAP``, and planes whose int64 arithmetic
 could wrap (Σ|α_i|·H + |J| ≥ 2⁶²), with RegimeError before any strata,
-sweep or table.
+sweep or table; a sweep with 2⁶³ or more outer combos, too many to number
+in int64, raises it as it starts.
 """
 
 from __future__ import annotations
@@ -580,6 +581,8 @@ def _solutions(spec: HyperplaneSpec, H: int, signed: bool, pivot, free, rad=None
     key = free if rad is not None else [alpha[i] for i in free]
     fold = math.prod(f for _, f in axes)
     combos = math.prod(len(v) for v in outer_vals)
+    if combos >= 2**63:
+        raise RegimeError(f"the sweep of {alpha}·nu = {spec.J} at H = {H} needs {combos} outer combinations, beyond int64")
     cells = _BLOCK_ROWS
     for start in range(0, combos, cells):
         flat = np.arange(start, min(start + cells, combos))

@@ -319,9 +319,7 @@ def is_dependent(nu) -> bool:
 
 
 def _primitive(k) -> tuple[int, ...]:
-    g = 0
-    for a in k:
-        g = math.gcd(g, a)
+    g = arith.gcd_vec(k)
     if g > 1:
         k = [a // g for a in k]
     lead = next((a for a in k if a != 0), 0)

@@ -27,7 +27,7 @@ point inside the box has Vol_0 = 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from . import arith
 
@@ -58,10 +58,7 @@ def mm_unit_cube_Q(alpha, r) -> Fraction:
         arg = num - d * den
         if arg > 0:
             total += c * arg ** (n - 1)
-    prod = 1
-    for a in alpha:
-        prod *= a
-    q = Fraction(total, den ** (n - 1) * factorial(n - 1) * prod)
+    q = Fraction(total, den ** (n - 1) * factorial(n - 1) * prod(alpha))
     if q < 0:
         raise ArithmeticError(f"negative slice volume {q} for alpha={alpha}, r={r}")
     return q
@@ -87,10 +84,7 @@ def simplex_Q(alpha, r) -> Fraction:
         return Fraction(1, alpha[0]) if r >= 0 else Fraction(0)
     if r <= 0:
         return Fraction(0)
-    prod = 1
-    for a in alpha:
-        prod *= a
-    return r ** (n - 1) / Fraction(factorial(n - 1) * prod)
+    return r ** (n - 1) / Fraction(factorial(n - 1) * prod(alpha))
 
 
 def V_alpha(alpha, box: str, level, H: int | None = None) -> Fraction:

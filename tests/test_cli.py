@@ -226,6 +226,25 @@ def test_count_int64_overflow_exits_1(capsys):
     assert err.startswith("error: ") and "2^62" in err and err.count("\n") == 1
 
 
+def test_count_with_too_many_outer_combinations_exits_1_at_once(capsys):
+    # 8·10⁶ values per outer axis: 3 and 4 outer axes pass 2^63 combinations
+    for alpha, combos in [("1,1,1,1,1", 8_000_000**3), ("1,1,1,1,1,1", 8_000_000**4)]:
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "count", f"--alpha={alpha}", "--J", "1", "--H", "4000000")
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 1 and out == ""
+        assert err == (f"error: the sweep of ({alpha.replace(',', ', ')})·nu = 1 at H = 4000000 "
+                       f"needs {combos} outer combinations, beyond int64\n")
+
+
+def test_k1_plane_at_J_zero_exits_1(capsys):
+    # J = 0 pins the third coordinate at 0, off the box: no solutions
+    for argv in (["constant", "--H", "5"], ["converge", "--grid", "5,10"]):
+        code, out, err = run(capsys, *argv, "--alpha=0,0,1", "--J", "0")
+        assert code == 1 and out == ""
+        assert err == "error: J = 0 pins coordinate 3 at 0, outside 0 < |nu_i| <= H: no solutions (degenerate)\n"
+
+
 def test_psi0_fbase(capsys):
     code, out, _ = run(capsys, "psi0", "--x", "100", "--y", "6")
     assert code == 0 and out == "20\n"

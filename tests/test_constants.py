@@ -202,6 +202,44 @@ def test_C_total_k1_follows_J_over_a():
         cn.C_total((3, 0, 0), 1, H=64)
 
 
+def test_C_total_k1_at_J_zero_has_no_solutions():
+    # J = 0 pins the one constrained coordinate at 0, outside 0 < |ν_i| ≤ H;
+    # without H the H check still comes first
+    for alpha in [(0, 0, 1), (0, 0, 3), (0, 2)]:
+        with pytest.raises(RegimeError, match=r"no solutions \(degenerate\)$"):
+            cn.C_total(alpha, 0, H=5)
+        with pytest.raises(RegimeError, match="pass H"):
+            cn.C_total(alpha, 0)
+        assert count_S(HyperplaneSpec(alpha, 0), DomainSpec("signed", 5)).total_on_plane == 0
+
+
+def test_guard_messages():
+    # the messages the shared helpers build, one per guard
+    guards = [
+        (cn.C0, (1,), 1, "C0 requires dimension n >= 2"),
+        (cn.C1, (1,), 1, "C1 requires dimension n >= 2"),
+        (cn.C0, (1, 0), 1, "C0 needs a second nonzero coefficient (k >= 2)"),
+        (cn.C1, (1, 1), 0, "C1 with J = 0 needs a third nonzero coefficient"),
+        (cn.C_k2, (1, 1, 1), 2, "C_k2 requires exactly two nonzero coefficients"),
+        (cn.C_k2, (1, 0, 1), 0, "C_k2 requires J != 0"),
+        (cn.C1_k3, (1, 1, 0), 2, "C1_k3 requires exactly three nonzero coefficients"),
+        (cn.C1_k3, (1, 1, 1), 0, "C1_k3 requires J != 0"),
+        (cn.C2_k3, (1, 1, 1, 1), 2, "C2_k3 requires exactly three nonzero coefficients"),
+        (cn.C2_k3, (1, 2, 3), 0, "C2_k3 requires J != 0"),
+    ]
+    for f, alpha, J, message in guards:
+        with pytest.raises(RegimeError) as info:
+            f(alpha, J)
+        assert str(info.value) == message
+
+
+def test_breakdown_rejects_a_negative_part():
+    parts = {"c0": F(1), "c1": F(2), "c2": F(0)}
+    for name in parts:
+        with pytest.raises(ValueError, match="negative constant part"):
+            cn.ConstantBreakdown(k=2, h_exponent=1, regime="", **{**parts, name: F(-1, 3)})
+
+
 def test_C_total_rejects_a_height_below_one():
     for alpha, J in [((1,), 1), ((1, 1), 1), ((1, 1, 1), 1), ((1, 0, 0), 2), ((0, 0), 0)]:
         for H in (0, -5):
