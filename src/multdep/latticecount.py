@@ -21,10 +21,10 @@ coordinates leaves the last free coordinate c and p on a line
 a_c·c + a_p·p = rem; its integer points have c in one residue class mod
 s = |a_p|/g, and there are none unless g = gcd(a_c, a_p) divides rem.  The
 sweep steps c along that class, over the range that keeps p in its own, and
-solves p = (rem − a_c·c)/a_p, one floor division by the scalar a_p per cell
-(exact in int64, as |rem − a_c·c| < 2⁶²), so every cell solves the plane
-with |c|, |p| ≤ H; it classifies the cells exactly, at most ``_BLOCK_ROWS``
-at a time, and drops a signed cell with c = 0 or p = 0, off the box.
+p with it, by −(a_c/g)·sign(a_p) per step s of c, from one p solved per
+combination, so every cell solves the plane with |c|, |p| ≤ H and none
+divides; it classifies the cells exactly, at most ``_BLOCK_ROWS`` at a time,
+and drops a signed cell with c = 0 or p = 0, off the box.
 
 Classification cascade per solution (cheapest first):
   rank 0   some coordinate is ±1;
@@ -42,16 +42,16 @@ coordinates of one base, so no smaller subset is dependent and its relation
 has every exponent nonzero.  With the positive exponents on one side,
 ∏_P |x|^a = ∏_N |x|^b, each side is nonempty and every prime of one side
 divides the other.  With three coordinates one side is a single
-dominant coordinate d, and rad(d) = rad(row).  So the sweep runs once per
-role of d, with the third coordinate e outer over 2 ≤ |e| ≤ H, and steps d
-along its side class: d ≡ 0 (mod rad(e)) within the line's class mod s,
-one class mod rad(e)·s/gcd(rad(e), s) per combo (``_side_class``).  As
-Σ 1/rad(e) over e ≤ H grows slower than any power of H (28 at H = 2000,
-141 at 10⁶), the cells number H^{1+o(1)}, not O(H²).  Then
-``_deep_residue`` tests the rest of the side exactly, rad(p) | d and
-rad(d) | e·p, and keeps the rows the cascade would hand on that have a
-dominant coordinate, each under the one of largest value (equal values share
-a base, so two dominant values of a kept row never tie).
+dominant coordinate d, and rad(d) = rad(row).  So one sweep streams the
+cells of all three roles of d: in each, the third coordinate e is outer over
+2 ≤ |e| ≤ H, and d steps along its side class, d ≡ 0 (mod rad(e)) within
+the line's class mod s, one class mod rad(e)·s/gcd(rad(e), s) per combo
+(``_side_class``).  As Σ 1/rad(e) over e ≤ H grows slower than any power of
+H (28 at H = 2000, 141 at 10⁶), the cells number H^{1+o(1)}, not O(H²).
+Then ``_deep_residue``, blind to a cell's role, tests the rest of the side
+exactly, rad(p) | d and rad(d) | e·p, and keeps the rows the cascade would
+hand on that have a dominant coordinate, each under the one of largest
+value (equal values share a base, so two dominant values never tie).
 
 The deep stage is batched per count: survivors of every block wait, each
 sorted, in one buffer of one block's size.  When it is full, and once at
@@ -72,18 +72,17 @@ points of the same rank.  So the cascade sweep visits one cell per orbit,
 the one whose ν is nondecreasing within each class in free order, and the
 cell stands for fold × ∏ k!/∏ r! vectors: k is a class's size and r the
 lengths of its runs of equal ν.  A plane without repeated α has singleton
-classes and weight fold.  The strata passes fix roles, so there every cell
-stands for itself.
+classes and weight fold.  The strata roles break the symmetry, so there
+every cell stands for itself.
 
 Curve systems (one power-product equation with one linear equation) run one
 loop for every variant, ``curve_counts``: it solves the inner pair of plane
 coordinates from candidates drawn by ``arith.smooth_numbers``, or from the
 same residue class where no smoothness holds, and tests the power equation
 in exact integers (the lemma behind it is in its docstring).  A count that
-sweeps refuses H above ``_TABLE_CAP``, and planes whose int64 arithmetic
-could wrap (Σ|α_i|·H + |J| ≥ 2⁶²), with RegimeError before any strata,
-sweep or table; a sweep with 2⁶³ or more outer combos, too many to number
-in int64, raises it as it starts.
+sweeps refuses H above ``_TABLE_CAP``, planes whose int64 arithmetic could
+wrap (Σ|α_i|·H + |J| ≥ 2⁶²) and 2⁶³ or more outer combos, too many to
+number in int64, with RegimeError before any strata, sweep or table.
 """
 
 from __future__ import annotations
@@ -293,13 +292,13 @@ def _classify_block(
 
 
 def _deep_residue(cols: list[np.ndarray], base: np.ndarray, rad: np.ndarray) -> np.ndarray:
-    """The deep-stage rows among one role's cells of a plane with three
-    nonzero coefficients, whose total, rank 0 and rank 1 come from
+    """The deep-stage rows among the strata sweep's cells of a plane with
+    three nonzero coefficients, whose total, rank 0 and rank 1 come from
     ``_strata``.
 
-    ``cols`` holds the absolute values (e, d, p) in the order the strata
-    pass yields them: the outer coordinate e, the dominant one d and the
-    pivot p.  The sweep gives rad(e) | d and |e| ≥ 2, but also cells with
+    ``cols`` holds the absolute values (e, d, p) of each cell in its role's
+    order, whatever the role: the outer coordinate e, the dominant one d and
+    the pivot p.  The sweep gives rad(e) | d and |e| ≥ 2, but also cells with
     d = 0 or p = 0, off the box, which are dropped first.  ``base`` and
     ``rad`` are tables, as for ``_classify_block``.  A row is kept when
     rad(p) | d, then rad(d) | e·p (so every coordinate is covered and
@@ -397,13 +396,24 @@ def count_S(spec: HyperplaneSpec, domain: DomainSpec) -> CountReport:
             raise RegimeError(f"height {H} needs lookup tables above the cap {_TABLE_CAP}")
         if sum(abs(a) for a in alpha) * H + abs(spec.J) >= 2**62:
             raise RegimeError("sum of |alpha_i|*H plus |J| reaches 2^62, beyond the sweep's int64 arithmetic")
+        strata = spec.n == spec.nnz == 3
+        if strata:  # one role per dominant coordinate d (``_sweep``)
+            pivots = [_pivot_index([0 if i == d else a for i, a in enumerate(alpha)]) for d in range(3)]
+            roles = [(p, [3 - d - p, d]) for d, p in enumerate(pivots)]
+        else:
+            pivot = _pivot_index(alpha)
+            roles = [(pivot, [i for i in range(spec.n) if i != pivot])]
+        # ``_solutions``' outer values: |o| ≥ 2 with strata, ± where ``_axis`` starts at −H
+        combos = len(roles) * math.prod((H - strata) * (1 + (_axis(alpha[i], H, signed)[0] < 0))
+                                        for i in roles[0][1][:-1])
+        if combos >= 2**63:
+            raise RegimeError(f"the sweep of {report.alpha}·nu = {spec.J} at H = {H} needs {combos} outer combinations, beyond int64")
         base = arith.power_base_table(H)
         rad = arith.radical_table(H)
-        strata = spec.n == spec.nnz == 3
         if strata:
             report.total_on_plane, rank0, rank1 = _strata(spec, domain, base)
             report.by_rank.update({0: rank0, 1: rank1})
-        _sweep(report, spec, signed, base, rad, strata)
+        _sweep(report, spec, signed, base, rad, roles, strata)
     else:
         # one nonzero coordinate: N₁ points, N₁ − N₂ of rank 0, as in
         # ``_strata``; no table
@@ -445,100 +455,93 @@ def _class_residue(m: np.ndarray, g, s, u) -> np.ndarray:
 def _inner_range(rem: np.ndarray, ac, ap, lo: int, H: int, p_lo: int):
     """(c_lo, c_hi) per entry of rem: the c in [lo, H] whose pivot
     p = (rem − ac·c)/ap, a rational here, lies in [p_lo, H]; empty where
-    c_lo > c_hi.  ac and ap are ints, or int64 columns that broadcast with
-    rem (a column ac must be positive).  With ac = 0, p is the same for
+    c_lo > c_hi.  ac ≥ 0 and ap are ints, or int64 columns that broadcast
+    with rem (a column ac must be positive).  With ac = 0, p is the same for
     every c, so the range is all of [lo, H] or nothing."""
     # ac·c = rem − ap·p runs over [low, high]
     low = rem - np.maximum(ap * p_lo, ap * H)
     high = rem - np.minimum(ap * p_lo, ap * H)
-    if np.ndim(ac) == 0 and ac <= 0:
-        if ac == 0:
-            return np.full_like(rem, lo), np.where((low <= 0) & (high >= 0), H, lo - 1)
-        low, high, ac = -high, -low, -ac
+    if np.ndim(ac) == 0 and ac == 0:
+        return np.full_like(rem, lo), np.where((low <= 0) & (high >= 0), H, lo - 1)
     return np.maximum(-(-low // ac), lo), np.minimum(high // ac, H)
 
 
-def _side_class(r: np.ndarray, x: np.ndarray, s: int):
+def _side_class(r: np.ndarray, x: np.ndarray, s):
     """(ok, y, m): where ok, the d with d ≡ x (mod s) and d ≡ 0 (mod r) are
     those with d ≡ y (mod m), m = r·s/g₂ and g₂ = gcd(r, s); elsewhere
     (g₂ ∤ x) there are none.  r holds squarefree values, so r/g₂ is prime
-    to s/g₂, and y = r·k with k ≡ (x/g₂)·(r/g₂)⁻¹ (mod s/g₂).
-
-    As r mod s = g₂·(r/g₂ mod s/g₂), each distinct r mod s takes one
-    ``pow``, and ``_class_residue`` forms the product, in Python ints once
-    (s/g₂)² could pass 2⁶³."""
-    t, at = np.unique(_mod(r, s), return_inverse=True)
-    g2 = np.gcd(t, s)
-    inv = np.array([pow(q // g, -1, s // g) for q, g in zip(t.tolist(), g2.tolist())], dtype=np.int64)
+    to s/g₂, and y = r·k with k ≡ (x/g₂)·(r/g₂)⁻¹ (mod s/g₂); s is an int
+    or a column like r.  As r mod s = g₂·(r/g₂ mod s/g₂), each distinct
+    (r mod s, s), keyed s·w + r mod s, w = max r + 1 (below 2⁶³: r ≤ H and
+    s·H < 2⁶² on a sweep's planes), takes one ``pow``; ``_class_residue``
+    forms the product, in Python ints once (s/g₂)² could pass 2⁶³."""
+    w = int(r.max(initial=0)) + 1
+    t, at = np.unique(s * w + _mod(r, s), return_inverse=True)
+    q, t = t % w, t // w
+    g2 = np.gcd(q, t)
+    inv = np.array([pow(a // g, -1, b // g) for a, g, b in zip(q.tolist(), g2.tolist(), t.tolist())], dtype=np.int64)
     g2, inv = g2[at], inv[at]
     s2 = s // g2
     return _mod(x, g2) == 0, r * _class_residue(x, g2, s2, inv), r * s2
 
 
 def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool,
-           base: np.ndarray, rad: np.ndarray, strata: bool) -> None:
-    """Classify every solution, in blocks of at most ``_BLOCK_ROWS`` cells
-    (``_solutions``); ``base`` and ``rad`` are the minimal-base and radical
-    tables up to H.
+           base: np.ndarray, rad: np.ndarray, roles, strata: bool) -> None:
+    """Classify every solution, in one stream of blocks of at most
+    ``_BLOCK_ROWS`` cells over the (pivot, free) ``roles`` (``_solutions``);
+    ``base`` and ``rad`` are the minimal-base and radical tables up to H.
 
-    Without ``strata`` one pass solves the pivot (``_pivot_index``, none
-    when α = 0) from the other coordinates, and the cascade
-    (``_classify_block``) counts every cell, one per orbit, with its weight.
-    With ``strata`` (three nonzero coefficients, whose total, rank 0 and
-    rank 1 ``_strata`` counted) only rank 2 is left, and each of its rows
-    has a dominant coordinate d (module docstring).  So there is one pass
-    per role of d: the pivot p is the other coordinate with the larger |α|
-    (``_pivot_index``), the third, e, is outer, and d runs along its side
-    class; each pass yields its cells as (e, d, p), and ``_deep_residue``
-    keeps each row the cascade would rank under its dominant coordinate of
-    largest value, each row standing for one vector.  Either stage drops
-    the signed cells with c = 0 or p = 0.  The deep-stage rows of every
-    block and pass wait in one buffer of one block's size, with their
-    weights, which ``_rank_deep`` ranks when it is full and once at the end.
+    Without ``strata`` one role solves the pivot (``_pivot_index``, none when
+    α = 0) from the other coordinates, and the cascade (``_classify_block``)
+    counts every cell, one per orbit, with its weight.  With ``strata`` only
+    rank 2 is left (module docstring): one role per dominant coordinate d,
+    free = [e, d] and p the other coordinate with the larger |α|, and
+    ``_deep_residue`` keeps, from the cells (e, d, p) of any role, each row
+    the cascade would rank under its dominant coordinate of largest value,
+    each standing for one vector.  Either stage drops the signed cells with
+    c = 0 or p = 0.  The deep-stage rows of every block wait in one buffer
+    of one block's size, with their weights, which ``_rank_deep`` ranks
+    when it is full and once at the end.
     """
-    if strata:
-        passes = []
-        for d in range(3):
-            p = _pivot_index([0 if i == d else a for i, a in enumerate(spec.alpha)])
-            passes.append((p, [3 - d - p, d]))
-    else:
-        pivot = _pivot_index(spec.alpha)
-        passes = [(pivot, [i for i in range(spec.n) if i != pivot])]
-    # deep-stage rows wait here, across blocks and passes, until the buffer
-    # is full; one buffer for the whole count, so no small arrays outlive
-    # their block.  Rows reach the deep stage only from three coordinates on
+    # deep-stage rows wait here, across blocks, until the buffer is full;
+    # one buffer for the whole count, so no small arrays outlive their
+    # block.  Rows reach the deep stage only from three coordinates on
     deep = np.empty((_BLOCK_ROWS, spec.n), dtype=np.int64)
     deep_weights = np.empty(len(deep), dtype=np.int64)
     held = 0
-    for pivot, free in passes:
-        for cols, weights in _solutions(spec, report.H, signed, pivot, free, rad if strata else None):
-            if strata:
-                rows, weights = _deep_residue(cols, base, rad), 1
-            else:
-                rows, weights = _classify_block(report, cols, weights, base, rad)
-            del cols  # freed before a flush of the deep buffer
-            if held + len(rows) > len(deep):
-                _rank_deep(report, deep[:held], deep_weights[:held])
-                held = 0
-            deep[held:held + len(rows)] = rows
-            deep_weights[held:held + len(rows)] = weights
-            held += len(rows)
+    for cols, weights in _solutions(spec, report.H, signed, roles, rad if strata else None):
+        if strata:
+            rows, weights = _deep_residue(cols, base, rad), 1
+        else:
+            rows, weights = _classify_block(report, cols, weights, base, rad)
+        del cols  # freed before a flush of the deep buffer
+        if held + len(rows) > len(deep):
+            _rank_deep(report, deep[:held], deep_weights[:held])
+            held = 0
+        deep[held:held + len(rows)] = rows
+        deep_weights[held:held + len(rows)] = weights
+        held += len(rows)
     _rank_deep(report, deep[:held], deep_weights[:held])
 
 
-def _solutions(spec: HyperplaneSpec, H: int, signed: bool, pivot, free, rad=None):
-    """Yield (cols, weights) for the solutions, the pivot p (if any) solved
-    from the ``free`` coordinates, at most ``_BLOCK_ROWS`` cells at a time:
-    cols holds absolute values, one column per free coordinate, then p, and
-    weights one int64 per cell.  Nothing is masked: the stage that
-    classifies the cells drops a signed one with c = 0 or p = 0, off the box.
+def _solutions(spec: HyperplaneSpec, H: int, signed: bool, roles, rad=None):
+    """Yield (cols, weights) for the solutions of every role (pivot, free)
+    in ``roles``, at most ``_BLOCK_ROWS`` cells at a time: each role solves
+    its pivot p (if any) from its ``free`` coordinates, cols holds absolute
+    values, one column per free coordinate, then p, and weights one int64
+    per cell.  The roles share their axes (several roles come only with no
+    zero α).  Nothing is masked: the stage that classifies the cells drops
+    a signed one with c = 0 or p = 0, off the box.
 
     The last free coordinate c is the inner one, the others are outer.  An
-    outer combo leaves a_c·c + a_p·p = rem, rem = J − Σ a_o·o, with solutions
-    only when g | rem ((g, s, u) from ``_line_class``), and then c lies in
-    one class mod s (``_class_residue``).  Its range is c's axis cut to the
-    values that keep p in its own (``_inner_range``).  Combos are decoded
-    (``product`` order) and solved ``_BLOCK_ROWS`` at a time.
+    outer combo of a role leaves a_c·c + a_p·p = rem, rem = J − Σ a_o·o,
+    negated where a_c < 0, with solutions only when g | rem ((g, s, u) from
+    ``_line_class``), and then c lies in one class mod s
+    (``_class_residue``).  Its range is c's axis cut to the values that keep
+    p in its own (``_inner_range``).  Combos are decoded (role, then
+    ``product`` order) and solved ``_BLOCK_ROWS`` at a time, each with its
+    role's line: a line parameter all roles share, or all in the block,
+    stays an int.
 
     Without ``rad`` each orbit is one cell (module docstring), its classes
     keyed by α_i in both domains: a combo is kept when ν is nondecreasing
@@ -551,16 +554,16 @@ def _solutions(spec: HyperplaneSpec, H: int, signed: bool, pivot, free, rad=None
     its |α| plane; on a signed plane with α_i < 0 the cells still cover it,
     in smaller orbits.
 
-    Given ``rad``, the radical table (a strata pass), the fold is 1 and the
+    Given ``rad``, the radical table (a strata plane), the fold is 1 and the
     classes are singletons, so every weight is 1; the one outer coordinate e
     runs over 2 ≤ |e| ≤ H, and c only over its side class, c ≡ 0
     (mod rad(e)): one class mod rad(e)·s/gcd(rad(e), s) (``_side_class``).
 
     The cells of all combos are laid out ragged, end to end, and cut into
-    runs of ``_BLOCK_ROWS``: along its class c = first + k·m, and the pivot
-    is p = (rem − a_c·c)/a_p, exact on c's class, so one floor division by
-    the scalar a_p per cell.  Without a pivot (all-zero α) a unit stand-in
-    for a_p makes the whole axis one class.
+    runs of ``_BLOCK_ROWS``: the k-th cell of a combo has c = first + k·m
+    and p = p₀ − k·(a_c/g)·sign(a_p)·(m/s), p₀ solved at c = first, so no
+    cell divides.  Without a pivot (all-zero α) a unit stand-in for a_p
+    makes the whole axis one class.
 
     Exact in int64 on the planes ``count_S`` lets through: |rem|, |a_c·c|
     and |a_p|·H stay below 2⁶², so |rem − a_c·c| = |a_p·p| < 2⁶² too; a
@@ -568,30 +571,34 @@ def _solutions(spec: HyperplaneSpec, H: int, signed: bool, pivot, free, rad=None
     combos its mask drops.
     """
     alpha = spec.alpha
+    pivot, free = roles[0]
     axes = [_axis(alpha[i], H, signed) for i in free]
     low = 1 if rad is None else 2
     outer_vals = [np.arange(start, H + 1, dtype=np.int64) for start, _ in axes[:-1]]
     outer_vals = [v[np.abs(v) >= low] for v in outer_vals]
-    outer_coef = [alpha[i] for i in free[:-1]]
-    ac, lo = alpha[free[-1]], axes[-1][0]
-    ap = 1 if pivot is None else alpha[pivot]
-    g, s, u = _line_class(ac, ap)
-    # orbit classes; a strata pass keeps every coordinate apart, as its
-    # roles break the symmetry
+    lo = axes[-1][0]
+    # each role's line (J, outer coefficients, a_c, a_p, g, s, u), a_c ≥ 0
+    lines = []
+    for p, f in roles:
+        turn = -1 if alpha[f[-1]] < 0 else 1
+        line = [turn * spec.J, *(turn * alpha[i] for i in f), turn * (1 if p is None else alpha[p])]
+        lines.append((*line, *_line_class(*line[-2:])))
+    # a parameter all roles share stays an int: numpy divides faster by it
+    lines = [v[0] if len(set(v)) == 1 else np.array(v, dtype=np.int64) for v in zip(*lines)]
+    # orbit classes; a strata plane's roles break the symmetry
     key = free if rad is not None else [alpha[i] for i in free]
     fold = math.prod(f for _, f in axes)
-    combos = math.prod(len(v) for v in outer_vals)
-    if combos >= 2**63:
-        raise RegimeError(f"the sweep of {alpha}·nu = {spec.J} at H = {H} needs {combos} outer combinations, beyond int64")
+    combos = len(roles) * math.prod(len(v) for v in outer_vals)
     cells = _BLOCK_ROWS
     for start in range(0, combos, cells):
         flat = np.arange(start, min(start + cells, combos))
-        # a leading axis of length 1 gives a plane without outer coordinates
-        # its one empty combo
-        index = np.unravel_index(flat, (1, *map(len, outer_vals)))[1:]
+        # the role axis leads, which gives a plane without outer coordinates its one combo per role
+        role, *index = np.unravel_index(flat, (len(roles), *map(len, outer_vals)))
+        role = role[0] if role[0] == role[-1] else role  # one role: its line's ints
+        J, *coef, ac, ap, g, s, u = (v[role] if isinstance(v, np.ndarray) else v for v in lines)
         outer = [v[i] for v, i in zip(outer_vals, index)]
-        rem = np.full(len(flat), spec.J, dtype=np.int64)
-        for a, o in zip(outer_coef, outer):
+        rem = np.zeros(len(flat), dtype=np.int64) + J
+        for a, o in zip(coef, outer):
             rem -= a * o
         if pivot is None:
             c_lo, c_hi = np.full_like(rem, lo), np.full_like(rem, H)
@@ -620,23 +627,29 @@ def _solutions(spec: HyperplaneSpec, H: int, signed: bool, pivot, free, rad=None
         first = c_lo + _mod(x - c_lo, m)
         live = np.flatnonzero((_mod(rem, g) == 0) & ok & ordered & (first <= c_hi))
         first, rem, outer = first[live], rem[live], [np.abs(o[live]) for o in outer]
-        m = m[live] if np.ndim(m) else m
+        ac, ap, g, s, m = (v[live] if isinstance(v, np.ndarray) else v for v in (ac, ap, g, s, m))
         weight = weight[live]
         if cut:
             edge, weight_eq = edge[live], weight_eq[live]
         edges = np.concatenate([[0], np.cumsum((c_hi[live] - first) // m + 1)])
-        del flat, index, x, ok, c_lo, c_hi, live, ordered  # not needed past here
+        p_first = (rem - ac * first) // ap
+        p_step = -(ac // g) * (m // s) * (ap // abs(ap))
+        del flat, index, x, ok, c_lo, c_hi, live, ordered, rem  # not needed past here
         for t0 in range(0, edges[-1], cells):
             t1 = min(t0 + cells, edges[-1])
-            # combo r holds cells edges[r] to edges[r + 1] − 1
+            # combo r holds cells edges[r] to edges[r + 1] − 1, and its values
+            # are repeated over them (several times faster than a gather)
             r0 = int(np.searchsorted(edges, t0, "right")) - 1
             r1 = int(np.searchsorted(edges, t1 - 1, "right"))
-            row = np.repeat(np.arange(r0, r1), np.minimum(edges[r0 + 1:r1 + 1], t1) - np.maximum(edges[r0:r1], t0))
-            c = first[row] + (np.arange(t0, t1) - edges[row]) * (m[row] if np.ndim(m) else m)
-            cols = [o[row] for o in outer] + [c]
+            reps = np.minimum(edges[r0 + 1:r1 + 1], t1) - np.maximum(edges[r0:r1], t0)
+            at, c, step, p, dp, w = (np.repeat(v[r0:r1], reps) if isinstance(v, np.ndarray) else v
+                                     for v in (edges, first, m, p_first, p_step, weight))
+            k = np.arange(t0, t1) - at
+            c += k * step
+            cols = [np.repeat(o[r0:r1], reps) for o in outer] + [c]
             if pivot is not None:
-                cols.append((rem[row] - ac * c) // ap)
-            weights = np.where(c == edge[row], weight_eq[row], weight[row]) if cut else weight[row]
+                cols.append(p + k * dp)
+            weights = np.where(c == np.repeat(edge[r0:r1], reps), np.repeat(weight_eq[r0:r1], reps), w) if cut else w
             if signed:
                 for x in cols[len(outer):]:
                     np.abs(x, out=x)

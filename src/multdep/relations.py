@@ -55,8 +55,9 @@ def exponent_stack(keys) -> np.ndarray:
     Column (j, t) of a row is prime slot t of value j; a prime that several
     values of the row share goes in the first of its slots, so the other
     columns are zero, which changes no rank, and each prime of the row owns
-    exactly one column.  A value 1 has an all-zero row.  Each distinct value
-    is factorized once.  Values past int64 are kept as Python ints.
+    exactly one column.  A value 1 has an all-zero row.  The distinct values
+    are factorized together, once each (``_factor_table``).  Values past
+    int64 are kept as Python ints.
     """
     try:
         keys = np.asarray(keys, dtype=np.int64)
@@ -65,11 +66,8 @@ def exponent_stack(keys) -> np.ndarray:
     m, n = keys.shape
     vals = np.sort(keys, axis=None)
     vals = vals[np.flatnonzero(np.diff(vals, prepend=0))]
-    facts = [arith._abs_exponents(v) for v in vals.tolist()]
-    w = max(1, *map(len, facts))
-    facts = [f + ((0, 0),) * (w - len(f)) for f in facts]
-    table = np.array(facts, dtype=keys.dtype)  # a prime is at most its value
-    primes, exps = table[:, :, 0], table[:, :, 1]
+    primes, exps = _factor_table(vals)
+    w = primes.shape[1]
     at = np.searchsorted(vals, keys)
     row_primes = primes[at].reshape(m, n * w)
     first = (row_primes[:, :, None] == row_primes[:, None, :]).argmax(axis=2)
@@ -78,6 +76,35 @@ def exponent_stack(keys) -> np.ndarray:
     # (padding slots write 0 over 0)
     np.put_along_axis(out, first.reshape(m, n, w), exps[at], axis=2)
     return out
+
+
+def _factor_table(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(primes, exps), each (V, w), of distinct ascending values ≥ 1: row i
+    holds the primes of vals[i], ascending, and their exponents, zero-padded
+    to w, the most primes of one value (at least 1).  Values up to
+    ``arith.SIEVE_LIMIT`` are peeled together, one smallest prime factor off
+    the sieve per step; each larger one takes ``arith._abs_exponents``."""
+    cut = int(np.searchsorted(vals, arith.SIEVE_LIMIT, "right"))
+    big = [arith._abs_exponents(v) for v in vals[cut:].tolist()]
+    rest = vals[:cut].astype(np.int64)
+    spf = arith._spf_table
+    if cut and (spf is None or rest[-1] >= len(spf)):
+        spf = arith._grow_spf(int(rest[-1]))
+    # each value's primes with multiplicity, ascending, between 1s (spf[1] = 1)
+    peel = [np.ones(cut, dtype=np.int64)]
+    while rest.max(initial=1) > 1:
+        peel.append(spf[rest])
+        rest = rest // peel[-1]
+    peel = np.stack(peel, axis=1)
+    prime = peel[:, 1:] > 1
+    slot = np.cumsum(prime & (peel[:, 1:] != peel[:, :-1]), axis=1) - 1
+    w = max(1, int(slot.max(initial=-1)) + 1, *map(len, big))
+    i, j = np.nonzero(prime)
+    exps = np.bincount(i * w + slot[i, j], minlength=cut * w).reshape(cut, w)
+    primes = np.zeros((cut, w), dtype=np.int64)
+    primes[i, slot[i, j]] = peel[i, j + 1]
+    table = np.array([f + ((0, 0),) * (w - len(f)) for f in big], dtype=vals.dtype).reshape(-1, w, 2)
+    return np.concatenate([primes, table[:, :, 0]]), np.concatenate([exps, table[:, :, 1]])
 
 
 # ── exact integer linear algebra ─────────────────────────────────────────

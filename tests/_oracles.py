@@ -10,7 +10,9 @@ base w ≤ |J|.  Plane points come from ``enumerate_solutions``, a plain walk
 over the free coordinates that the tests check against a brute
 product-and-filter of the box; it borrows only the package's pivot choice.
 The curve-system oracle walks the plane with it and reads the variants'
-sides from ``CURVE_VARIANTS``.
+sides from ``CURVE_VARIANTS``.  One reference does use the package:
+``factor_table`` is the per-value loop over ``arith._abs_exponents`` that
+``relations`` factorized with before its numpy sieve peel.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import factorial, gcd, lcm
 
+import numpy as np
+
+from multdep import arith
 from multdep.latticecount import CURVE_VARIANTS, DomainSpec, HyperplaneSpec, _pivot_index
 
 
@@ -263,6 +268,15 @@ def _exponent_rows(values):
         facts.append(f)
     primes = sorted({p for f in facts for p in f})
     return [[f.get(p, 0) for p in primes] for f in facts]
+
+
+def factor_table(vals):
+    """(primes, exps) as ``relations._factor_table`` gives them, by its former
+    loop: ``arith._abs_exponents`` on each value, padded to the widest."""
+    facts = [arith._abs_exponents(v) for v in vals.tolist()]
+    w = max(1, *map(len, facts))
+    table = np.array([f + ((0, 0),) * (w - len(f)) for f in facts], dtype=vals.dtype)
+    return table[:, :, 0], table[:, :, 1]
 
 
 def subset_rank_oracle(nu) -> int:

@@ -226,9 +226,16 @@ def test_count_int64_overflow_exits_1(capsys):
     assert err.startswith("error: ") and "2^62" in err and err.count("\n") == 1
 
 
-def test_count_with_too_many_outer_combinations_exits_1_at_once(capsys):
-    # 8·10⁶ values per outer axis: 3 and 4 outer axes pass 2^63 combinations
-    for alpha, combos in [("1,1,1,1,1", 8_000_000**3), ("1,1,1,1,1,1", 8_000_000**4)]:
+def test_count_with_too_many_outer_combinations_exits_1_at_once(capsys, monkeypatch):
+    # 8·10⁶ values per outer axis: 3 and 4 outer axes pass 2^63 combinations.
+    # The error names the plane as given, signs included, before any table
+    def no_table(limit):
+        raise AssertionError(f"a table of {limit} entries was built")
+
+    monkeypatch.setattr(multdep.arith, "radical_table", no_table)
+    monkeypatch.setattr(multdep.arith, "power_base_table", no_table)
+    for alpha, combos in [("1,1,1,1,1", 8_000_000**3), ("1,1,1,1,1,1", 8_000_000**4),
+                          ("1,-2,1,1,1", 8_000_000**3)]:
         t0 = time.perf_counter()
         code, out, err = run(capsys, "count", f"--alpha={alpha}", "--J", "1", "--H", "4000000")
         assert time.perf_counter() - t0 < 2.0

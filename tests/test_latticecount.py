@@ -734,13 +734,15 @@ def test_block_boundaries_do_not_change_counts(monkeypatch):
         assert len(got) == 1, (alpha, J, H, got)
 
 
-def _yielded(spec, H, signed, pivot, free, rad=None):
-    """Every row ``_solutions`` yields, one (tuple, weight) pair each, after
-    checking that no block passes ``_BLOCK_ROWS``, that the weights are one
-    int64 per row, all 1 on a strata pass (``rad`` given), and that only a
-    signed sweep's last two columns, c and p, hold zeros."""
+def _yielded(spec, H, signed, roles, rad=None):
+    """Every row ``_solutions`` yields for the (pivot, free) ``roles``, one
+    (tuple, weight) pair each, after checking that no block passes
+    ``_BLOCK_ROWS``, that the weights are one int64 per row, all 1 on a
+    strata plane (``rad`` given), and that only a signed sweep's last two
+    columns, c and p, hold zeros."""
     rows = []
-    for cols, weights in lc._solutions(spec, H, signed, pivot, free, rad):
+    (pivot, free), *_ = roles
+    for cols, weights in lc._solutions(spec, H, signed, roles, rad):
         assert len(cols) == len(free) + (pivot is not None) and len(cols[0]) <= lc._BLOCK_ROWS
         assert weights.dtype == np.int64 and weights.shape == cols[0].shape
         assert rad is None or (weights == 1).all()
@@ -755,10 +757,11 @@ def test_solutions_yield_the_oracle_cells(monkeypatch):
     # in cascade mode the rows without a zero, sorted and absolute, each
     # counted with its weight, are the plane's solutions (the classify stage
     # drops a signed sweep's cells with c = 0 or p = 0); the grid's planes
-    # with repeated |α| put many cells into one orbit.  In strata mode each
-    # role's cells (e, d, p) are the solutions with |e| ≥ 2 and rad(e) | d,
-    # and, signed, the points with d = 0 or p = 0 that ``_deep_residue``
-    # drops
+    # with repeated |α| put many cells into one orbit.  In strata mode the
+    # one stream's cells (e, d, p) are, over the three roles of d, the
+    # solutions with |e| ≥ 2 and rad(e) | d and, signed, the points with
+    # d = 0 or p = 0 that ``_deep_residue`` drops; a role with a_d < 0 (the
+    # negative α here, on both domains) runs on its negated line
     sizes = (1, 7, lc._BLOCK_ROWS)
     for alpha, J in BLOCK_GRID + REPEAT_GRID:
         spec, n = HyperplaneSpec(alpha, J), len(alpha)
@@ -773,7 +776,7 @@ def test_solutions_yield_the_oracle_cells(monkeypatch):
                 for rows in sizes:
                     monkeypatch.setattr(lc, "_BLOCK_ROWS", rows)
                     got = Counter()
-                    for r, w in _yielded(spec, H, signed, pivot, free):
+                    for r, w in _yielded(spec, H, signed, [(pivot, free)]):
                         if 0 not in r:
                             got[tuple(sorted(r))] += w
                     assert got == want, (rows, alpha, J, dom, H)
@@ -782,26 +785,28 @@ def test_solutions_yield_the_oracle_cells(monkeypatch):
         for J, dom, H in product((0, 1, -7, 30), ("signed", "positive"), (1, 7, 30)):
             spec = HyperplaneSpec(alpha, J)
             sols = [tuple(map(abs, v)) for v in orc.enumerate_solutions(spec, DomainSpec(dom, H))]
+            roles, want = [], Counter()
             for d in range(3):
                 p = lc._pivot_index([0 if i == d else a for i, a in enumerate(alpha)])
                 e = 3 - d - p
-                want = Counter((v[e], v[d], v[p]) for v in sols if v[e] >= 2 and v[d] % rad[v[e]] == 0)
+                roles.append((p, [e, d]))
+                want.update((v[e], v[d], v[p]) for v in sols if v[e] >= 2 and v[d] % rad[v[e]] == 0)
                 for ve, vd in product(range(-H, H + 1), repeat=2):
                     q, r = divmod(J - alpha[e] * ve - alpha[d] * vd, alpha[p])
                     if dom == "signed" and abs(ve) >= 2 and not r and abs(q) <= H and 0 in (vd, q) \
                             and vd % rad[abs(ve)] == 0:
                         want[abs(ve), abs(vd), abs(q)] += 1
-                for rows in sizes:
-                    monkeypatch.setattr(lc, "_BLOCK_ROWS", rows)
-                    got = Counter(r for r, _ in _yielded(spec, H, dom == "signed", p, [e, d], rad))
-                    assert got == want, (rows, alpha, J, dom, H, d)
+            for rows in sizes:
+                monkeypatch.setattr(lc, "_BLOCK_ROWS", rows)
+                got = Counter(r for r, _ in _yielded(spec, H, dom == "signed", roles, rad))
+                assert got == want, (rows, alpha, J, dom, H)
 
 
 def test_orbit_cells_cut_the_sweep():
     # (1, 1, 1, 2)/J = 12: the pivot is the 2, and the three free coordinates
     # form one class, so most orbits hold 3! = 6 vectors
     spec, H = HyperplaneSpec((1, 1, 1, 2), 12), 32
-    rows = _yielded(spec, H, True, 3, [0, 1, 2])
+    rows = _yielded(spec, H, True, [(3, [0, 1, 2])])
     total = count_S(spec, DomainSpec("signed", H)).total_on_plane
     assert total == sum(w for r, w in rows if 0 not in r) == 120259
     assert 5 * len(rows) <= total
@@ -933,7 +938,8 @@ def test_class_sweep_deep_rows_match_the_covered_count_rule(monkeypatch):
     side_class = lc._side_class
 
     def recording(r, x, s):
-        sides.add((s > 1, bool((np.gcd(r, s) > 1).any())))
+        # s is one role's int or a column over the roles: one entry per combo
+        sides.update(zip((np.broadcast_to(s, r.shape) > 1).tolist(), (np.gcd(r, s) > 1).tolist()))
         return side_class(r, x, s)
 
     monkeypatch.setattr(lc, "_side_class", recording)
@@ -1020,19 +1026,37 @@ def test_side_classes_are_exact_above_the_sieve_limit():
                 assert m1 == period, (ac, ap, rem, r1)
 
 
+def _plane_points(alpha, J, dom, H):
+    """|ν| of every point of a three-coefficient plane, (r, 3): the first two
+    coordinates run over their whole box and solve the third."""
+    axis = np.arange(1, H + 1) if dom == "positive" else np.r_[-H:0, 1:H + 1]
+    x, y = (v.ravel() for v in np.meshgrid(axis, axis, indexing="ij"))
+    z, r = np.divmod(J - alpha[0] * x - alpha[1] * y, alpha[2])
+    ok = (r == 0) & (z != 0) & (np.abs(z) <= H) & ((z > 0) | (dom == "signed"))
+    return np.abs(np.stack([x[ok], y[ok], z[ok]], axis=1))
+
+
 def test_side_class_counts_match_the_cascade(rng):
     # by rank, count_S against the cascade (``_classify_block`` on every
-    # solution, then ``_rank_deep``) on random three-coefficient planes
-    base, rad = arith.power_base_table(60), arith.radical_table(60)
-    deep = 0
-    for _ in range(80):
+    # solution, then ``_rank_deep``) on random three-coefficient planes, J = 0
+    # in every fifth; mixed signs in the positive domain run some roles on
+    # their negated line (a_d < 0)
+    base, rad = arith.power_base_table(200), arith.radical_table(200)
+    deep = turned = 0
+    for i in range(160):
         alpha = tuple(rng.choice((-1, 1)) * rng.randint(1, 12) for _ in range(3))
-        J, H, dom = rng.randint(-60, 60), rng.randint(1, 60), rng.choice(("signed", "positive"))
+        J, H, dom = rng.randint(-200, 200) * (i % 5 > 0), rng.randint(1, 200), rng.choice(("signed", "positive"))
         spec, ds = HyperplaneSpec(alpha, J), DomainSpec(dom, H)
-        sols = np.abs(np.array(list(orc.enumerate_solutions(spec, ds)), dtype=np.int64).reshape(-1, 3))
+        sols = _plane_points(alpha, J, dom, H)
         want = lc.CountReport(alpha, J, dom, H)
         lc._rank_deep(want, *lc._classify_block(want, list(sols.T), np.ones(len(sols), dtype=np.int64), base, rad))
         got = count_S(spec, ds)
         assert (got.total_on_plane, got.by_rank) == (want.total_on_plane, _nonzero(want.by_rank)), (alpha, J, dom, H)
         deep += want.by_rank.get(2, 0)
-    assert deep > 0
+        turned += dom == "positive" and min(alpha) < 0
+    assert deep > 0 and turned >= 20
+    # the numpy walk is the plane's points, as the oracle enumerates them
+    for dom in ("signed", "positive"):
+        spec, ds = HyperplaneSpec((3, -5, 4), 7), DomainSpec(dom, 30)
+        want = sorted(tuple(map(abs, v)) for v in orc.enumerate_solutions(spec, ds))
+        assert sorted(map(tuple, _plane_points((3, -5, 4), 7, dom, 30).tolist())) == want

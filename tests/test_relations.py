@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import _oracles as orc
+from multdep import arith, relations
 from multdep.relations import (
     exponent_stack,
     fatal_triple,
@@ -432,6 +433,30 @@ def test_exponent_stack_has_the_gram_of_the_exponent_matrix(rng):
     # values past int64 keep Python ints
     big = exponent_stack([[2**64 * 3, 5, 6]])
     assert big.tolist() == [[[64, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [1, 1, 0, 0, 0, 0]]]
+
+
+def test_factor_table_matches_the_per_value_loop(monkeypatch):
+    # from the 4096-entry first sieve, which 1..5000 makes grow; values just
+    # past SIEVE_LIMIT take arith._abs_exponents, as do Python ints past int64
+    monkeypatch.setattr(arith, "_spf_table", None)
+    top = arith.SIEVE_LIMIT
+    for vals in (np.arange(1, 5001), np.arange(top - 30, top + 30), np.array([1]),
+                 np.array([1, 6, top + 1, 2**64 * 3], dtype=object)):
+        for got, want in zip(relations._factor_table(vals), orc.factor_table(vals)):
+            assert got.dtype == want.dtype and got.shape == want.shape and (got == want).all(), vals
+    assert len(arith._spf_table) > 5000
+
+
+def test_exponent_stack_is_byte_equal_under_the_per_value_loop(rng, monkeypatch):
+    # the layout does not depend on how the values were factorized
+    stacks = [[[rng.choice([1, rng.randint(1, top)]) for _ in range(n)] for _ in range(rng.randint(1, 30))]
+              for n in (1, 2, 3, 4, 5) for top in (12, 5000, 10**6 + 9, 10**9) for _ in range(5)]
+    for keys in stacks + [[[2**64 * 3, 5, 6]]]:
+        got = exponent_stack(keys)
+        with monkeypatch.context() as patch:
+            patch.setattr(relations, "_factor_table", orc.factor_table)
+            want = exponent_stack(keys)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), keys
 
 
 def test_long_vector_subset_scan_runs_in_bounded_chunks():
