@@ -6,13 +6,17 @@ minimal perfect power bases, vector gcds, and the signed convolution kernel
 that multiplies sparse integer polynomials.  Everything here is exact;
 nothing uses floats or probabilistic primality.
 
-The sieve starts at 4096 entries on first use and doubles when a value past
-its end is factorized, up to ``SIEVE_LIMIT`` (10**6); values above the limit
-use trial division.  A regrown table replaces the old one, which is never
-modified.  The factorization cache is bounded, at most ``_FACTOR_CACHE``
-factorizations, and it is the only state besides the sieve: the power-base
-and radical lookup tables are built for each caller and not kept.  The
-radical table sieves its own primes with ``_sieve``.
+The sieve is this module's alone: ``factorize`` and ``factor_table`` read it
+through ``_grow_spf``, the one rule for its size.  It starts at 4096 entries
+on first use and doubles when a value past its end is factorized, up to
+``SIEVE_LIMIT`` (10**6).  Larger values take trial division up to
+``_TRIAL_LIMIT`` (10**7), so every value up to 10**14 factors; a value left
+with a cofactor above 10**14 and no prime up to 10**7 raises RegimeError.  A
+regrown table replaces the old one, which is never modified.  The
+factorization cache is bounded, at most ``_FACTOR_CACHE`` factorizations,
+and it is the only state besides the sieve: the power-base and radical
+lookup tables are built for each caller and not kept.  The radical table
+sieves its own primes with ``_sieve``.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .errors import RegimeError
 
 SIEVE_LIMIT = 10**6
 _SIEVE_START = 4096
+_TRIAL_LIMIT = 10**7
 _FACTOR_CACHE = 1 << 16
 
 _spf_table: np.ndarray | None = None
@@ -46,9 +51,11 @@ def _sieve(size: int) -> np.ndarray:
 
 
 def _grow_spf(a: int) -> np.ndarray:
-    """The sieve over [0, size), size doubled from the current one (at least
-    4096) until it covers ``a`` or reaches SIEVE_LIMIT."""
+    """The sieve if it covers ``a`` or reached SIEVE_LIMIT, else a new one,
+    doubled from it (or 4096) until it covers ``a`` or reaches SIEVE_LIMIT."""
     global _spf_table
+    if _spf_table is not None and (a < _spf_table.shape[0] or _spf_table.shape[0] > SIEVE_LIMIT):
+        return _spf_table
     size = _SIEVE_START if _spf_table is None else 2 * _spf_table.shape[0]
     while size <= a:
         size *= 2
@@ -78,9 +85,7 @@ class SignedFactorization:
 def _abs_exponents(a: int) -> tuple[tuple[int, int], ...]:
     """Prime-exponent pairs of ``a`` ≥ 1, ascending primes."""
     pairs = []
-    spf = _spf_table
-    if spf is None or (a >= spf.shape[0] and spf.shape[0] <= SIEVE_LIMIT):
-        spf = _grow_spf(a)
+    spf = _grow_spf(a)
     if a < spf.shape[0]:
         while a > 1:
             p = int(spf[a])
@@ -95,6 +100,8 @@ def _abs_exponents(a: int) -> tuple[tuple[int, int], ...]:
         for d in chain((2, 3, 5), wheel):
             if d * d > a:
                 break
+            if d > _TRIAL_LIMIT:  # the primes found times the cofactor a give the value
+                raise RegimeError(f"factorizing {math.prod(p**e for p, e in pairs) * a} needs trial division past {_TRIAL_LIMIT}")
             if a % d == 0:
                 e = 0
                 while a % d == 0:
@@ -104,6 +111,33 @@ def _abs_exponents(a: int) -> tuple[tuple[int, int], ...]:
         if a > 1:  # no factor below d and a < d², so a is a prime ≥ d
             pairs.append((a, 1))
     return tuple(pairs)
+
+
+def factor_table(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(primes, exps), each (V, w), of distinct ascending values ≥ 1: row i
+    holds the primes of vals[i], ascending, and their exponents, zero-padded
+    to w, the most primes of one value (at least 1).  Values up to
+    ``SIEVE_LIMIT`` are peeled together, one smallest prime factor off the
+    sieve per step; each larger one takes ``_abs_exponents``."""
+    cut = int(np.searchsorted(vals, SIEVE_LIMIT, "right"))
+    big = [_abs_exponents(v) for v in vals[cut:].tolist()]
+    rest = vals[:cut].astype(np.int64)
+    spf = _grow_spf(int(rest[-1]) if cut else 1)
+    # each value's primes with multiplicity, ascending, between 1s (spf[1] = 1)
+    peel = [np.ones(cut, dtype=np.int64)]
+    while rest.max(initial=1) > 1:
+        peel.append(spf[rest])
+        rest = rest // peel[-1]
+    peel = np.stack(peel, axis=1)
+    prime = peel[:, 1:] > 1
+    slot = np.cumsum(prime & (peel[:, 1:] != peel[:, :-1]), axis=1) - 1
+    w = max(1, int(slot.max(initial=-1)) + 1, *map(len, big))
+    i, j = np.nonzero(prime)
+    exps = np.bincount(i * w + slot[i, j], minlength=cut * w).reshape(cut, w)
+    primes = np.zeros((cut, w), dtype=np.int64)
+    primes[i, slot[i, j]] = peel[i, j + 1]
+    table = np.array([f + ((0, 0),) * (w - len(f)) for f in big], dtype=vals.dtype).reshape(-1, w, 2)
+    return np.concatenate([primes, table[:, :, 0]]), np.concatenate([exps, table[:, :, 1]])
 
 
 def factorize(m: int) -> SignedFactorization:

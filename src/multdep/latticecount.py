@@ -232,6 +232,14 @@ def _axis(a_i: int, H: int, signed: bool) -> tuple[int, int]:
     return (-H if signed else 1), 1
 
 
+def _outer_ranges(a_i: int, H: int, signed: bool, strata: bool) -> list[range]:
+    """An outer coordinate's values, ascending, as ranges: [−H, −low] where
+    ``_axis`` starts at −H, then [low, H]; low is 2 on a strata plane and 1
+    elsewhere.  ``count_S`` counts the combos from them, ``_solutions`` sweeps them."""
+    low = 1 + strata
+    return ([range(-H, 1 - low)] if _axis(a_i, H, signed)[0] < 0 else []) + [range(low, H + 1)]
+
+
 def _unit_or_pair(cols: list[np.ndarray], base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Masks of the rows the cascade settles without a rank test: ``unit``,
     some coordinate is 1 (rank 0), and ``pair``, two coordinates share a
@@ -386,6 +394,7 @@ def count_S(spec: HyperplaneSpec, domain: DomainSpec) -> CountReport:
     signed = domain.kind == "signed"
     report = CountReport(spec.alpha, spec.J, domain.kind, H)
     if report.degenerate:
+        report.by_rank = {}
         return report
     if signed:
         spec = HyperplaneSpec(tuple(map(abs, spec.alpha)), spec.J)
@@ -403,9 +412,7 @@ def count_S(spec: HyperplaneSpec, domain: DomainSpec) -> CountReport:
         else:
             pivot = _pivot_index(alpha)
             roles = [(pivot, [i for i in range(spec.n) if i != pivot])]
-        # ``_solutions``' outer values: |o| ≥ 2 with strata, ± where ``_axis`` starts at −H
-        combos = len(roles) * math.prod((H - strata) * (1 + (_axis(alpha[i], H, signed)[0] < 0))
-                                        for i in roles[0][1][:-1])
+        combos = len(roles) * math.prod(sum(map(len, _outer_ranges(alpha[i], H, signed, strata))) for i in roles[0][1][:-1])
         if combos >= 2**63:
             raise RegimeError(f"the sweep of {report.alpha}·nu = {spec.J} at H = {H} needs {combos} outer combinations, beyond int64")
         base = arith.power_base_table(H)
@@ -573,9 +580,8 @@ def _solutions(spec: HyperplaneSpec, H: int, signed: bool, roles, rad=None):
     alpha = spec.alpha
     pivot, free = roles[0]
     axes = [_axis(alpha[i], H, signed) for i in free]
-    low = 1 if rad is None else 2
-    outer_vals = [np.arange(start, H + 1, dtype=np.int64) for start, _ in axes[:-1]]
-    outer_vals = [v[np.abs(v) >= low] for v in outer_vals]
+    ranges = [_outer_ranges(alpha[i], H, signed, rad is not None) for i in free[:-1]]
+    outer_vals = [np.concatenate([np.arange(r.start, r.stop, dtype=np.int64) for r in rs]) for rs in ranges]
     lo = axes[-1][0]
     # each role's line (J, outer coefficients, a_c, a_p, g, s, u), a_c ≥ 0
     lines = []

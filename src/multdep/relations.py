@@ -13,16 +13,15 @@ Gauss–Jordan elimination in Python ints.
 Witnesses are verified symbolically (per-prime exponent sums and the sign
 product), never by evaluating integer powers, so huge exponents are safe.
 
-Ranks come from one kernel that works on stacks, like
-``np.linalg.matrix_rank``: ``rank_of_rows`` and ``rank_from_rows`` take one
-matrix of rows or a stack (..., n, k) of them.  A set of rows is dependent
-exactly when its Gram matrix G = E·Eᵀ is singular, so every subset's test is
-a principal block of one G, and fraction-free elimination in natural order
-ranks a whole stack of blocks at once: in int64 while a bound on the data
-keeps it exact, in Python ints past it.  ``exponent_stack`` lays out the
-exponent rows of many vectors as one such stack, for the deep stage of
-``latticecount.count_S``, and of one vector for the decisions and witnesses
-here.
+Ranks have one entry, ``rank_from_rows``: like ``np.linalg.matrix_rank``
+it takes one matrix of rows or a stack (..., n, k) of them.  A set of rows
+is dependent exactly when its Gram matrix G = E·Eᵀ is singular, so every
+subset's test is a principal block of one G, and fraction-free elimination
+in natural order ranks a whole stack of blocks at once: in int64 while a
+bound on the data keeps it exact, in Python ints past it.
+``exponent_stack`` lays out the exponent rows of many vectors as one such
+stack, for the deep stage of ``latticecount.count_S``, and of one vector for
+the decisions and witnesses here, from ``arith.factor_table``.
 
 Vectors must have nonzero coordinates throughout.
 """
@@ -56,7 +55,7 @@ def exponent_stack(keys) -> np.ndarray:
     values of the row share goes in the first of its slots, so the other
     columns are zero, which changes no rank, and each prime of the row owns
     exactly one column.  A value 1 has an all-zero row.  The distinct values
-    are factorized together, once each (``_factor_table``).  Values past
+    are factorized together, once each (``arith.factor_table``).  Values past
     int64 are kept as Python ints.
     """
     try:
@@ -64,9 +63,10 @@ def exponent_stack(keys) -> np.ndarray:
     except OverflowError:
         keys = np.asarray(keys, dtype=object)
     m, n = keys.shape
+    # sorted distinct values (np.unique's hash table is about twice as slow here)
     vals = np.sort(keys, axis=None)
     vals = vals[np.flatnonzero(np.diff(vals, prepend=0))]
-    primes, exps = _factor_table(vals)
+    primes, exps = arith.factor_table(vals)
     w = primes.shape[1]
     at = np.searchsorted(vals, keys)
     row_primes = primes[at].reshape(m, n * w)
@@ -76,35 +76,6 @@ def exponent_stack(keys) -> np.ndarray:
     # (padding slots write 0 over 0)
     np.put_along_axis(out, first.reshape(m, n, w), exps[at], axis=2)
     return out
-
-
-def _factor_table(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(primes, exps), each (V, w), of distinct ascending values ≥ 1: row i
-    holds the primes of vals[i], ascending, and their exponents, zero-padded
-    to w, the most primes of one value (at least 1).  Values up to
-    ``arith.SIEVE_LIMIT`` are peeled together, one smallest prime factor off
-    the sieve per step; each larger one takes ``arith._abs_exponents``."""
-    cut = int(np.searchsorted(vals, arith.SIEVE_LIMIT, "right"))
-    big = [arith._abs_exponents(v) for v in vals[cut:].tolist()]
-    rest = vals[:cut].astype(np.int64)
-    spf = arith._spf_table
-    if cut and (spf is None or rest[-1] >= len(spf)):
-        spf = arith._grow_spf(int(rest[-1]))
-    # each value's primes with multiplicity, ascending, between 1s (spf[1] = 1)
-    peel = [np.ones(cut, dtype=np.int64)]
-    while rest.max(initial=1) > 1:
-        peel.append(spf[rest])
-        rest = rest // peel[-1]
-    peel = np.stack(peel, axis=1)
-    prime = peel[:, 1:] > 1
-    slot = np.cumsum(prime & (peel[:, 1:] != peel[:, :-1]), axis=1) - 1
-    w = max(1, int(slot.max(initial=-1)) + 1, *map(len, big))
-    i, j = np.nonzero(prime)
-    exps = np.bincount(i * w + slot[i, j], minlength=cut * w).reshape(cut, w)
-    primes = np.zeros((cut, w), dtype=np.int64)
-    primes[i, slot[i, j]] = peel[i, j + 1]
-    table = np.array([f + ((0, 0),) * (w - len(f)) for f in big], dtype=vals.dtype).reshape(-1, w, 2)
-    return np.concatenate([primes, table[:, :, 0]]), np.concatenate([exps, table[:, :, 1]])
 
 
 # ── exact integer linear algebra ─────────────────────────────────────────
@@ -189,23 +160,6 @@ def _psd_rank(g: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _stacked(f, g: np.ndarray, *args):
-    """Apply a stack kernel to (..., n, n) and give back the batch shape:
-    a Python int for a single matrix, like ``np.linalg.matrix_rank``."""
-    batch = g.shape[:-2]
-    out = f(g.reshape((math.prod(batch),) + g.shape[-2:]), *args).reshape(batch)
-    return int(out) if not batch else out
-
-
-def rank_of_rows(rows):
-    """Rank over Q of integer rows, for one matrix (n, k) or a stack (..., n, k).
-
-    Returns an int for one matrix and an int64 array of the batch shape for a
-    stack.  Rows of width 0 and all-zero rows have rank 0.
-    """
-    return _stacked(_psd_rank, _gram(rows))
-
-
 # most Gram-block entries one elimination of the subset scan takes (256 KiB
 # of int64), so a long vector's scan never holds all C(n, s) blocks at once
 _SCAN_CELLS = 1 << 15
@@ -255,8 +209,12 @@ def rank_from_rows(rows, smallest: int = 2):
     that smaller subsets are independent); the whole set being dependent caps
     it at n − 1.  A subset S is dependent exactly when its principal Gram
     block G_S = E_S·E_Sᵀ is singular, so one Gram stack serves every subset.
+    With ``smallest`` = n no subset is scanned: the result is n when the rows
+    are independent over Q and n − 1 otherwise.
     """
-    return _stacked(_subset_rank, _gram(rows), smallest)
+    g = _gram(rows)
+    rank = _subset_rank(g.reshape((math.prod(g.shape[:-2]),) + g.shape[-2:]), smallest).reshape(g.shape[:-2])
+    return rank if rank.ndim else int(rank)
 
 
 def right_kernel_basis(rows, ncols: int) -> list[tuple[int, ...]]:
@@ -337,12 +295,12 @@ def is_dependent(nu) -> bool:
     A ±1 coordinate makes the vector dependent outright; otherwise the
     exponent rows must be linearly dependent over the rationals (any rational
     kernel vector scales to an integer relation, doubling if the sign product
-    comes out −1).
+    comes out −1), which ``rank_from_rows`` decides with no subset scan.
     """
     nu = validate_vector(nu)
     if any(abs(x) == 1 for x in nu):
         return True
-    return rank_of_rows(_exponent_rows(nu)) < len(nu)
+    return rank_from_rows(_exponent_rows(nu), smallest=len(nu)) < len(nu)
 
 
 def _primitive(k) -> tuple[int, ...]:

@@ -12,7 +12,8 @@ product-and-filter of the box; it borrows only the package's pivot choice.
 The curve-system oracle walks the plane with it and reads the variants'
 sides from ``CURVE_VARIANTS``.  One reference does use the package:
 ``factor_table`` is the per-value loop over ``arith._abs_exponents`` that
-``relations`` factorized with before its numpy sieve peel.
+``relations.exponent_stack`` factorized with before the numpy sieve peel of
+``arith.factor_table``.
 """
 
 from __future__ import annotations
@@ -271,8 +272,9 @@ def _exponent_rows(values):
 
 
 def factor_table(vals):
-    """(primes, exps) as ``relations._factor_table`` gives them, by its former
-    loop: ``arith._abs_exponents`` on each value, padded to the widest."""
+    """(primes, exps) as ``arith.factor_table`` gives them, by the loop its
+    sieve peel replaced: ``arith._abs_exponents`` on each value, padded to
+    the widest."""
     facts = [arith._abs_exponents(v) for v in vals.tolist()]
     w = max(1, *map(len, facts))
     table = np.array([f + ((0, 0),) * (w - len(f)) for f in facts], dtype=vals.dtype)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import _oracles as orc
 from multdep import arith
 from multdep.errors import RegimeError
 
@@ -224,6 +225,32 @@ def test_sieve_stops_at_the_limit(fresh_sieve, monkeypatch):
     assert arith._spf_table.shape[0] == 20001
     for v in range(2, 3000):
         assert arith.factorize(v).value() == v
+
+
+def test_factor_table_matches_the_per_value_loop(monkeypatch):
+    # from the 4096-entry first sieve, which 1..5000 makes grow; values just
+    # past SIEVE_LIMIT take arith._abs_exponents, as do Python ints past int64
+    monkeypatch.setattr(arith, "_spf_table", None)
+    top = arith.SIEVE_LIMIT
+    for vals in (np.arange(1, 5001), np.arange(top - 30, top + 30), np.array([1]),
+                 np.array([1, 6, top + 1, 2**64 * 3], dtype=object)):
+        for got, want in zip(arith.factor_table(vals), orc.factor_table(vals)):
+            assert got.dtype == want.dtype and got.shape == want.shape and (got == want).all(), vals
+    assert len(arith._spf_table) > 5000
+
+
+def test_trial_division_stops_at_its_bound(fresh_sieve):
+    # every value up to 10**14 factors, also a prime just below it and a
+    # product of two primes near 10**7; a cofactor whose least prime is past
+    # the bound is refused, at once and with the whole value named
+    assert arith.factorize(100000000000031).exponents == {100000000000031: 1}
+    assert arith.factorize(9999991 * 9999973).exponents == {9999973: 1, 9999991: 1}
+    assert arith.factorize(-(2**64) * 3).exponents == {2: 64, 3: 1}
+    for m in (10**18 + 3, 2**61 - 1, 12 * (2**61 - 1), 10000019 * 10000079, (2**61 - 1) * (2**89 - 1)):
+        start = time.perf_counter()
+        with pytest.raises(RegimeError, match=f"^factorizing {m} needs trial division past 10000000$"):
+            arith.factorize(m)
+        assert time.perf_counter() - start < 5
 
 
 # ── signed convolution kernel ─────────────────────────────────────────────

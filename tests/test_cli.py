@@ -286,6 +286,22 @@ def test_regime_errors_exit_1(capsys):
     assert code == 1 and "nonzero" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "fbase --A 1000000000000000003",
+    "depcheck --vector 2305843009213693951,3",
+    "psi0 --x 100 --y 2305843009213693951",
+    "rank --vector 1000000000000000003,6",
+    "constant --alpha=0,0,1 --J 1000000000000000003 --H 10",
+    "curve --variant 2var-a --A 1000000000000000003 --k 1,1,1 --alpha 1,1 --J 1 --H 5",
+])
+def test_a_large_prime_factor_exits_1_fast(capsys, argv):
+    # both values are primes far above 10**14, past the trial-division bound
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (1, "") and err.startswith("error: factorizing ") and err.count("\n") == 1
+    assert time.perf_counter() - start < 5
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "count", "--alpha", "1,1")[0] == 2  # missing required
     assert run(capsys, "depcheck", "--vector", "2,x,3")[0] == 2

@@ -174,6 +174,14 @@ def test_count_degenerate():
         "alpha", "J", "domain", "H", "total_on_plane", "by_rank"]
 
 
+def test_by_rank_is_a_plain_dict_on_every_path():
+    # the degenerate plane returns before any count, the others after one
+    for alpha, J, kind, H in [((0, 0, 0), 5, "signed", 10), ((0, 0), 0, "signed", 3), ((2,), 4, "positive", 9),
+                              ((1, 1, 1), 1, "signed", 12), ((1, 2, 3, 0), 4, "positive", 8)]:
+        rep = count_S(HyperplaneSpec(alpha, J), DomainSpec(kind, H))
+        assert type(rep.by_rank) is dict and rep.degenerate == (J != 0 and not any(alpha)), alpha
+
+
 def _oracle_report(spec, ds):
     """(total, by_rank) by plain enumeration and the brute-force rank oracle."""
     total, by_rank = 0, {}
@@ -810,6 +818,17 @@ def test_orbit_cells_cut_the_sweep():
     total = count_S(spec, DomainSpec("signed", H)).total_on_plane
     assert total == sum(w for r, w in rows if 0 not in r) == 120259
     assert 5 * len(rows) <= total
+
+
+def test_outer_ranges_list_the_swept_axis_values():
+    # every kind of outer axis: signed and positive, zero α (a signed one
+    # folds onto [1, H]), with strata (|o| ≥ 2) and without; the ranges hold
+    # the axis values with |v| ≥ low, ascending, as the sweep numbers them
+    for H in range(1, 51):
+        for a, signed, strata in product((0, 3, -2), (True, False), (True, False)):
+            v = np.arange(lc._axis(a, H, signed)[0], H + 1)
+            ranges = lc._outer_ranges(a, H, signed, strata)
+            assert [x for r in ranges for x in r] == v[np.abs(v) >= 1 + strata].tolist(), (H, a, signed, strata)
 
 
 def test_count_refuses_int64_overflow():

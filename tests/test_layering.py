@@ -1,0 +1,31 @@
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "multdep"
+
+# the smallest-prime-factor sieve and its growth rule belong to arith; other
+# modules factorize through arith's public functions
+SIEVE_NAMES = {"_spf_table", "_grow_spf", "SIEVE_LIMIT"}
+
+
+def _names(tree):
+    """(line, name) for every identifier ``tree`` reads, sets, imports or
+    takes as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.alias):
+            yield node.lineno, node.name
+
+
+def test_only_arith_touches_the_sieve():
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "arith"
+        for line, name in _names(ast.parse(path.read_text()))
+        if name in SIEVE_NAMES
+    ]
+    assert not found, found

@@ -19,7 +19,6 @@ from multdep.relations import (
     is_dependent,
     mult_rank,
     rank_from_rows,
-    rank_of_rows,
     relation,
     right_kernel_basis,
     verify_relation,
@@ -274,7 +273,16 @@ def _row_stack(vectors):
     return np.array([[row + [0] * (width - len(row)) for row in r] for r in rows], dtype=np.int64)
 
 
-def test_stacked_rank_of_rows_matches_rref_oracle(rng):
+def _rank_over_q(rows):
+    """Rank over Q of one matrix of rows (an int) or of a stack (..., n, k)
+    of them (an array of the batch shape), from the Gram kernel under
+    ``rank_from_rows``: ``relations._gram`` and ``relations._psd_rank``."""
+    g = relations._gram(rows)
+    rank = relations._psd_rank(g.reshape((math.prod(g.shape[:-2]),) + g.shape[-2:])).reshape(g.shape[:-2])
+    return rank if rank.ndim else int(rank)
+
+
+def test_stacked_rank_over_q_matches_rref_oracle(rng):
     # one stack per shape, compared element by element; width 0, all-zero
     # rows, negative entries and repeated rows included
     for _ in range(150):
@@ -283,18 +291,18 @@ def test_stacked_rank_of_rows_matches_rref_oracle(rng):
         for rows in stack:
             if n > 1 and rng.random() < 0.3:
                 rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1])]
-        got = rank_of_rows(stack)
+        got = _rank_over_q(stack)
         assert got.shape == (m,)
         for rows, r in zip(stack, got):
             assert r == (orc.rref_rank(rows) if k else 0)
-            assert rank_of_rows(rows) == r
+            assert _rank_over_q(rows) == r
     # entries whose Gram passes int64, and entries past int64 themselves
     for big in (2**40, 2**70):
         rows = [[big, 3 * big, 1], [2 * big, 6 * big, 2], [big, 0, 7]]
-        assert rank_of_rows(rows) == 2 and rank_of_rows([rows, rows[:2] + [[0, 0, 0]]]).tolist() == [2, 1]
-    assert rank_of_rows(np.zeros((3, 4, 0), dtype=np.int64)).tolist() == [0, 0, 0]
-    assert rank_of_rows([[0, 0], [0, 0]]) == 0
-    assert rank_of_rows([[], [], []]) == 0
+        assert _rank_over_q(rows) == 2 and _rank_over_q([rows, rows[:2] + [[0, 0, 0]]]).tolist() == [2, 1]
+    assert _rank_over_q(np.zeros((3, 4, 0), dtype=np.int64)).tolist() == [0, 0, 0]
+    assert _rank_over_q([[0, 0], [0, 0]]) == 0
+    assert _rank_over_q([[], [], []]) == 0
 
 
 def test_stacked_rank_from_rows_matches_subset_oracle(rng):
@@ -326,7 +334,7 @@ def test_large_exponents_take_the_python_int_path():
     stack = _row_stack(vectors)
     gram = np.einsum("bik,bjk->bij", stack, stack)
     assert max(math.prod(sorted(d)[1:]) for d in np.diagonal(gram, axis1=1, axis2=2).tolist()) ** 2 >= 2**62
-    for v, r, d in zip(vectors, rank_from_rows(stack), rank_of_rows(stack)):
+    for v, r, d in zip(vectors, rank_from_rows(stack), _rank_over_q(stack)):
         assert r == orc.subset_rank_oracle(v) == mult_rank(v)
         assert d == orc.rref_rank(orc._exponent_rows(v))
         assert (d < 5) == orc.dependent_oracle(v)
@@ -342,7 +350,7 @@ def test_int64_elimination_is_exact_on_both_sides_of_the_switch(rng):
         if rng.random() < 0.5:
             a, b = rng.randint(-3, 3), rng.randint(-3, 3)
             rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
-        assert rank_of_rows(rows) == orc.rref_rank(rows), rows
+        assert _rank_over_q(rows) == orc.rref_rank(rows), rows
 
 
 def _first_zero_pivot_at(rng, s, p, top, how):
@@ -387,9 +395,9 @@ def test_zero_pivots_at_every_step_on_both_sides_of_the_switch(rng):
                 assert max(map(_kernel_bound, stack)) < 2**62
             elif s > 1:
                 assert max(map(_kernel_bound, stack)) >= 2**62
-            got = rank_of_rows(stack)
+            got = _rank_over_q(stack)
             for rows, r in zip(stack, got.tolist()):
-                assert r == rank_of_rows(rows) == orc.rref_rank(rows), rows
+                assert r == _rank_over_q(rows) == orc.rref_rank(rows), rows
 
 
 def _kernel_grid():
@@ -435,18 +443,6 @@ def test_exponent_stack_has_the_gram_of_the_exponent_matrix(rng):
     assert big.tolist() == [[[64, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [1, 1, 0, 0, 0, 0]]]
 
 
-def test_factor_table_matches_the_per_value_loop(monkeypatch):
-    # from the 4096-entry first sieve, which 1..5000 makes grow; values just
-    # past SIEVE_LIMIT take arith._abs_exponents, as do Python ints past int64
-    monkeypatch.setattr(arith, "_spf_table", None)
-    top = arith.SIEVE_LIMIT
-    for vals in (np.arange(1, 5001), np.arange(top - 30, top + 30), np.array([1]),
-                 np.array([1, 6, top + 1, 2**64 * 3], dtype=object)):
-        for got, want in zip(relations._factor_table(vals), orc.factor_table(vals)):
-            assert got.dtype == want.dtype and got.shape == want.shape and (got == want).all(), vals
-    assert len(arith._spf_table) > 5000
-
-
 def test_exponent_stack_is_byte_equal_under_the_per_value_loop(rng, monkeypatch):
     # the layout does not depend on how the values were factorized
     stacks = [[[rng.choice([1, rng.randint(1, top)]) for _ in range(n)] for _ in range(rng.randint(1, 30))]
@@ -454,9 +450,20 @@ def test_exponent_stack_is_byte_equal_under_the_per_value_loop(rng, monkeypatch)
     for keys in stacks + [[[2**64 * 3, 5, 6]]]:
         got = exponent_stack(keys)
         with monkeypatch.context() as patch:
-            patch.setattr(relations, "_factor_table", orc.factor_table)
+            patch.setattr(arith, "factor_table", orc.factor_table)
             want = exponent_stack(keys)
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), keys
+
+
+def test_is_dependent_scans_no_subset_of_a_long_vector():
+    # 23 primes and their product: only the whole set is dependent, so
+    # mult_rank's subset scan would pass its 2²⁰ budget; is_dependent asks
+    # about the whole set alone, at any length
+    primes = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
+    assert len(primes) == 25
+    assert is_dependent(primes[:23] + [math.prod(primes[:23])])
+    assert not is_dependent(primes[:24])
+    assert not is_dependent([-p for p in primes[:24]])
 
 
 def test_long_vector_subset_scan_runs_in_bounded_chunks():
