@@ -11,12 +11,12 @@ through ``_grow_spf``, the one rule for its size.  It starts at 4096 entries
 on first use and doubles when a value past its end is factorized, up to
 ``SIEVE_LIMIT`` (10**6).  Larger values take trial division up to
 ``_TRIAL_LIMIT`` (10**7), so every value up to 10**14 factors; a value left
-with a cofactor above 10**14 and no prime up to 10**7 raises RegimeError.  A
-regrown table replaces the old one, which is never modified.  The
-factorization cache is bounded, at most ``_FACTOR_CACHE`` factorizations,
-and it is the only state besides the sieve: the power-base and radical
-lookup tables are built for each caller and not kept.  The radical table
-sieves its own primes with ``_sieve``.
+with a cofactor above 10**14 and no prime up to 10**7 raises RegimeError,
+naming it (by bit length from 10**100 on).  A regrown table replaces the
+old one, which is never modified.  The factorization cache is bounded, at
+most ``_FACTOR_CACHE`` factorizations, and it is the only state besides the
+sieve: the power-base and radical lookup tables are built for each caller
+and not kept.  The radical table sieves its own primes with ``_sieve``.
 """
 
 from __future__ import annotations
@@ -101,7 +101,8 @@ def _abs_exponents(a: int) -> tuple[tuple[int, int], ...]:
             if d * d > a:
                 break
             if d > _TRIAL_LIMIT:  # the primes found times the cofactor a give the value
-                raise RegimeError(f"factorizing {math.prod(p**e for p, e in pairs) * a} needs trial division past {_TRIAL_LIMIT}")
+                m = math.prod(p**e for p, e in pairs) * a
+                raise RegimeError(f"factorizing {m if m < 10**100 else f'a {m.bit_length()}-bit value'} needs trial division past {_TRIAL_LIMIT}")
             if a % d == 0:
                 e = 0
                 while a % d == 0:

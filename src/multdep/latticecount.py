@@ -53,13 +53,14 @@ exactly, rad(p) | d and rad(d) | e·p, and keeps the rows the cascade would
 hand on that have a dominant coordinate, each under the one of largest
 value (equal values share a base, so two dominant values never tie).
 
-The deep stage is batched per count: survivors of every block wait, each
-sorted, in one buffer of one block's size.  When it is full, and once at
-the end, equal rows are merged by summing their weights, and the distinct
-rows are ranked in a few large integer stacks, at most ``_RANK_CELLS`` Gram
-entries each: one ``relations.exponent_stack`` lays a stack out and one
-``relations.rank_from_rows`` ranks it.  Nothing is remembered between
-flushes.
+``count_S`` picks the classify stage, the cascade (``_classify_block``) or,
+with strata, ``_deep_residue``.  The deep stage is batched per count
+(``_sweep``): survivors of every block wait in one buffer of one block's
+size.  When it is full, and once at the end, each row is sorted, equal rows
+are merged by summing their weights, and the distinct rows are ranked in
+stacks of at most ``_RANK_CELLS`` Gram entries, each laid out by one
+``relations.exponent_stack`` and ranked by one ``relations.rank_from_rows``;
+nothing is remembered between flushes.
 
 Orbits.  Dependence and rank depend only on the multiset of |ν_i|.  A
 signed count first maps α to |α|: ν_i ↦ sign(α_i)·ν_i carries the plane onto
@@ -223,21 +224,14 @@ def _pivot_index(alpha) -> int | None:
 # ── dependence classification kernel ─────────────────────────────────────
 
 
-def _axis(a_i: int, H: int, signed: bool) -> tuple[int, int]:
-    """(lo, fold) for a free coordinate with coefficient a_i: it is swept over
-    [lo, H] without 0, each value standing for ``fold`` vectors.  A signed
-    coordinate off the plane (a_i = 0) folds onto [1, H] with fold 2."""
+def _axis(a_i: int, H: int, signed: bool, low: int = 1) -> tuple[list[range], int]:
+    """(ranges, fold) of a free coordinate with coefficient a_i: its values v,
+    low ≤ |v| ≤ H, ascending, as ranges, each standing for ``fold`` vectors; a
+    signed one off the plane (a_i = 0) folds onto [low, H] with fold 2.  Both
+    ``count_S``'s combo count and ``_solutions``' sweep take them from here."""
     if signed and a_i == 0:
-        return 1, 2
-    return (-H if signed else 1), 1
-
-
-def _outer_ranges(a_i: int, H: int, signed: bool, strata: bool) -> list[range]:
-    """An outer coordinate's values, ascending, as ranges: [−H, −low] where
-    ``_axis`` starts at −H, then [low, H]; low is 2 on a strata plane and 1
-    elsewhere.  ``count_S`` counts the combos from them, ``_solutions`` sweeps them."""
-    low = 1 + strata
-    return ([range(-H, 1 - low)] if _axis(a_i, H, signed)[0] < 0 else []) + [range(low, H + 1)]
+        return [range(low, H + 1)], 2
+    return ([range(-H, 1 - low)] if signed else []) + [range(low, H + 1)], 1
 
 
 def _unit_or_pair(cols: list[np.ndarray], base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,11 +265,12 @@ def _classify_block(
     weights[i] vectors (int64).  A row with a 0 (a signed cell with c = 0 or
     p = 0) is off the box: it counts as weight 0 and is not handed on.
     ``base`` and ``rad`` are the minimal-base and radical tables up to H.
-    Returns the rows the cascade leaves for the deep stage, each sorted
-    ascending, as an (r, n) array, and their weights, for ``_rank_deep``.
+    Returns the rows the cascade leaves for the deep stage, as an (r, n)
+    array in column order, and their weights, for ``_rank_deep``.
     The cover filter counts each row's uncovered coordinates over all n of
     them, then takes one gather of the rows with at most n − 3, so none for
-    n ≤ 2.
+    n ≤ 2.  It runs only while H^n < 2⁶², so that a row's product is exact
+    in int64; above, every unsettled row goes on to the deep stage.
     """
     n = len(cols)
     off = np.logical_or.reduce([c == 0 for c in cols])
@@ -296,7 +291,7 @@ def _classify_block(
         miss = sum(prod_all // c % rad[c] != 0 for c in cols)
         keep = np.flatnonzero(miss <= n - 3)
         cols, weights = [c[keep] for c in cols], weights[keep]
-    return np.sort(np.stack(cols, axis=1), axis=1), weights
+    return np.stack(cols, axis=1), weights
 
 
 def _deep_residue(cols: list[np.ndarray], base: np.ndarray, rad: np.ndarray) -> np.ndarray:
@@ -313,7 +308,7 @@ def _deep_residue(cols: list[np.ndarray], base: np.ndarray, rad: np.ndarray) -> 
     rad(d) = rad(row)), it has no 1 and no shared base, and no other
     coordinate with rad(d) is larger than d, the role that keeps a row with
     several dominant coordinates (their values never tie, as equal values
-    share a base).  Returns the kept rows, each sorted ascending: across the
+    share a base).  Returns the kept rows, (e, d, p) each: across the
     roles, exactly the cascade's rows that have a dominant coordinate, each
     once, which holds every dependent one.  e·p is a product of two values
     up to H ≤ 2²², so exact in int64.
@@ -329,7 +324,7 @@ def _deep_residue(cols: list[np.ndarray], base: np.ndarray, rad: np.ndarray) -> 
     rd = rd[keep]
     unit, pair = _unit_or_pair(cols, base)
     drop = unit | pair | (rad[e] == rd) & (e > d) | (rad[p] == rd) & (p > d)
-    return np.sort(np.stack(cols, axis=1)[~drop], axis=1)
+    return np.stack(cols, axis=1)[~drop]
 
 
 def _rank_deep(report: CountReport, rows: np.ndarray, weights: np.ndarray) -> None:
@@ -337,15 +332,17 @@ def _rank_deep(report: CountReport, rows: np.ndarray, weights: np.ndarray) -> No
     deep stage, row i standing for weights[i] vectors (int64), and add the
     dependent ones to ``report``'s ``Counter``; ``rows`` may be empty.
 
-    Equal rows are merged by summing their weights and ranked once, in
-    stacks of ``_RANK_CELLS`` // n² distinct rows (Gram entries), each laid
-    out by one ``relations.exponent_stack`` and ranked by one
+    Each row is sorted (rank depends only on the multiset), equal rows are
+    merged by summing their weights and ranked once, in stacks of
+    ``_RANK_CELLS`` // n² distinct rows (Gram entries), each laid out by one
+    ``relations.exponent_stack`` and ranked by one
     ``relations.rank_from_rows``.  They have no ±1 and no dependent pair, so
     subsets start at size 3, and the rank is below n exactly when the vector
     is dependent.
     """
-    # order as opaque byte strings: equal rows become adjacent, which is all
-    # the merge needs
+    # order sorted rows as opaque byte strings: equal ones become adjacent,
+    # which is all the merge needs
+    rows = np.sort(rows, axis=1)
     order = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().argsort()
     rows = rows[order]
     first = np.ones(len(rows), dtype=bool)
@@ -389,6 +386,9 @@ def count_S(spec: HyperplaneSpec, domain: DomainSpec) -> CountReport:
     degenerate.  A signed count runs on the |α| plane (module docstring);
     the report keeps the caller's α.  A one-coordinate plane, α = (0,)
     included, is counted by ``_points`` with no table, at any H.
+
+    Here alone the stage that classifies the cells of ``_solutions`` is
+    picked (module docstring), and ``_sweep`` ranks the rows it leaves.
     """
     H = domain.H
     signed = domain.kind == "signed"
@@ -406,21 +406,24 @@ def count_S(spec: HyperplaneSpec, domain: DomainSpec) -> CountReport:
         if sum(abs(a) for a in alpha) * H + abs(spec.J) >= 2**62:
             raise RegimeError("sum of |alpha_i|*H plus |J| reaches 2^62, beyond the sweep's int64 arithmetic")
         strata = spec.n == spec.nnz == 3
-        if strata:  # one role per dominant coordinate d (``_sweep``)
+        if strata:  # one role per dominant coordinate d (module docstring)
             pivots = [_pivot_index([0 if i == d else a for i, a in enumerate(alpha)]) for d in range(3)]
             roles = [(p, [3 - d - p, d]) for d, p in enumerate(pivots)]
         else:
             pivot = _pivot_index(alpha)
             roles = [(pivot, [i for i in range(spec.n) if i != pivot])]
-        combos = len(roles) * math.prod(sum(map(len, _outer_ranges(alpha[i], H, signed, strata))) for i in roles[0][1][:-1])
+        combos = len(roles) * math.prod(sum(map(len, _axis(alpha[i], H, signed, 1 + strata)[0])) for i in roles[0][1][:-1])
         if combos >= 2**63:
             raise RegimeError(f"the sweep of {report.alpha}·nu = {spec.J} at H = {H} needs {combos} outer combinations, beyond int64")
-        base = arith.power_base_table(H)
-        rad = arith.radical_table(H)
+        base, rad = arith.power_base_table(H), arith.radical_table(H)
+        cells = _solutions(spec, H, signed, roles, rad if strata else None)
         if strata:
             report.total_on_plane, rank0, rank1 = _strata(spec, domain, base)
             report.by_rank.update({0: rank0, 1: rank1})
-        _sweep(report, spec, signed, base, rad, roles, strata)
+            blocks = ((_deep_residue(cols, base, rad), 1) for cols, _ in cells)
+        else:
+            blocks = (_classify_block(report, cols, weights, base, rad) for cols, weights in cells)
+        _sweep(report, spec.n, blocks)
     else:
         # one nonzero coordinate: N₁ points, N₁ − N₂ of rank 0, as in
         # ``_strata``; no table
@@ -492,36 +495,15 @@ def _side_class(r: np.ndarray, x: np.ndarray, s):
     return _mod(x, g2) == 0, r * _class_residue(x, g2, s2, inv), r * s2
 
 
-def _sweep(report: CountReport, spec: HyperplaneSpec, signed: bool,
-           base: np.ndarray, rad: np.ndarray, roles, strata: bool) -> None:
-    """Classify every solution, in one stream of blocks of at most
-    ``_BLOCK_ROWS`` cells over the (pivot, free) ``roles`` (``_solutions``);
-    ``base`` and ``rad`` are the minimal-base and radical tables up to H.
-
-    Without ``strata`` one role solves the pivot (``_pivot_index``, none when
-    α = 0) from the other coordinates, and the cascade (``_classify_block``)
-    counts every cell, one per orbit, with its weight.  With ``strata`` only
-    rank 2 is left (module docstring): one role per dominant coordinate d,
-    free = [e, d] and p the other coordinate with the larger |α|, and
-    ``_deep_residue`` keeps, from the cells (e, d, p) of any role, each row
-    the cascade would rank under its dominant coordinate of largest value,
-    each standing for one vector.  Either stage drops the signed cells with
-    c = 0 or p = 0.  The deep-stage rows of every block wait in one buffer
-    of one block's size, with their weights, which ``_rank_deep`` ranks
-    when it is full and once at the end.
-    """
-    # deep-stage rows wait here, across blocks, until the buffer is full;
-    # one buffer for the whole count, so no small arrays outlive their
-    # block.  Rows reach the deep stage only from three coordinates on
-    deep = np.empty((_BLOCK_ROWS, spec.n), dtype=np.int64)
+def _sweep(report: CountReport, n: int, blocks) -> None:
+    """Rank the rows a classify stage leaves, one (rows, weights) per block
+    of an n-coordinate count in ``blocks``: they wait in one buffer of
+    ``_BLOCK_ROWS`` rows, which ``_rank_deep`` ranks when full and at the end."""
+    # one buffer for the whole count, so no small arrays outlive their block
+    deep = np.empty((_BLOCK_ROWS, n), dtype=np.int64)
     deep_weights = np.empty(len(deep), dtype=np.int64)
     held = 0
-    for cols, weights in _solutions(spec, report.H, signed, roles, rad if strata else None):
-        if strata:
-            rows, weights = _deep_residue(cols, base, rad), 1
-        else:
-            rows, weights = _classify_block(report, cols, weights, base, rad)
-        del cols  # freed before a flush of the deep buffer
+    for rows, weights in blocks:
         if held + len(rows) > len(deep):
             _rank_deep(report, deep[:held], deep_weights[:held])
             held = 0
@@ -543,12 +525,12 @@ def _solutions(spec: HyperplaneSpec, H: int, signed: bool, roles, rad=None):
     The last free coordinate c is the inner one, the others are outer.  An
     outer combo of a role leaves a_c·c + a_p·p = rem, rem = J − Σ a_o·o,
     negated where a_c < 0, with solutions only when g | rem ((g, s, u) from
-    ``_line_class``), and then c lies in one class mod s
-    (``_class_residue``).  Its range is c's axis cut to the values that keep
-    p in its own (``_inner_range``).  Combos are decoded (role, then
-    ``product`` order) and solved ``_BLOCK_ROWS`` at a time, each with its
-    role's line: a line parameter all roles share, or all in the block,
-    stays an int.
+    ``_line_class``), and then c lies in one class mod s (``_class_residue``).
+    Its range runs from the first value of c's axis (``_axis``) to H, 0
+    included, cut to the values that keep p in its own (``_inner_range``).
+    Combos are decoded (role, then ``product`` order) and solved
+    ``_BLOCK_ROWS`` at a time, each with its role's line: a line parameter all
+    roles share, or all in the block, stays an int.
 
     Without ``rad`` each orbit is one cell (module docstring), its classes
     keyed by α_i in both domains: a combo is kept when ν is nondecreasing
@@ -562,9 +544,10 @@ def _solutions(spec: HyperplaneSpec, H: int, signed: bool, roles, rad=None):
     in smaller orbits.
 
     Given ``rad``, the radical table (a strata plane), the fold is 1 and the
-    classes are singletons, so every weight is 1; the one outer coordinate e
-    runs over 2 ≤ |e| ≤ H, and c only over its side class, c ≡ 0
-    (mod rad(e)): one class mod rad(e)·s/gcd(rad(e), s) (``_side_class``).
+    classes are singletons, so every weight is 1; the axes take low = 2, so the
+    one outer coordinate e runs over 2 ≤ |e| ≤ H, and c only over its side
+    class, c ≡ 0 (mod rad(e)): one class mod rad(e)·s/gcd(rad(e), s)
+    (``_side_class``), which holds no ±1 as rad(e) ≥ 2.
 
     The cells of all combos are laid out ragged, end to end, and cut into
     runs of ``_BLOCK_ROWS``: the k-th cell of a combo has c = first + k·m
@@ -579,10 +562,9 @@ def _solutions(spec: HyperplaneSpec, H: int, signed: bool, roles, rad=None):
     """
     alpha = spec.alpha
     pivot, free = roles[0]
-    axes = [_axis(alpha[i], H, signed) for i in free]
-    ranges = [_outer_ranges(alpha[i], H, signed, rad is not None) for i in free[:-1]]
-    outer_vals = [np.concatenate([np.arange(r.start, r.stop, dtype=np.int64) for r in rs]) for rs in ranges]
-    lo = axes[-1][0]
+    axes = [_axis(alpha[i], H, signed, 1 + (rad is not None)) for i in free]
+    outer_vals = [np.concatenate([np.arange(r.start, r.stop, dtype=np.int64) for r in rs]) for rs, _ in axes[:-1]]
+    lo = axes[-1][0][0].start
     # each role's line (J, outer coefficients, a_c, a_p, g, s, u), a_c ≥ 0
     lines = []
     for p, f in roles:

@@ -253,6 +253,17 @@ def test_trial_division_stops_at_its_bound(fresh_sieve):
         assert time.perf_counter() - start < 5
 
 
+def test_refusal_names_a_huge_value_by_its_size(monkeypatch):
+    # past 10**100 the value is named by its bit length: a 5001-digit one
+    # would not even convert to a string
+    monkeypatch.setattr(arith, "_TRIAL_LIMIT", 100)
+    m = 10**5000 + 1
+    with pytest.raises(RegimeError, match=f"^factorizing a {m.bit_length()}-bit value needs trial division past 100$"):
+        arith.factorize(m)
+    with pytest.raises(RegimeError, match=f"^factorizing {10**99 + 1} needs trial division past 100$"):
+        arith.factorize(10**99 + 1)
+
+
 # ── signed convolution kernel ─────────────────────────────────────────────
 
 

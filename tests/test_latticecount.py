@@ -605,7 +605,8 @@ def test_cover_filter_matches_the_covered_count_rule(rng):
         weights = np.arange(1, 801, dtype=np.int64)
         rep = lc.CountReport((1,) * n, 0, "signed", top)
         rows, kept = lc._classify_block(rep, zeroed, weights, base, rad)
-        got = list(zip(rows.tolist(), kept.tolist()))
+        # the stage keeps column order; rows compare as multisets
+        got = [(sorted(row), w) for row, w in zip(rows.tolist(), kept.tolist())]
         block = list(zip(zip(*(c.tolist() for c in cols)), weights.tolist()))
         want = [(sorted(row), w) for row, w in block if _deep_candidate(row, base, rad)]
         assert got == want, n
@@ -820,15 +821,34 @@ def test_orbit_cells_cut_the_sweep():
     assert 5 * len(rows) <= total
 
 
-def test_outer_ranges_list_the_swept_axis_values():
-    # every kind of outer axis: signed and positive, zero α (a signed one
-    # folds onto [1, H]), with strata (|o| ≥ 2) and without; the ranges hold
-    # the axis values with |v| ≥ low, ascending, as the sweep numbers them
+def test_axis_lists_the_swept_values_and_fold():
+    # every kind of axis: signed and positive, zero α (a signed one folds
+    # onto [low, H] with fold 2), low 1 and 2 (a strata role); the ranges
+    # hold the values with low ≤ |v| ≤ H, ascending, as the sweep numbers them
     for H in range(1, 51):
-        for a, signed, strata in product((0, 3, -2), (True, False), (True, False)):
-            v = np.arange(lc._axis(a, H, signed)[0], H + 1)
-            ranges = lc._outer_ranges(a, H, signed, strata)
-            assert [x for r in ranges for x in r] == v[np.abs(v) >= 1 + strata].tolist(), (H, a, signed, strata)
+        for a, signed, low in product((0, 3, -2), (True, False), (1, 2)):
+            ranges, fold = lc._axis(a, H, signed, low)
+            folds = signed and a == 0
+            v = np.arange(-H if signed and not folds else 1, H + 1)
+            assert [x for r in ranges for x in r] == v[np.abs(v) >= low].tolist(), (H, a, signed, low)
+            assert fold == 1 + folds, (H, a, signed, low)
+    assert lc._axis(3, 5, True) == lc._axis(3, 5, True, 1)
+
+
+def test_rank_deep_merges_the_orders_of_one_multiset(monkeypatch):
+    # (2, 3, 6) and (6, 3, 2) are one multiset: ranked once, with both weights
+    ranked = []
+    rank_from_rows = lc.relations.rank_from_rows
+
+    def counting(rows, smallest=2):
+        ranked.append(len(rows))
+        return rank_from_rows(rows, smallest)
+
+    monkeypatch.setattr(lc.relations, "rank_from_rows", counting)
+    rep = lc.CountReport((1, 1, 1), 0, "signed", 6)
+    lc._rank_deep(rep, np.array([[2, 3, 6], [6, 3, 2]], dtype=np.int64), np.array([5, 7], dtype=np.int64))
+    assert ranked == [1]
+    assert _nonzero(rep.by_rank) == {2: 12}
 
 
 def test_count_refuses_int64_overflow():
@@ -951,7 +971,7 @@ def test_class_sweep_deep_rows_match_the_covered_count_rule(monkeypatch):
 
     def handing(report, rows, weights):
         assert (weights == 1).all()
-        handed.extend(map(tuple, rows.tolist()))
+        handed.extend(map(tuple, np.sort(rows, axis=1).tolist()))
 
     monkeypatch.setattr(lc, "_rank_deep", handing)
     side_class = lc._side_class
@@ -979,6 +999,7 @@ def test_class_sweep_deep_rows_match_the_covered_count_rule(monkeypatch):
                     sols = np.abs(np.array(list(orc.enumerate_solutions(spec, ds)), dtype=np.int64).reshape(-1, 3))
                     rep = lc.CountReport(alpha, J, dom, H)
                     cascade, _ = lc._classify_block(rep, list(sols.T), np.ones(len(sols), dtype=np.int64), base, rad)
+                    cascade = np.sort(cascade, axis=1)  # rows compare as multisets
                     assert got == sorted(map(tuple, cascade[_dominant(cascade, rad)].tolist())), (alpha, J, dom, H)
                     if H <= 30:
                         want = [row for row in _cover_rule_by_row(list(sols.T), base, rad)
@@ -1011,7 +1032,7 @@ def test_deep_residue_tests_every_cover():
                         off = np.repeat(side, 3, axis=0)
                         off[0::3, d] = off[1::3, p] = off[2::3, d] = off[2::3, p] = 0
                         cells = np.concatenate([off, side])
-                        got = lc._deep_residue([cells[:, e], cells[:, d], cells[:, p]], base, rad).tolist()
+                        got = [sorted(row) for row in lc._deep_residue([cells[:, e], cells[:, d], cells[:, p]], base, rad).tolist()]
                         want = [sorted(row) for row in side.tolist()
                                 if _deep_candidate(row, base, rad) and _largest_dominant(row, rad) == d]
                         assert sorted(got) == sorted(want), (alpha, J, dom, H, d, p)

@@ -29,3 +29,20 @@ def test_only_arith_touches_the_sieve():
         if name in SIEVE_NAMES
     ]
     assert not found, found
+
+
+# the sweep's stages are picked in one place: ``count_S`` alone names the
+# cell sweep and the classify stages
+STAGE_NAMES = {"_solutions", "_classify_block", "_deep_residue"}
+
+
+def test_only_count_S_picks_the_sweep_stage():
+    tree = ast.parse((SRC / "latticecount.py").read_text())
+    found = [
+        f"{getattr(node, 'name', 'module')}:{line}: {name}"
+        for node in tree.body
+        if getattr(node, "name", None) != "count_S"
+        for line, name in _names(node)
+        if name in STAGE_NAMES
+    ]
+    assert not found, found
