@@ -58,9 +58,15 @@ with strata, ``_deep_residue``.  The deep stage is batched per count
 (``_sweep``): survivors of every block wait in one buffer of one block's
 size.  When it is full, and once at the end, each row is sorted, equal rows
 are merged by summing their weights, and the distinct rows are ranked in
-stacks of at most ``_RANK_CELLS`` Gram entries, each laid out by one
-``relations.exponent_stack`` and ranked by one ``relations.rank_from_rows``;
-nothing is remembered between flushes.
+stacks of at most ``_RANK_CELLS`` Gram entries, each by one call of
+``relations.rank_from_rows`` on its values; nothing is remembered between
+flushes.  A Gram entry depends only on its pair of values, and a k = 4
+sweep's rows are many while their values are few (a median of 28 distinct
+values under 1162 rows per stack on the benchmark's k = 4 sweeps), so
+``relations`` gathers each stack's Gram matrices from one table of its V
+distinct values' inner products wherever V² ≤ m·n² for m rows of n values,
+and lays out exponent rows where values are the more numerous, as in the
+k = 3 strata residue (126 under 226).
 
 Orbits.  Dependence and rank depend only on the multiset of |ν_i|.  A
 signed count first maps α to |α|: ν_i ↦ sign(α_i)·ν_i carries the plane onto
@@ -334,26 +340,37 @@ def _rank_deep(report: CountReport, rows: np.ndarray, weights: np.ndarray) -> No
 
     Each row is sorted (rank depends only on the multiset), equal rows are
     merged by summing their weights and ranked once, in stacks of
-    ``_RANK_CELLS`` // n² distinct rows (Gram entries), each laid out by one
-    ``relations.exponent_stack`` and ranked by one
-    ``relations.rank_from_rows``.  They have no ±1 and no dependent pair, so
-    subsets start at size 3, and the rank is below n exactly when the vector
-    is dependent.
+    ``_RANK_CELLS`` // n² distinct rows (Gram entries), each by one
+    ``relations.rank_from_rows`` on its values, which takes the Gram
+    matrices from a table of value-pair inner products or from laid-out
+    exponent rows by a rule on the stack's sizes (module docstring).  The
+    rows have no ±1 and no dependent pair, so subsets start at size 3, and
+    the rank is below n exactly when the vector is dependent.  The merge
+    needs equal rows adjacent: a stable argsort of one int64 key per row,
+    its n values less 1 in fields of b bits, b = ⌈log₂⌉ of the largest
+    value, while n·b ≤ 63 (values up to 2¹⁵ at n = 4, 2²¹ at n = 3), and
+    otherwise an argsort of the rows as opaque byte strings.
     """
-    # order sorted rows as opaque byte strings: equal ones become adjacent,
-    # which is all the merge needs
+    # any order that makes equal rows adjacent serves the merge
     rows = np.sort(rows, axis=1)
-    order = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().argsort()
+    n = rows.shape[1]
+    bits = int(rows.max(initial=1) - 1).bit_length()
+    if n * bits <= 63:
+        key = rows[:, 0] - 1
+        for j in range(1, n):
+            key = key << bits | rows[:, j] - 1
+        order = key.argsort(kind="stable")
+    else:  # rows as opaque byte strings
+        order = rows.view(np.dtype((np.void, rows.itemsize * n))).ravel().argsort()
     rows = rows[order]
     first = np.ones(len(rows), dtype=bool)
     first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     start = np.flatnonzero(first)
     counts = np.add.reduceat(weights[order], start)
-    n = rows.shape[1]
     step = max(1, _RANK_CELLS // (n * n))
     for lo in range(0, len(start), step):
         keys = rows[start[lo:lo + step]]
-        ranks = relations.rank_from_rows(relations.exponent_stack(keys), smallest=3)
+        ranks = relations.rank_from_rows(keys, smallest=3)
         part = counts[lo:lo + step]
         for r in range(2, n):
             report.by_rank[r] += int(part[ranks == r].sum())
@@ -371,8 +388,9 @@ _BLOCK_ROWS = 1 << 13
 
 # most Gram entries in one deep-stage stack, so n-coordinate rows are ranked
 # _RANK_CELLS // n² at a time (2048 at n = 4) and a flush of one buffer takes
-# one or two stacks; the exponent rows and int64 temporaries of a full stack
-# add about 1.4 MiB to a 4-coordinate count's peak
+# one or two stacks; full stacks add 0.7–1 MiB to a 4-coordinate count's
+# tracemalloc peak over 16-row ones (1.4–1.7 MiB when each stack's exponent
+# rows were laid out)
 _RANK_CELLS = 1 << 15
 
 

@@ -13,15 +13,20 @@ Gauss–Jordan elimination in Python ints.
 Witnesses are verified symbolically (per-prime exponent sums and the sign
 product), never by evaluating integer powers, so huge exponents are safe.
 
-Ranks have one entry, ``rank_from_rows``: like ``np.linalg.matrix_rank``
-it takes one matrix of rows or a stack (..., n, k) of them.  A set of rows
+Ranks have one entry, ``rank_from_rows``: it takes the absolute values of
+one vector (n,) or of a stack (..., n) of them.  A set of exponent rows E
 is dependent exactly when its Gram matrix G = E·Eᵀ is singular, so every
 subset's test is a principal block of one G, and fraction-free elimination
 in natural order ranks a whole stack of blocks at once: in int64 while a
-bound on the data keeps it exact, in Python ints past it.
-``exponent_stack`` lays out the exponent rows of many vectors as one such
-stack, for the deep stage of ``latticecount.count_S``, and of one vector for
-the decisions and witnesses here, from ``arith.factor_table``.
+bound on the data keeps it exact, in Python ints past it.  An entry of G is
+the inner product of the exponent vectors of two values, so here alone it
+is decided where a stack's G comes from (``_value_gram``): one gather from
+the table of inner products of its V distinct values, built from
+``arith.factor_table``, while V² ≤ m·n² for m vectors of n values (the deep
+stage of ``latticecount.count_S`` on four coordinates, and one vector),
+and otherwise the exponent rows laid out by ``exponent_stack`` and
+multiplied (the k = 3 strata residue, whose values outnumber its rows).
+``exponent_stack`` also gives one vector's rows to the witnesses here.
 
 Vectors must have nonzero coordinates throughout.
 """
@@ -46,6 +51,24 @@ def validate_vector(nu) -> tuple[int, ...]:
     return v
 
 
+def _as_ints(x) -> np.ndarray:
+    """``x`` as an int64 array, or in Python ints when an entry passes int64."""
+    try:
+        return np.asarray(x, dtype=np.int64)
+    except OverflowError:
+        return np.asarray(x, dtype=object)
+
+
+def _factored(keys: np.ndarray):
+    """(vals, primes, exps, at) of an (m, n) int array of absolute values ≥ 1:
+    its sorted distinct values, their ``arith.factor_table`` rows and each
+    key's index in vals."""
+    # asked for the inverse, np.unique sorts (no hash table), which beats a
+    # sort and a searchsorted of every key
+    vals, at = np.unique(keys, return_inverse=True)
+    return vals, *arith.factor_table(vals), at.reshape(keys.shape)
+
+
 def exponent_stack(keys) -> np.ndarray:
     """Exponent rows of each row of ``keys``, a nonempty (m, n) array of
     absolute values ≥ 1, as a stack (m, n, n·w), w the most primes of one
@@ -58,17 +81,14 @@ def exponent_stack(keys) -> np.ndarray:
     are factorized together, once each (``arith.factor_table``).  Values past
     int64 are kept as Python ints.
     """
-    try:
-        keys = np.asarray(keys, dtype=np.int64)
-    except OverflowError:
-        keys = np.asarray(keys, dtype=object)
-    m, n = keys.shape
-    # sorted distinct values (np.unique's hash table is about twice as slow here)
-    vals = np.sort(keys, axis=None)
-    vals = vals[np.flatnonzero(np.diff(vals, prepend=0))]
-    primes, exps = arith.factor_table(vals)
+    return _layout(*_factored(_as_ints(keys))[1:])
+
+
+def _layout(primes: np.ndarray, exps: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """``exponent_stack`` of the keys whose indices into the factor table
+    (primes, exps) of their distinct values are ``at``, (m, n)."""
+    m, n = at.shape
     w = primes.shape[1]
-    at = np.searchsorted(vals, keys)
     row_primes = primes[at].reshape(m, n * w)
     first = (row_primes[:, :, None] == row_primes[:, None, :]).argmax(axis=2)
     out = np.zeros((m, n, n * w), dtype=np.int64)
@@ -101,17 +121,23 @@ def _gram(rows) -> np.ndarray:
     largest diagonal entry, then with ⌈log₂⌉ of each entry; a stack past
     that is returned in Python ints.
     """
-    try:
-        a = np.asarray(rows, dtype=np.int64)
-    except OverflowError:
-        a = np.asarray(rows, dtype=object)
+    a = _as_ints(rows)
     if a.ndim < 2:
         a = a.reshape(0, 0)  # no rows at all
-    if a.dtype != object:
-        top = max(int(a.max(initial=0)), -int(a.min(initial=0)))
-        if top * top * a.shape[-1] >= 2**62:
-            a = a.astype(object)
-    g = np.matmul(a, np.swapaxes(a, -1, -2))
+    if a.dtype != object and _wide(max(int(a.max(initial=0)), -int(a.min(initial=0))), a.shape[-1]):
+        a = a.astype(object)
+    return _exact(np.matmul(a, np.swapaxes(a, -1, -2)))
+
+
+def _wide(top: int, k: int) -> bool:
+    """Whether a Gram entry of rows of k entries, each at most ``top`` in
+    size, could pass 2⁶², so that ``_gram`` forms it in Python ints."""
+    return top * top * k >= 2**62
+
+
+def _exact(g: np.ndarray) -> np.ndarray:
+    """A stack of Gram matrices in the dtype ``_gram`` gives it: in Python
+    ints when ``_psd_rank``'s products on it could pass 2⁶² (the M² bound)."""
     s = g.shape[-1]
     diag = np.diagonal(g, axis1=-2, axis2=-1)
     if s and g.dtype != object and int(diag.max(initial=0)) ** (2 * (s - 1)) >= 2**62:
@@ -119,6 +145,47 @@ def _gram(rows) -> np.ndarray:
         if int((bits.sum(axis=-1) - bits.min(axis=-1)).max(initial=0)) > 30:
             g = g.astype(object)
     return g
+
+
+def _table_pays(V: int, m: int, n: int) -> bool:
+    """Whether ``_value_gram`` tabulates the inner products of the V distinct
+    values of a stack of m rows of n values, rather than lay out its rows.
+
+    The table takes about V²·P multiply-adds for P distinct primes, the
+    layout an (m, n·w, n·w) prime comparison and m·n²·n·w multiply-adds.
+    Timed on both sides, the table is the faster up to V² ≈ m·n² when the
+    values have many distinct primes (random values up to 10⁵) and up to
+    about 4·m·n² when they have few (the benchmark's k = 3 and k = 4
+    stacks), so it is taken up to the lower bound.
+    """
+    return V * V <= m * n * n
+
+
+def _value_gram(keys: np.ndarray) -> np.ndarray:
+    """``_gram(exponent_stack(keys))`` of an (m, n) int array of absolute
+    values ≥ 1, entry for entry and in its dtype.
+
+    Entry (a, b) of a row's Gram matrix is the inner product of the exponent
+    vectors of its values a and b, so it depends only on that pair.  Where
+    ``_table_pays``, the inner products of the V distinct values are
+    tabulated once, as F·Fᵀ for the (V, P) matrix F of their exponents over
+    their P distinct primes, and each Gram matrix is one gather from the
+    table; elsewhere the exponent rows are laid out and multiplied.  F is
+    formed in the dtype ``_gram`` would take for those rows (``_wide`` of
+    the largest exponent and n·w).
+    """
+    vals, primes, exps, at = _factored(keys)
+    m, n = keys.shape
+    if not _table_pays(len(vals), m, n):
+        return _gram(_layout(primes, exps, at))
+    w = primes.shape[1]
+    # the distinct values' exponent vectors, one column per distinct prime
+    # (padding slots write exponent 0 into the column of prime 0)
+    ps, col = np.unique(primes, return_inverse=True)
+    f = np.zeros((len(vals), len(ps)), dtype=object if _wide(int(exps.max(initial=0)), n * w) else np.int64)
+    f[np.arange(len(vals))[:, None], col.reshape(primes.shape)] = exps
+    table = f @ f.T
+    return _exact(table[at[:, :, None], at[:, None, :]])
 
 
 def _psd_rank(g: np.ndarray) -> np.ndarray:
@@ -200,20 +267,22 @@ def _subset_rank(g: np.ndarray, smallest: int) -> np.ndarray:
 
 
 def rank_from_rows(rows, smallest: int = 2):
-    """Multiplicative rank from the exponent rows of vectors with no ±1.
+    """Multiplicative rank of vectors with no ±1, from their absolute values.
 
-    ``rows`` is one matrix (n, k) or a stack (..., n, k); the result is an
-    int or an int64 array of the batch shape.  Independent rows give n.
-    Otherwise the rank is one less than the size of the smallest dependent
-    subset, scanned in increasing size from ``smallest`` (the caller vouches
-    that smaller subsets are independent); the whole set being dependent caps
-    it at n − 1.  A subset S is dependent exactly when its principal Gram
-    block G_S = E_S·E_Sᵀ is singular, so one Gram stack serves every subset.
-    With ``smallest`` = n no subset is scanned: the result is n when the rows
-    are independent over Q and n − 1 otherwise.
+    ``rows`` is one vector (n,) or a stack (..., n) of them; the result is
+    an int or an int64 array of the batch shape.  Vectors whose exponent
+    rows are independent give n.  Otherwise the rank is one less than the
+    size of the smallest dependent subset, scanned in increasing size from
+    ``smallest`` (the caller vouches that smaller subsets are independent);
+    the whole set being dependent caps it at n − 1.  A subset S is dependent
+    exactly when its principal Gram block G_S = E_S·E_Sᵀ of the exponent
+    rows is singular, so one Gram stack (``_value_gram``) serves every
+    subset.  With ``smallest`` = n no subset is scanned: the result is n
+    when the rows are independent over Q and n − 1 otherwise.
     """
-    g = _gram(rows)
-    rank = _subset_rank(g.reshape((math.prod(g.shape[:-2]),) + g.shape[-2:]), smallest).reshape(g.shape[:-2])
+    keys = _as_ints(rows)
+    n = keys.shape[-1]
+    rank = _subset_rank(_value_gram(keys.reshape(-1, n)), smallest).reshape(keys.shape[:-1])
     return rank if rank.ndim else int(rank)
 
 
@@ -300,7 +369,7 @@ def is_dependent(nu) -> bool:
     nu = validate_vector(nu)
     if any(abs(x) == 1 for x in nu):
         return True
-    return rank_from_rows(_exponent_rows(nu), smallest=len(nu)) < len(nu)
+    return rank_from_rows([abs(x) for x in nu], smallest=len(nu)) < len(nu)
 
 
 def _primitive(k) -> tuple[int, ...]:
@@ -350,7 +419,7 @@ def mult_rank(nu) -> int:
     nu = validate_vector(nu)
     if any(abs(x) == 1 for x in nu):
         return 0
-    return rank_from_rows(_exponent_rows(nu))
+    return rank_from_rows([abs(x) for x in nu])
 
 
 def full_support_relation(nu):

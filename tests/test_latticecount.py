@@ -552,10 +552,11 @@ def test_cover_filter_boundary_on_hand_built_blocks(rng, monkeypatch):
             r = orc.subset_rank_oracle((6, i, p))
             want[r] = want.get(r, 0) + 2
     assert want.get(2, 0) > 0
-    ranked = []  # rows of each stack the deep stage hands to relations
+    ranked = []  # rows of values in each stack the deep stage hands to relations
     rank_from_rows = lc.relations.rank_from_rows
 
     def counting(rows, smallest=2):
+        assert rows.shape[1:] == (3,)
         ranked.append(len(rows))
         return rank_from_rows(rows, smallest)
 
@@ -837,6 +838,39 @@ def test_axis_lists_the_swept_values_and_fold():
 
 def test_rank_deep_merges_the_orders_of_one_multiset(monkeypatch):
     # (2, 3, 6) and (6, 3, 2) are one multiset: ranked once, with both weights
+    ranked = []  # the value rows of each stack the deep stage ranks
+    rank_from_rows = lc.relations.rank_from_rows
+
+    def counting(rows, smallest=2):
+        ranked.append(rows.tolist())
+        return rank_from_rows(rows, smallest)
+
+    monkeypatch.setattr(lc.relations, "rank_from_rows", counting)
+    rep = lc.CountReport((1, 1, 1), 0, "signed", 6)
+    lc._rank_deep(rep, np.array([[2, 3, 6], [6, 3, 2]], dtype=np.int64), np.array([5, 7], dtype=np.int64))
+    assert ranked == [[[2, 3, 6]]]
+    assert _nonzero(rep.by_rank) == {2: 12}
+
+
+def _by_rank_per_row(rows, weights):
+    """The deep stage's tally, one row at a time: each row's weight under its
+    rank, for the ranks below n (``relations.mult_rank``)."""
+    want = Counter()
+    for row, w in zip(rows.tolist(), weights.tolist()):
+        r = lc.relations.mult_rank(row)
+        if r < len(row):
+            want[r] += w
+    return dict(want)
+
+
+def test_rank_deep_merges_on_both_sides_of_the_packed_key_limit(rng, monkeypatch):
+    # rows of n values up to top are ordered by one int64 key of n fields of
+    # ⌈log₂ top⌉ bits while that is at most 63 bits, as opaque bytes past it.
+    # Either way each multiset is ranked once and the counts are the rows'.
+    # Each side gets shuffled repeats of a few multisets.  At 63 bits the
+    # rows end with (3, 6, 2²¹), (3, 6, 2²⁰), (3, 7, 2²⁰), (6, 2²¹, 3): with
+    # one bit less per field the first key would meet the second (fields
+    # joined by |) or the third (by +) and split the first multiset in two
     ranked = []
     rank_from_rows = lc.relations.rank_from_rows
 
@@ -845,10 +879,45 @@ def test_rank_deep_merges_the_orders_of_one_multiset(monkeypatch):
         return rank_from_rows(rows, smallest)
 
     monkeypatch.setattr(lc.relations, "rank_from_rows", counting)
-    rep = lc.CountReport((1, 1, 1), 0, "signed", 6)
-    lc._rank_deep(rep, np.array([[2, 3, 6], [6, 3, 2]], dtype=np.int64), np.array([5, 7], dtype=np.int64))
-    assert ranked == [1]
-    assert _nonzero(rep.by_rank) == {2: 12}
+    for n, top, width in ((3, 2**21, 63), (4, 2**16, 64), (7, 2**9, 63), (8, 2**8, 64)):
+        assert n * (top - 1).bit_length() == width
+        pool = [x for x in (2, 3, 5, 6, 7, 10, 12, 15, 18, 30, 45, top // 4 * 3, top) if x <= top]
+        # deep-stage rows: no two values of one base
+        base = [row for row in (rng.sample(pool, n) for _ in range(200))
+                if not any(lc.relations.is_dependent((x, y)) for i, x in enumerate(row) for y in row[:i])][:40]
+        rows = [rng.sample(row, n) for row in base for _ in range(rng.randint(1, 3))]
+        rows = rng.sample(rows, len(rows))
+        if n == 3:
+            rows += [[3, 6, top], [3, 6, top // 2], [3, 7, top // 2], [6, top, 3]]
+        rows = np.array(rows, dtype=np.int64)
+        weights = np.array([rng.randint(1, 9) for _ in rows], dtype=np.int64)
+        assert rows.max() == top
+        rep = lc.CountReport((1,) * n, 0, "signed", top)
+        ranked.clear()
+        lc._rank_deep(rep, rows, weights)
+        assert sum(ranked) == len({tuple(sorted(row)) for row in rows.tolist()}), (n, top)
+        assert _nonzero(rep.by_rank) == _by_rank_per_row(rows, weights), (n, top)
+    assert _by_rank_per_row(np.array([[3, 6, 2**21], [3, 6, 2**20], [3, 7, 2**20]]), np.ones(3, dtype=np.int64)) == {2: 2}
+
+
+@pytest.mark.parametrize("n", (4, 5))
+@given(data=st.data())
+def test_deep_counts_agree_on_both_sides_of_the_table_rule(n, data):
+    # the deep stage's Gram matrices come from the table of value-pair inner
+    # products or from the laid-out exponent rows, as relations._table_pays
+    # picks per stack; forcing either side gives the same count
+    alpha = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    J = data.draw(st.integers(-8, 8))
+    H = data.draw(st.integers(1, {4: 24, 5: 8}[n]))
+    spec, ds = HyperplaneSpec(alpha, J), DomainSpec(data.draw(st.sampled_from(("signed", "positive"))), H)
+    got = []
+    for force in (None, True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            if force is not None:
+                patch.setattr(lc.relations, "_table_pays", lambda V, m, n: force)
+            rep = count_S(spec, ds)
+        got.append((rep.total_on_plane, rep.by_rank))
+    assert got[0] == got[1] == got[2], (alpha, J, ds)
 
 
 def test_count_refuses_int64_overflow():

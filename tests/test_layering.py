@@ -46,3 +46,18 @@ def test_only_count_S_picks_the_sweep_stage():
         if name in STAGE_NAMES
     ]
     assert not found, found
+
+
+# ``relations`` alone picks where the deep stage's Gram matrices come from
+# (the table of value-pair inner products or the laid-out exponent rows):
+# ``latticecount`` hands it value rows and names no part of either source
+GRAM_NAMES = {"exponent_stack", "_gram", "factor_table"}
+
+
+def test_latticecount_hands_relations_values_only():
+    found = [
+        f"latticecount.py:{line}: {name}"
+        for line, name in _names(ast.parse((SRC / "latticecount.py").read_text()))
+        if name in GRAM_NAMES
+    ]
+    assert not found, found

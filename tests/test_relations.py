@@ -308,14 +308,14 @@ def test_stacked_rank_over_q_matches_rref_oracle(rng):
 def test_stacked_rank_from_rows_matches_subset_oracle(rng):
     for n in range(1, 7):
         vectors = [tuple(rng.randint(2, 60) for _ in range(n)) for _ in range(120)]
-        ranks = rank_from_rows(_row_stack(vectors))
+        ranks = rank_from_rows(vectors)
         assert ranks.shape == (len(vectors),)
         for v, r in zip(vectors, ranks):
             assert r == orc.subset_rank_oracle(v), v
-    # all-zero and zero-width rows: dependent at every size from 2 on
-    assert rank_from_rows(np.zeros((2, 3, 0), dtype=np.int64)).tolist() == [1, 1]
-    assert rank_from_rows([[0, 0], [0, 0], [0, 0]]) == 1
-    assert rank_from_rows([[1, 0], [0, 1]], smallest=3) == 2
+    # 1s have all-zero exponent rows: dependent at every size from 2 on
+    assert rank_from_rows(np.ones((2, 3), dtype=np.int64)).tolist() == [1, 1]
+    assert rank_from_rows([1, 1, 1]) == 1
+    assert rank_from_rows([2, 3], smallest=3) == 2
 
 
 def test_large_exponents_take_the_python_int_path():
@@ -334,7 +334,7 @@ def test_large_exponents_take_the_python_int_path():
     stack = _row_stack(vectors)
     gram = np.einsum("bik,bjk->bij", stack, stack)
     assert max(math.prod(sorted(d)[1:]) for d in np.diagonal(gram, axis1=1, axis2=2).tolist()) ** 2 >= 2**62
-    for v, r, d in zip(vectors, rank_from_rows(stack), _rank_over_q(stack)):
+    for v, r, d in zip(vectors, rank_from_rows(vectors), _rank_over_q(stack)):
         assert r == orc.subset_rank_oracle(v) == mult_rank(v)
         assert d == orc.rref_rank(orc._exponent_rows(v))
         assert (d < 5) == orc.dependent_oracle(v)
@@ -453,6 +453,48 @@ def test_exponent_stack_is_byte_equal_under_the_per_value_loop(rng, monkeypatch)
             patch.setattr(arith, "factor_table", orc.factor_table)
             want = exponent_stack(keys)
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), keys
+
+
+def _value_stacks(rng):
+    """Seeded (m, n) stacks of values up to 2²², n = 3..6, on both sides of
+    ``relations._table_pays``: few distinct values under many rows, or many
+    under few.  Pools mix small values, values past 10⁶ (trial division in
+    ``arith.factor_table``), 1s and high powers, whose Gram diagonals put
+    some stacks past the int64 bound of ``_psd_rank``."""
+    powers = [2**22, 3**13, 5**9, 7**7, 6**8, 2**11 * 3**6, 10**6]
+    for n in range(3, 7):
+        for top in (60, 5000, 2**22):
+            for m, V in ((300, 8), (40, 150)):
+                pool = [rng.choice([1, rng.randint(2, top), rng.choice(powers), rng.randint(10**6, 2**22)])
+                        for _ in range(V)]
+                yield np.array([[rng.choice(pool) for _ in range(n)] for _ in range(m)], dtype=np.int64)
+
+
+def test_value_table_gram_equals_the_layout_gram(rng, monkeypatch):
+    # a Gram entry ⟨e(x), e(y)⟩ depends only on the pair of values, so the
+    # table of the distinct values' inner products gives _gram of the laid
+    # out exponent rows, in values and dtype, whichever way the rule goes
+    sides, dtypes = set(), set()
+    for keys in _value_stacks(rng):
+        want = relations._gram(exponent_stack(keys))
+        sides.add(relations._table_pays(len(np.unique(keys)), *keys.shape))
+        dtypes.add(want.dtype)
+        for force in (True, False):
+            with monkeypatch.context() as patch:
+                patch.setattr(relations, "_table_pays", lambda V, m, n: force)
+                got = relations._value_gram(keys)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), (force, keys)
+            assert (got == want).all(), (force, keys)
+    assert sides == {True, False} and dtypes == {np.dtype(np.int64), np.dtype(object)}
+    # products formed in Python ints (exponents near 2³¹ would need it), and
+    # values past int64
+    keys = [[2**64 * 3, 5, 6], [6, 2**70, 15], [5, 6, 15]]
+    monkeypatch.setattr(relations, "_wide", lambda top, k: True)
+    want = relations._gram(exponent_stack(keys))
+    for force in (True, False):
+        monkeypatch.setattr(relations, "_table_pays", lambda V, m, n: force)
+        got = relations._value_gram(relations._as_ints(keys))
+        assert got.dtype == want.dtype == object and got.tolist() == want.tolist()
 
 
 def test_is_dependent_scans_no_subset_of_a_long_vector():
