@@ -83,10 +83,13 @@ classes and weight fold.  The strata roles break the symmetry, so there
 every cell stands for itself.
 
 Curve systems (one power-product equation with one linear equation) run one
-loop for every variant, ``curve_counts``: it solves the inner pair of plane
-coordinates from candidates drawn by ``arith.smooth_numbers``, or from the
-same residue class where no smoothness holds, and tests the power equation
-in exact integers (the lemma behind it is in its docstring).  A count that
+loop for every variant, ``curve_counts``: it lists candidates for the inner
+pair of plane coordinates, drawn by ``arith.smooth_numbers`` or from the
+line's residue class where no smoothness holds (the lemma behind it is in
+its docstring), and one kernel, ``_curve_block``, tests them ``_BLOCK_ROWS``
+at a time: it solves the pair and tests the power equation in int64 where a
+bound on the system keeps every value below 2⁶³ (``_curve_dtype``), in
+Python ints otherwise, with integer roots from ``_iroot``.  A count that
 sweeps refuses H above ``_TABLE_CAP``, planes whose int64 arithmetic could
 wrap (Σ|α_i|·H + |J| ≥ 2⁶²) and 2⁶³ or more outer combos, too many to
 number in int64, with RegimeError before any strata, sweep or table.
@@ -852,27 +855,123 @@ def _validate_curve(sys: CurveSystemSpec) -> None:
             raise RegimeError("linear coefficients must be nonzero for this variant")
 
 
-def _iroot(m: int, k: int) -> int:
-    """⌊m^(1/k)⌋ for m ≥ 0, by integer Newton steps from above."""
-    if k == 1 or m < 2:
+def _curve_pair(alpha) -> list[int]:
+    """Indices (c, d) of the inner pair: the last two plane coordinates with
+    nonzero α."""
+    return [i for i, a in enumerate(alpha) if a][-2:]
+
+
+def _curve_dtype(sys: CurveSystemSpec, H: int) -> np.dtype:
+    """int64 where ``_curve_block`` provably forms no value of 2⁶³ or more,
+    Python ints (object) otherwise, as ``relations._gram`` picks.
+
+    Either side of the power equation is its coefficient times powers of
+    plane coordinates, so it is at most max(|A|, |B|)·H^Σk over the plane's
+    exponents (in 2var only the inner pair's: ν3 is never multiplied out),
+    and so is a quotient of the sides.  A 2var root test keeps quotients up
+    to H^k3, and the line solve forms at most Σ|α_i|·H + |J|.
+    """
+    na = CURVE_VARIANTS[sys.variant][1]
+    top = max(
+        max(abs(sys.A), abs(sys.B)) * H ** sum(sys.k[:na]),
+        H ** sys.k[-1],
+        sum(map(abs, sys.alpha)) * H + abs(sys.J),
+    )
+    return np.dtype(np.int64 if top < 2**63 else object)
+
+
+def _iroot(m: np.ndarray, k: int) -> np.ndarray:
+    """⌊m^(1/k)⌋ for each entry of an int64 or object array m ≥ 0, in its dtype.
+
+    Integer Newton steps from above, each entry from 2^⌈b/k⌉ for its bit
+    length b, until no entry moves down.  The step x ↦ ⌊((k−1)·x + t)/k⌋,
+    t = ⌊m/x^(k−1)⌋, is taken as x + ⌊(t − x)/k⌋, which moves down exactly
+    when t < x, and t as k − 1 floor divisions by x (⌊⌊m/x⌋/x⌋ = ⌊m/x²⌋), so
+    no intermediate passes max(m, 2^⌈b/k⌉) and int64 holds every one."""
+    if k == 1:
         return m
-    x = 1 << -(-m.bit_length() // k)
+    bits = np.searchsorted(np.array([1 << i for i in range(int(m.max(initial=0)).bit_length())], dtype=m.dtype), m, side="right")
+    x = np.left_shift(np.ones_like(m), (-(-bits // k)).astype(m.dtype))
+    n = np.maximum(m, 1)  # m = 0 starts at x = 1 and stays there
     while True:
-        y = ((k - 1) * x + m // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
+        t = n
+        for _ in range(k - 1):
+            t = t // x
+        down = t < x
+        if not down.any():
+            return np.where(bits > 0, x, 0).astype(m.dtype)
+        x = np.where(down, x + (t - x) // k, x)
+
+
+def _curve_block(sys: CurveSystemSpec, H: int, dtype: np.dtype, parts, scalars) -> tuple[int, int]:
+    """(count, excluded) of one block of candidate rows: the int64 arrays of
+    candidates c in ``parts``, each with its outer combo's (m, lhs, rhs) in
+    ``scalars``, lhs and rhs the outer parts of the two sides of the power
+    equation.  The block is formed in ``dtype`` (``_curve_dtype``).
+
+    d is solved from α_c·c + α_d·d = m; rows with c = 0, with no integer d,
+    d = 0 or |d| > H drop, and the rest multiply both sides out.  In 2var a
+    row adds the x with x^k3 equal to the quotient of the sides, 0 < |x| ≤ H;
+    elsewhere 1 when the sides are equal.  ν1 is 3var's one outer
+    coordinate, so there α1·ν1 = J exactly where m = 0, and α2·ν2 = α_c·c.
+    """
+    sides, na = CURVE_VARIANTS[sys.variant]
+    (ci, di), k = _curve_pair(sys.alpha), sys.k
+    a_c, a_d = sys.alpha[ci], sys.alpha[di]
+    c = np.concatenate(parts).astype(dtype, copy=False)
+    m, lhs, rhs = (np.repeat(np.array(col, dtype), [len(x) for x in parts]) for col in zip(*scalars))
+    r = m - a_c * c
+    keep = (c != 0) & (r % a_d == 0)
+    d = r // a_d
+    keep &= (d != 0) & (np.abs(d) <= H)
+    c, d, m, lhs, rhs = (x[keep] for x in (c, d, m, lhs, rhs))
+    cp, dp = c ** k[ci], d ** k[di]
+    left = lhs * (cp if sides[ci] > 0 else 1) * (dp if sides[di] > 0 else 1)
+    right = rhs * (1 if sides[ci] > 0 else cp) * (1 if sides[di] > 0 else dp)
+    if na < len(sides):
+        # x = ν3 joins the den side: x^k3 = num/den
+        e = k[na]
+        num, den = (left, right) if sides[na] < 0 else (right, left)
+        whole = num % den == 0
+        q = num[whole] // den[whole]
+        q = q[np.abs(q) <= H**e]
+        hit = _iroot(np.abs(q), e) ** e == np.abs(q)
+        if e % 2:
+            return int(np.count_nonzero(hit)), 0
+        return 2 * int(np.count_nonzero(hit & (q > 0))), 0
+    eq = left == right
+    if sys.variant != "3var":
+        return int(np.count_nonzero(eq)), 0
+    dropped = int(np.count_nonzero(eq & ((m == 0) | (a_c * c == sys.J))))
+    return int(np.count_nonzero(eq)) - dropped, dropped
+
+
+def _curve_blocks(segments):
+    """Pack (candidates, m, lhs, rhs) segments, an int64 array and three ints
+    each, into blocks (parts, scalars) of at most ``_BLOCK_ROWS`` candidate
+    rows; a segment that overfills a block goes on in the next."""
+    parts, scalars, rows = [], [], 0
+    for c, *s in segments:
+        while len(c):
+            part, c = c[: _BLOCK_ROWS - rows], c[_BLOCK_ROWS - rows :]
+            parts.append(part)
+            scalars.append(s)
+            rows += len(part)
+            if rows == _BLOCK_ROWS:
+                yield parts, scalars
+                parts, scalars, rows = [], [], 0
+    if rows:
+        yield parts, scalars
 
 
 def curve_counts(sys: CurveSystemSpec, H: int) -> tuple[int, int]:
     """(count, excluded) for the curve system with 0 < |ν_i| ≤ H.
 
-    One loop for every variant.  The last two plane coordinates with nonzero
-    α are the inner pair (c, d), the others the outer ones o, and the pair
-    lies on α_c·c + α_d·d = m = J − Σ α_o·o.  Each candidate c solves d from
-    that line, and both sides of the power equation are multiplied out as
-    Python ints.  In the 2var variants ν3 is off the plane: a point adds the
-    number of x with x^k3 equal to the quotient of the sides, 0 < |x| ≤ H.
+    One loop over the outer combos for every variant.  The last two plane
+    coordinates with nonzero α are the inner pair (c, d), the others the
+    outer ones o, and the pair lies on α_c·c + α_d·d = m = J − Σ α_o·o.  In
+    the 2var variants ν3 is off the plane: a point adds the number of x with
+    x^k3 equal to the quotient of the sides, 0 < |x| ≤ H.
 
     In 2var and where m = 0, c runs along the residue class that solves the
     line (``_line_class``; none when gcd(α_c, α_d) ∤ m), elsewhere only over
@@ -881,50 +980,46 @@ def curve_counts(sys: CurveSystemSpec, H: int) -> tuple[int, int]:
     on the side opposite c, so p | d, and then p | α_c·c + α_d·d = m.  Hence
     rad(c) | rad(A·B·∏o·m); c = ±1 is the empty product.  ``excluded``
     counts the 3var solutions that α1ν1 ≠ J ≠ α2ν2 drops, 0 elsewhere.
+
+    The loop only lists each combo's candidates, with its m and the outer
+    parts of both sides.  ``_curve_block`` tests them ``_BLOCK_ROWS`` rows
+    at a time, solving d and multiplying both sides out in int64 where
+    ``_curve_dtype`` bounds every value below 2⁶³ and in Python ints
+    otherwise, so the count is exact either way and its memory stays one
+    block's.
     """
     _validate_curve(sys)
     if H < 1:
         raise ValueError("H must be >= 1")
     sides, na = CURVE_VARIANTS[sys.variant]
     k, alpha, J = sys.k, sys.alpha, sys.J
-    ci, di = [i for i in range(na) if alpha[i]][-2:]
+    ci, di = _curve_pair(alpha)
     outer = [i for i in range(na) if i not in (ci, di)]
-    e = k[-1]
     fixed = [p for p, _ in arith._abs_exponents(abs(sys.A * sys.B))]
     axis = (*range(-H, 0), *range(1, H + 1)) if outer else ()
     g, step, u = _line_class(alpha[ci], alpha[di])
-    count = excluded = 0
-    for o in product(*[axis] * len(outer)):
-        m = J - sum(alpha[i] * v for i, v in zip(outer, o))
-        lhs = sys.A * math.prod(v ** k[i] for i, v in zip(outer, o) if sides[i] > 0)
-        rhs = sys.B * math.prod(v ** k[i] for i, v in zip(outer, o) if sides[i] < 0)
-        if na < len(sides) or m == 0:
-            if m % g:
-                continue
-            cs = range(-H + (m // g * u + H) % step, H + 1, step)
-        else:
-            primes = fixed + [p for v in (m, *o) for p, _ in arith._abs_exponents(abs(v))]
-            cs = [c for s in arith.smooth_numbers(H, primes) for c in (s, -s)]
-        for c in cs:
-            d, r = divmod(m - alpha[ci] * c, alpha[di])
-            if r or not c or not d or abs(d) > H:
-                continue
-            cp, dp = c ** k[ci], d ** k[di]
-            left = lhs * (cp if sides[ci] > 0 else 1) * (dp if sides[di] > 0 else 1)
-            right = rhs * (1 if sides[ci] > 0 else cp) * (1 if sides[di] > 0 else dp)
-            if na < len(sides):
-                # x = ν3 joins the den side: x^k3 = num/den
-                num, den = (left, right) if sides[na] < 0 else (right, left)
-                q, r = divmod(num, den)
-                if r or abs(q) > H**e:
+
+    def segments():
+        for o in product(*[axis] * len(outer)):
+            m = J - sum(alpha[i] * v for i, v in zip(outer, o))
+            lhs = sys.A * math.prod(v ** k[i] for i, v in zip(outer, o) if sides[i] > 0)
+            rhs = sys.B * math.prod(v ** k[i] for i, v in zip(outer, o) if sides[i] < 0)
+            if na < len(sides) or m == 0:
+                if m % g:
                     continue
-                x = _iroot(abs(q), e)
-                if x**e == abs(q):
-                    count += 1 if e % 2 else (2 if q > 0 else 0)
-            elif left == right:
-                nu = {**dict(zip(outer, o)), ci: c, di: d}
-                if sys.variant == "3var" and J in (alpha[0] * nu[0], alpha[1] * nu[1]):
-                    excluded += 1
-                else:
-                    count += 1
+                # the class in runs of one block, never the whole class at once
+                run = step * _BLOCK_ROWS
+                for lo in range(-H + (m // g * u + H) % step, H + 1, run):
+                    yield np.arange(lo, min(lo + run, H + 1), step), m, lhs, rhs
+            else:
+                primes = fixed + [p for v in (m, *o) for p, _ in arith._abs_exponents(abs(v))]
+                s = np.fromiter(arith.smooth_numbers(H, primes), np.int64)
+                yield np.concatenate((s, -s)), m, lhs, rhs
+
+    dtype = _curve_dtype(sys, H)
+    count = excluded = 0
+    for parts, scalars in _curve_blocks(segments()):
+        n, x = _curve_block(sys, H, dtype, parts, scalars)
+        count += n
+        excluded += x
     return count, excluded

@@ -10,17 +10,19 @@ base w ≤ |J|.  Plane points come from ``enumerate_solutions``, a plain walk
 over the free coordinates that the tests check against a brute
 product-and-filter of the box; it borrows only the package's pivot choice.
 The curve-system oracle walks the plane with it and reads the variants'
-sides from ``CURVE_VARIANTS``.  One reference does use the package:
+sides from ``CURVE_VARIANTS``.  Two references do use the package:
 ``factor_table`` is the per-value loop over ``arith._abs_exponents`` that
 ``relations.exponent_stack`` factorized with before the numpy sieve peel of
-``arith.factor_table``.
+``arith.factor_table``, and ``curve_loop_oracle`` is the per-candidate loop
+of ``latticecount.curve_counts`` before its block kernel, on the same
+smooth walk and factorization.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 import numpy as np
 
@@ -495,4 +497,56 @@ def curve_sweep_oracle(sys, H: int) -> tuple[int, int]:
             excluded += sols
         else:
             count += sols
+    return count, excluded
+
+
+def curve_loop_oracle(sys, H: int) -> tuple[int, int]:
+    """(count, excluded) of a curve system by the candidate loop that
+    ``latticecount.curve_counts`` ran before its block kernel: the same
+    outer combos and candidates c (the line's residue class, or
+    ±(rad(A·B·∏o·m)-smooth values from ``arith.smooth_numbers``), each
+    tested on its own in Python ints."""
+    sides, na = CURVE_VARIANTS[sys.variant]
+    k, alpha, J = sys.k, sys.alpha, sys.J
+    ci, di = [i for i in range(na) if alpha[i]][-2:]
+    outer = [i for i in range(na) if i not in (ci, di)]
+    e = k[-1]
+    fixed = [p for p, _ in arith._abs_exponents(abs(sys.A * sys.B))]
+    axis = (*range(-H, 0), *range(1, H + 1)) if outer else ()
+    g = gcd(alpha[ci], alpha[di])
+    step = abs(alpha[di]) // g
+    u = pow(alpha[ci] // g, -1, step)
+    count = excluded = 0
+    for o in product(*[axis] * len(outer)):
+        m = J - sum(alpha[i] * v for i, v in zip(outer, o))
+        lhs = sys.A * prod(v ** k[i] for i, v in zip(outer, o) if sides[i] > 0)
+        rhs = sys.B * prod(v ** k[i] for i, v in zip(outer, o) if sides[i] < 0)
+        if na < len(sides) or m == 0:
+            if m % g:
+                continue
+            cs = range(-H + (m // g * u + H) % step, H + 1, step)
+        else:
+            primes = fixed + [p for v in (m, *o) for p, _ in arith._abs_exponents(abs(v))]
+            cs = [c for s in arith.smooth_numbers(H, primes) for c in (s, -s)]
+        for c in cs:
+            d, r = divmod(m - alpha[ci] * c, alpha[di])
+            if r or not c or not d or abs(d) > H:
+                continue
+            cp, dp = c ** k[ci], d ** k[di]
+            left = lhs * (cp if sides[ci] > 0 else 1) * (dp if sides[di] > 0 else 1)
+            right = rhs * (1 if sides[ci] > 0 else cp) * (1 if sides[di] > 0 else dp)
+            if na < len(sides):
+                # x = ν3 joins the den side: x^k3 = num/den
+                num, den = (left, right) if sides[na] < 0 else (right, left)
+                q, r = divmod(num, den)
+                if r or abs(q) > H**e:
+                    continue
+                if _iroot(abs(q), e) ** e == abs(q):
+                    count += 1 if e % 2 else (2 if q > 0 else 0)
+            elif left == right:
+                nu = {**dict(zip(outer, o)), ci: c, di: d}
+                if sys.variant == "3var" and J in (alpha[0] * nu[0], alpha[1] * nu[1]):
+                    excluded += 1
+                else:
+                    count += 1
     return count, excluded

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 from fractions import Fraction as F
 from collections import Counter
 from itertools import permutations, product
@@ -475,12 +476,107 @@ def test_curve_matches_sweep_oracle(rng):
 
 
 def test_iroot_is_exact():
-    for k in range(1, 6):
-        for m in range(2000):
-            assert lc._iroot(m, k) == orc._iroot(m, k), (m, k)
-        for r in (10**6, 3**40, 2**90 + 1):
-            for m in (r**k - 1, r**k, r**k + 1):
-                assert lc._iroot(m, k) == orc._iroot(m, k), (m, k)
+    for dtype, top in ((np.int64, 2**63), (object, None)):
+        for k in range(1, 6):
+            ms = [*range(2000), *(m for r in (10**6, 3**40, 2**90 + 1) for m in (r**k - 1, r**k, r**k + 1))]
+            ms = [m for m in ms if top is None or m < top]
+            got = lc._iroot(np.array(ms, dtype=dtype), k)
+            assert got.dtype == np.dtype(dtype)
+            assert [int(x) for x in got] == [orc._iroot(m, k) for m in ms], (dtype, k)
+        # int64's top, where x^(k−1) of the starting bound would pass 2⁶³
+        ms = [2**63 - 1, 2**62, 3**39, 10**18 + 1]
+        for k in range(2, 64):
+            got = lc._iroot(np.array(ms, dtype=dtype), k)
+            assert [int(x) for x in got] == [orc._iroot(m, k) for m in ms], (dtype, k)
+
+
+def _bench_curve(rng) -> tuple[CurveSystemSpec, int]:
+    """A system at the benchmark's heights (2var up to 4·10⁴, 3var up to
+    140, 4var up to 28), J = ±1..±12, |A|, |B| ≤ 18 and k ≤ 4."""
+    variant = rng.choice(["2var-a", "2var-b", "3var", "4var"])
+    J = rng.choice([j for j in range(-12, 13) if j])
+    k = tuple(rng.randint(1, 4) for _ in range(4 if variant == "4var" else 3))
+    if variant == "4var":
+        alpha = [rng.choice([-2, -1, 1, 2]) for _ in range(4)]
+        if rng.random() < 0.25:
+            alpha[rng.randrange(4)] = 0
+        return CurveSystemSpec(variant, 1, 1, k, tuple(alpha), J), rng.randint(1, 28)
+    A, B = (rng.randint(1, 18) * rng.choice([-1, 1]) for _ in range(2))
+    alpha = tuple(rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(3 if variant == "3var" else 2))
+    H = rng.randint(1, 140 if variant == "3var" else 40000)
+    return CurveSystemSpec(variant, A, B, k, alpha, J), H
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_curve_kernel_matches_loop_oracle(rng, monkeypatch, dtype):
+    # the rule forced to one dtype; int64 only where the bound lets it be exact
+    rule, block, sizes = lc._curve_dtype, lc._curve_block, []
+
+    def recorded(sys, H, dtype, parts, scalars):
+        sizes.append(sum(map(len, parts)))
+        return block(sys, H, dtype, parts, scalars)
+
+    monkeypatch.setattr(lc, "_curve_dtype", lambda sys, H: np.dtype(dtype))
+    monkeypatch.setattr(lc, "_curve_block", recorded)
+    ran = Counter()
+    for _ in range(32):
+        sys, H = _bench_curve(rng)
+        if dtype is np.int64 and rule(sys, H) != np.int64:
+            continue
+        assert curve_counts(sys, H) == orc.curve_loop_oracle(sys, H), (sys, H)
+        ran[sys.variant] += 1
+    assert set(ran) == {"2var-a", "2var-b", "3var", "4var"}, ran
+    # no kernel call sees more than one block, and some block is full
+    assert max(sizes) == lc._BLOCK_ROWS, max(sizes)
+
+
+def test_curve_blocks_keep_every_row(rng):
+    segments = [(np.arange(rng.choice([0, 1, 7, 5000, 20000])), i, 2 * i, 3 * i) for i in range(40)]
+    blocks = list(lc._curve_blocks(iter(segments)))
+    sizes = [sum(map(len, parts)) for parts, _ in blocks]
+    assert set(sizes[:-1]) == {lc._BLOCK_ROWS} and 0 < sizes[-1] <= lc._BLOCK_ROWS
+    got = [(int(v), *s) for parts, scalars in blocks for c, s in zip(parts, scalars) for v in c]
+    assert got == [(int(v), m, lhs, rhs) for c, m, lhs, rhs in segments for v in c]
+
+
+def test_curve_int64_edge():
+    # 3·H⁴ < 2⁶³ holds up to H = 41873: the last height in int64, then objects
+    sys = CurveSystemSpec("2var-a", 3, -2, (3, 1, 1), (3, -1), 7)
+    assert lc._curve_dtype(sys, 41873) == np.int64
+    assert lc._curve_dtype(sys, 41874) == object
+    for H in (41873, 41874):
+        assert curve_counts(sys, H) == orc.curve_loop_oracle(sys, H), H
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_curve_roots_in_each_dtype(monkeypatch, dtype):
+    monkeypatch.setattr(lc, "_curve_dtype", lambda sys, H: np.dtype(dtype))
+    # ν3² = −ν1·ν2 on ν1 + ν2 = 5: (9, −4) gives 36, and (1, 4) gives −4, a
+    # negative square with no root.  ν3³ = ν1·ν2 on ν1 + ν2 = 6 takes the
+    # negative cubes too: (−3, 9) gives −27, (2, 4) gives 8.
+    square = CurveSystemSpec("2var-a", -1, 1, (1, 1, 2), (1, 1), 5)
+    cube = CurveSystemSpec("2var-a", 1, 1, (1, 1, 3), (1, 1), 6)
+    for sys in (square, cube):
+        assert curve_counts(sys, 20) == brute_curve(sys, 20) != (0, 0), sys
+        assert curve_counts(sys, 300) == orc.curve_loop_oracle(sys, 300), sys
+
+
+@pytest.mark.parametrize(
+    "sys, H",
+    [
+        (CurveSystemSpec("2var-a", 1, 1, (1, 2, 1), (1, -2), 1), 10**6),
+        (CurveSystemSpec("4var", 1, 1, (1, 1, 1, 1), (1, 1, 1, 1), 1), 40),
+    ],
+)
+def test_curve_memory_stays_one_block(sys, H):
+    curve_counts(sys, H)  # the sieve and the factorization cache fill first
+    tracemalloc.start()
+    try:
+        curve_counts(sys, H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
 
 
 def test_curve_excluded_side_count():
