@@ -348,7 +348,8 @@ def _rank_deep(report: CountReport, rows: np.ndarray, weights: np.ndarray) -> No
     matrices from a table of value-pair inner products or from laid-out
     exponent rows by a rule on the stack's sizes (module docstring).  The
     rows have no ±1 and no dependent pair, so subsets start at size 3, and
-    the rank is below n exactly when the vector is dependent.  The merge
+    at n ≤ 4 the kernel fixes the rank with no subset scan; the rank is
+    below n exactly when the vector is dependent.  The merge
     needs equal rows adjacent: a stable argsort of one int64 key per row,
     its n values less 1 in fields of b bits, b = ⌈log₂⌉ of the largest
     value, while n·b ≤ 63 (values up to 2¹⁵ at n = 4, 2²¹ at n = 3), and

@@ -7,26 +7,28 @@ prime exponents, laid out by ``exponent_stack``: row i lists the exponents of
 |ν_i|, and each prime occurring in the vector owns one column.  A relation is
 an integer vector annihilating every column whose sign product is +1; a
 kernel vector with sign product −1 is repaired by doubling, since −1 is
-2-torsion.  Kernels come from ``right_kernel_basis``, one fraction-free
-Gauss–Jordan elimination in Python ints.
+2-torsion.
 
-Witnesses are verified symbolically (per-prime exponent sums and the sign
-product), never by evaluating integer powers, so huge exponents are safe.
+Witnesses are verified symbolically on the rows ``exponent_stack`` lays out
+(per-prime exponent sums and the sign product), never by evaluating
+integer powers, so huge exponents are safe.
 
 Ranks have one entry, ``rank_from_rows``: it takes the absolute values of
 one vector (n,) or of a stack (..., n) of them.  A set of exponent rows E
-is dependent exactly when its Gram matrix G = E·Eᵀ is singular, so every
-subset's test is a principal block of one G, and fraction-free elimination
-in natural order ranks a whole stack of blocks at once: in int64 while a
-bound on the data keeps it exact, in Python ints past it.  An entry of G is
-the inner product of the exponent vectors of two values, so here alone it
-is decided where a stack's G comes from (``_value_gram``): one gather from
-the table of inner products of its V distinct values, built from
-``arith.factor_table``, while V² ≤ m·n² for m vectors of n values (the deep
-stage of ``latticecount.count_S`` on four coordinates, and one vector),
-and otherwise the exponent rows laid out by ``exponent_stack`` and
-multiplied (the k = 3 strata residue, whose values outnumber its rows).
-``exponent_stack`` also gives one vector's rows to the witnesses here.
+is dependent exactly when its Gram matrix G = E·Eᵀ is singular, and
+ker G = ker Eᵀ is the vector's relation space over Q.  So one fraction-free
+Gauss–Jordan elimination of G (``_reduce``), on a whole stack at once, in
+int64 while a bound on the data keeps it exact and in Python ints past it,
+gives the corank and a kernel basis: they fix most ranks, the subset scan
+of G's principal blocks the rest, and the witnesses read the kernel.  An
+entry of G is the inner product of the exponent vectors of two values, so
+here alone it is decided where a stack's G comes from (``_value_gram``):
+one gather from the table of inner products of its V distinct values,
+built from ``arith.factor_table``, while V² ≤ m·n² for m vectors of n
+values (the deep stage of ``latticecount.count_S`` on four coordinates,
+and one vector), and otherwise the exponent rows laid out by
+``exponent_stack`` and multiplied (the k = 3 strata residue, whose values
+outnumber its rows).
 
 Vectors must have nonzero coordinates throughout.
 """
@@ -107,14 +109,18 @@ _POW2 = 1 << np.arange(62, dtype=np.int64)
 
 def _gram(rows) -> np.ndarray:
     """Gram matrices rows·rowsᵀ of a stack (..., n, k) of integer rows, in
-    the dtype that keeps ``_psd_rank`` exact on them and on every principal
+    the dtype that keeps ``_reduce`` exact on them and on every principal
     block of them.
 
     The product is formed in int64 while every entry is provably below 2⁶²,
-    in Python ints otherwise.  ``_psd_rank``'s products multiply two minors
-    of G = E·Eᵀ of at most s − 1 rows.  A minor on rows A and columns B is at
-    most √(∏_A G_kk · ∏_B G_kk) in size (Cauchy–Binet and Hadamard), so none
-    of the products passes M², M the product of every diagonal entry but the
+    in Python ints otherwise.  ``_reduce``'s products multiply two minors
+    of G = E·Eᵀ of at most s − 1 rows: a step that updates a column after k
+    has taken at most s − 2 pivots, on a set P, and then an entry (i, j)
+    below the pivots is the minor on rows P + i and columns P + j, and one
+    above them, in pivot row r, the minor on rows P and columns P − r + j
+    (Cramer's rule).  A minor on rows A and columns B is at most
+    √(∏_A G_kk · ∏_B G_kk) in size (Cauchy–Binet and Hadamard), so none of
+    the products passes M², M the product of every diagonal entry but the
     smallest (each taken at least 1).  A principal block's M is at most the
     whole matrix's, so one check here covers the blocks of a subset scan.
     int64 is kept while M² < 2⁶², checked first with M ≤ D^(s−1), D the
@@ -137,7 +143,8 @@ def _wide(top: int, k: int) -> bool:
 
 def _exact(g: np.ndarray) -> np.ndarray:
     """A stack of Gram matrices in the dtype ``_gram`` gives it: in Python
-    ints when ``_psd_rank``'s products on it could pass 2⁶² (the M² bound)."""
+    ints when ``_reduce``'s products on it, below the pivots and above
+    them, could pass 2⁶² (the M² bound)."""
     s = g.shape[-1]
     diag = np.diagonal(g, axis1=-2, axis2=-1)
     if s and g.dtype != object and int(diag.max(initial=0)) ** (2 * (s - 1)) >= 2**62:
@@ -188,43 +195,59 @@ def _value_gram(keys: np.ndarray) -> np.ndarray:
     return _exact(table[at[:, :, None], at[:, None, :]])
 
 
-def _psd_rank(g: np.ndarray) -> np.ndarray:
-    """Rank of each matrix in a stack (m, s, s) of integer Gram matrices,
-    exact in the dtype ``_gram`` chose for them.
+def _reduce(g: np.ndarray) -> np.ndarray:
+    """A stack (m, s, s) of integer Gram matrices after fraction-free
+    Gauss–Jordan elimination in natural order, exact in the dtype ``_gram``
+    chose for them.
 
-    Fraction-free (Bareiss) elimination on the whole stack at once, in
-    natural order: step k pivots on g[k, k] and updates only the trailing
-    block g[k+1:, k+1:], dividing it exactly by the last nonzero pivot.  A
-    Gram matrix stays positive semidefinite under this elimination, and a
-    zero diagonal entry of a positive semidefinite matrix has its whole row
-    and column zero, so a zero pivot is skipped: it adds nothing to the rank,
-    and the last nonzero pivot stands in for it, so the step multiplies the
-    block by that pivot and divides it back out.  The nonzero pivots taken
-    are the rank.  After the steps with nonzero pivots on a set P, every
-    trailing entry (i, j) is the minor of G on rows P + i and columns P + j,
-    whatever the order in which P was taken.
+    Step k pivots on g[k, k] and updates every row but row k, in the columns
+    after k only, to (piv·a − a[k]·row_k) // prev, prev the last nonzero
+    pivot (1 at the start); every division is exact.  A Gram matrix is
+    positive semidefinite, so at a zero pivot, column k of G lies in the span
+    of the earlier pivot columns, and row k is all zero: the last nonzero
+    pivot stands in, and the step changes nothing.  So column k keeps its
+    step-k values, and the diagonal holds the pivots taken, 0 at each free
+    column; the nonzero pivots are the rank.  A free column f is zero from
+    row f down, and ``_kernel`` reads its kernel vector from the rows above.
     """
     m, s = g.shape[0], g.shape[-1]
     # the stack axis goes last, so each elementwise step runs one long inner
     # loop per matrix entry rather than one short loop per matrix
     g = np.moveaxis(g, 0, -1).copy()
-    rank = np.zeros(m, dtype=np.int64)
     prev = np.ones(m, dtype=g.dtype)
-    for k in range(s):
-        piv = g[k, k]
-        live = piv > 0
-        rank += live
-        if k == s - 1:
-            break
-        piv = np.where(live, piv, prev)
-        col = g[k + 1:, k]
-        block = g[k + 1:, k + 1:]
-        block *= piv
-        block -= col[:, None] * col
+    for k in range(s - 1):
+        piv = np.where(g[k, k] > 0, g[k, k], prev)
+        rest = g[:, k + 1:]
+        row = rest[k].copy()
+        rest *= piv
+        rest -= g[:, k, None] * row
         if k:  # the first divisor is 1
-            block //= prev
+            rest //= prev
+        rest[k] = row
         prev = piv
-    return rank
+    return np.moveaxis(g, -1, 0)
+
+
+def _pivots(r: np.ndarray) -> np.ndarray:
+    """Rank of each matrix in a ``_reduce``d stack: its nonzero pivots."""
+    return (np.diagonal(r, axis1=-2, axis2=-1) != 0).sum(axis=-1)
+
+
+def _kernel(r: np.ndarray) -> list[tuple[int, ...]]:
+    """Primitive integer basis of the kernel of one ``_reduce``d Gram
+    matrix r (s, s): for each free column f, ascending, the last pivot
+    before f (1 if none) at f, −r[i, f] at each row i < f (0 at a free row)
+    and 0 after f, made ``_primitive``.  It is the one kernel vector, up to
+    scale, that is 0 at every other free column.
+    """
+    r = r.tolist()
+    basis, last = [], 1
+    for f, row in enumerate(r):
+        if row[f]:
+            last = row[f]
+        else:
+            basis.append(_primitive([-r[i][f] for i in range(f)] + [last] + [0] * (len(r) - f - 1)))
+    return basis
 
 
 # most Gram-block entries one elimination of the subset scan takes (256 KiB
@@ -236,20 +259,23 @@ _SCAN_CELLS = 1 << 15
 _SCAN_SUBSETS = 1 << 20
 
 
-def _subset_rank(g: np.ndarray, smallest: int) -> np.ndarray:
-    """``rank_from_rows`` on a stack (m, n, n) of Gram matrices.
+def _subset_rank(g: np.ndarray, smallest: int, hi: np.ndarray) -> np.ndarray:
+    """``rank_from_rows`` on a stack (m, n, n) of Gram matrices whose ranks
+    are at most ``hi`` (m,): one less than the size of the smallest
+    singular principal block, scanned in increasing size from ``smallest``,
+    and ``hi`` where no block of size up to ``hi`` is singular.
 
     Subsets of one size are taken in chunks of at most ``_SCAN_CELLS`` block
-    entries, and a matrix leaves the scan at its first dependent subset.
-    Raises RegimeError before a size whose subsets would take the scan past
-    ``_SCAN_SUBSETS``.
+    entries, each block ranked by ``_reduce``, and a matrix leaves the scan
+    at its first dependent subset.  Raises RegimeError before a size whose
+    subsets would take the scan past ``_SCAN_SUBSETS``.
     """
     n = g.shape[-1]
-    rank = np.full(len(g), n, dtype=np.int64)
-    todo = np.flatnonzero(_psd_rank(g) < n)
-    rank[todo] = n - 1
+    rank = hi.copy()
+    todo = np.arange(len(g))
     scanned = 0
     for size in range(smallest, n):
+        todo = todo[hi[todo] >= size]
         scanned += math.comb(n, size)
         if todo.size and scanned > _SCAN_SUBSETS:
             raise RegimeError(f"the rank of {n} coordinates needs more than {_SCAN_SUBSETS} subset tests")
@@ -260,7 +286,7 @@ def _subset_rank(g: np.ndarray, smallest: int) -> np.ndarray:
             if len(subs) == 0:
                 break
             sub = g[todo][:, subs[:, :, None], subs[:, None, :]]
-            hit = (_psd_rank(sub.reshape(-1, size, size)) < size).reshape(len(todo), -1).any(axis=1)
+            hit = (_pivots(_reduce(sub.reshape(-1, size, size))) < size).reshape(len(todo), -1).any(axis=1)
             rank[todo[hit]] = size - 1
             todo = todo[~hit]
     return rank
@@ -272,70 +298,43 @@ def rank_from_rows(rows, smallest: int = 2):
     ``rows`` is one vector (n,) or a stack (..., n) of them; the result is
     an int or an int64 array of the batch shape.  Vectors whose exponent
     rows are independent give n.  Otherwise the rank is one less than the
-    size of the smallest dependent subset, scanned in increasing size from
-    ``smallest`` (the caller vouches that smaller subsets are independent);
-    the whole set being dependent caps it at n − 1.  A subset S is dependent
-    exactly when its principal Gram block G_S = E_S·E_Sᵀ of the exponent
-    rows is singular, so one Gram stack (``_value_gram``) serves every
-    subset.  With ``smallest`` = n no subset is scanned: the result is n
-    when the rows are independent over Q and n − 1 otherwise.
+    size of the smallest dependent subset, at least ``smallest`` − 1 (the
+    caller vouches that smaller subsets are independent).  A subset is
+    dependent exactly when its principal block of the Gram matrix G = E·Eᵀ
+    (``_value_gram``) is singular, and ker G is the relation space, so the
+    corank c of G read from ``_reduce`` bounds the rank:
+    - c = 1: every relation is a multiple of the one kernel vector k, so
+      the rank is |supp k| − 1;
+    - c ≥ 2: a c-dimensional kernel holds a vector with c − 1 zeros, so the
+      rank is at most n − c, and only where that passes ``smallest`` − 1
+      is it left to ``_subset_rank``: never with ``smallest`` ≥ n − 1 (four
+      coordinates and no dependent pair, or dependence of the whole set).
     """
     keys = _as_ints(rows)
     n = keys.shape[-1]
-    rank = _subset_rank(_value_gram(keys.reshape(-1, n)), smallest).reshape(keys.shape[:-1])
+    g = _value_gram(keys.reshape(-1, n))
+    r = _reduce(g)
+    free = np.diagonal(r, axis1=1, axis2=2) == 0
+    corank = free.sum(axis=1)
+    lo = min(smallest, n) - 1
+    hi = n - corank
+    if lo < n - 1:  # else |supp k| − 1 ≤ n − 1 ≤ lo
+        # where c = 1, supp k is the free column (nonzero in k) and the
+        # nonzero entries above it: the column is zero from its diagonal down
+        hi = np.where(corank == 1, ((r != 0).sum(axis=1) * free).sum(axis=1), hi)
+    rank = np.maximum(hi, lo)  # n where corank is 0
+    if lo < n - 2:  # else n − corank ≤ lo wherever corank ≥ 2
+        scan = (corank > 1) & (hi > lo)
+        if scan.any():
+            rank[scan] = _subset_rank(g[scan], smallest, hi[scan])
+    rank = rank.reshape(keys.shape[:-1])
     return rank if rank.ndim else int(rank)
 
 
-def right_kernel_basis(rows, ncols: int) -> list[tuple[int, ...]]:
-    """Primitive integer basis of {x : M x = 0}, deterministic order.
-
-    One basis vector per free column, ascending; each is reduced by
-    ``_primitive`` to content 1 with its first nonzero entry positive.
-
-    Fraction-free (Bareiss) Gauss–Jordan elimination in Python ints: each
-    pivot p updates every other row, above and below, to (p·a − x·b) // prev,
-    prev the pivot before it (1 at the start), and every division is exact.
-    At the end each pivot entry equals the last pivot D, so free column f
-    has the kernel vector with D at f, −R[r][f] at the pivot column of row r
-    and 0 elsewhere.
-    """
-    # equal rows and zero rows add nothing
-    mat = [list(r) for r in dict.fromkeys(map(tuple, rows)) if any(r)]
-    pivots = []
-    prev = 1
-    for col in range(ncols):
-        top = len(pivots)
-        piv = next((r for r in range(top, len(mat)) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[top], mat[piv] = mat[piv], mat[top]
-        b = mat[top]
-        p = b[col]
-        for r, a in enumerate(mat):
-            x = a[col]
-            if r != top and (x or p != prev):  # else the row is unchanged
-                mat[r] = [(p * u - x * v) // prev for u, v in zip(a, b)]
-        pivots.append(col)
-        prev = p
-    basis = []
-    for f in range(ncols):
-        if f not in pivots:
-            x = [0] * ncols
-            x[f] = prev
-            for row, col in zip(mat, pivots):
-                x[col] = -row[f]
-            basis.append(_primitive(x))
-    return basis
-
-
-def _exponent_rows(nu) -> np.ndarray:
-    """The ``exponent_stack`` rows (n, k) of one vector's absolute values."""
-    return exponent_stack([[abs(x) for x in nu]])[0]
-
-
 def _relation_lattice_basis(nu) -> list[tuple[int, ...]]:
-    """Kernel of the exponent rows (sign ignored): transpose and solve."""
-    return right_kernel_basis(_exponent_rows(nu).T.tolist(), len(nu))
+    """Kernel of the exponent rows E (sign ignored), read off the reduced
+    Gram matrix of the absolute values: ker E·Eᵀ = ker Eᵀ."""
+    return _kernel(_reduce(_value_gram(_as_ints([[abs(x) for x in nu]])))[0])
 
 
 def _sign_product(nu, k) -> int:
@@ -352,7 +351,7 @@ def verify_relation(nu, k) -> bool:
     k = tuple(int(e) for e in k)
     if len(k) != len(nu) or not any(k):
         return False
-    for col in _exponent_rows(nu).T.tolist():  # one column per prime
+    for col in exponent_stack([[abs(x) for x in nu]])[0].T.tolist():  # one column per prime
         if sum(e * c for e, c in zip(k, col)) != 0:
             return False
     return _sign_product(nu, k) == 1

@@ -41,13 +41,22 @@ def test_rank(capsys):
 
 
 def test_rank_of_a_long_vector_fails_fast(capsys):
-    # 29 primes and their product: only the whole vector is dependent, so
-    # the subset scan would test about 2³⁰ subsets; it stops at its budget
+    # 29 primes and their product: only the whole vector is dependent, and
+    # its one-dimensional kernel gives the rank with no subset scan
     primes = [p for p in range(2, 110) if all(p % q for q in range(2, p))]
     assert len(primes) == 29
     vector = primes + [math.prod(primes)]
     start = time.perf_counter()
-    code, out, err = run(capsys, "rank", "--vector", ",".join(map(str, vector)))
+    assert run(capsys, "rank", "--vector", ",".join(map(str, vector)))[:2] == (0, "rank 29\n")
+    code, out, _ = run(capsys, "rank", "--vector", ",".join(map(str, vector[:23] + [math.prod(vector[:23])])))
+    assert (code, out) == (0, "rank 23\n")
+    assert time.perf_counter() - start < 10
+    # 28 primes and the products of their two halves: a two-dimensional
+    # kernel leaves the rank open between 1 and 28 (it is 14), and the
+    # subset scan stops at its budget
+    halves = [math.prod(primes[:14]), math.prod(primes[14:28])]
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rank", "--vector", ",".join(map(str, primes[:28] + halves)))
     assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
     assert time.perf_counter() - start < 10
     # the same length with a dependent pair stops at size 2

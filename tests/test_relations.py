@@ -2,7 +2,7 @@ import hashlib
 import math
 import random
 import tracemalloc
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -20,7 +20,6 @@ from multdep.relations import (
     mult_rank,
     rank_from_rows,
     relation,
-    right_kernel_basis,
     verify_relation,
 )
 
@@ -276,9 +275,10 @@ def _row_stack(vectors):
 def _rank_over_q(rows):
     """Rank over Q of one matrix of rows (an int) or of a stack (..., n, k)
     of them (an array of the batch shape), from the Gram kernel under
-    ``rank_from_rows``: ``relations._gram`` and ``relations._psd_rank``."""
+    ``rank_from_rows``: ``relations._gram`` and ``relations._reduce``."""
     g = relations._gram(rows)
-    rank = relations._psd_rank(g.reshape((math.prod(g.shape[:-2]),) + g.shape[-2:])).reshape(g.shape[:-2])
+    rank = relations._pivots(relations._reduce(g.reshape((math.prod(g.shape[:-2]),) + g.shape[-2:])))
+    rank = rank.reshape(g.shape[:-2])
     return rank if rank.ndim else int(rank)
 
 
@@ -316,6 +316,52 @@ def test_stacked_rank_from_rows_matches_subset_oracle(rng):
     assert rank_from_rows(np.ones((2, 3), dtype=np.int64)).tolist() == [1, 1]
     assert rank_from_rows([1, 1, 1]) == 1
     assert rank_from_rows([2, 3], smallest=3) == 2
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+
+
+def _vector_of_corank(rng, n, corank, pairwise):
+    """n values over the primes up to 19 whose exponent rows have the given
+    corank: n − corank independent rows A, and ``corank`` rows that are
+    nonnegative combinations of several of them, in shuffled order.  With
+    ``pairwise`` no two rows are dependent (corank < n − 1)."""
+    while True:
+        a = [[rng.choice((0, 0, 0, 1, 1, 2)) for _ in _SMALL_PRIMES] for _ in range(n - corank)]
+        rows = a + [[sum(c * x for c, x in zip(cs, col)) for col in zip(*a)]
+                    for cs in ([rng.choice((0, 1, 1, 2)) for _ in a] for _ in range(corank))]
+        rng.shuffle(rows)
+        if not all(map(any, rows)) or orc.rref_rank(rows) != n - corank:
+            continue
+        if pairwise and any(orc.rref_rank([x, y]) < 2 for x, y in combinations(rows, 2)):
+            continue
+        return tuple(math.prod(p**e for p, e in zip(_SMALL_PRIMES, row)) for row in rows)
+
+
+@pytest.mark.parametrize("dtype", ["int64", "object"])
+def test_ranks_from_the_reduced_gram_match_the_subset_oracle(dtype, monkeypatch):
+    # the corank and the kernel fix the rank, or leave it open to the scan;
+    # subsets start at 2, and at 3 on rows with no dependent pair.  Python
+    # ints are forced through the M² bound of _exact
+    rng = random.Random(34)
+    if dtype == "object":
+        exact = relations._exact
+        monkeypatch.setattr(relations, "_exact", lambda g: exact(g).astype(object))
+    scans = []
+    scan = relations._subset_rank
+    monkeypatch.setattr(relations, "_subset_rank", lambda g, smallest, hi: scans.append((g.shape[-1], smallest))
+                        or scan(g, smallest, hi))
+    assert relations._value_gram(np.array([[2, 3, 6]])).dtype == dtype
+    for n in range(3, 8):
+        for corank in range(min(4, n)):  # no row is zero
+            # rank-1 rows are pairwise dependent
+            for smallest in (2, 3) if n - corank > 1 else (2,):
+                vectors = [_vector_of_corank(rng, n, corank, smallest == 3) for _ in range(8)]
+                for v, r in zip(vectors, rank_from_rows(vectors, smallest=smallest)):
+                    assert r == orc.subset_rank_oracle(v), (v, smallest)
+    # the scan ran from both sizes, but from 3 never at n ≤ 4
+    assert {smallest for _, smallest in scans} == {2, 3}
+    assert all(n > 4 for n, smallest in scans if smallest == 3)
 
 
 def test_large_exponents_take_the_python_int_path():
@@ -372,7 +418,7 @@ def _first_zero_pivot_at(rng, s, p, top, how):
 
 def _kernel_bound(rows) -> int:
     """M², M the product of every Gram diagonal entry but the smallest
-    (each at least 1): ``_gram`` leaves a stack in int64 for ``_psd_rank``
+    (each at least 1): ``_gram`` leaves a stack in int64 for ``_reduce``
     only while it is below 2⁶²."""
     diag = sorted(max(1, sum(x * x for x in r)) for r in rows)
     return math.prod(diag[1:]) ** 2
@@ -420,15 +466,23 @@ def _kernel_grid():
         yield rows, ncols
 
 
-def test_right_kernel_basis_matches_fraction_oracle():
+def _reduced_kernel(rows, ncols):
+    """Kernel basis of the matrix M of ``rows`` (``ncols`` columns), read
+    off ``relations._reduce`` of the Gram matrix of its columns, Mᵀ·M,
+    whose kernel is ker M."""
+    columns = np.array(rows, dtype=object).reshape(len(rows), ncols).T.tolist()
+    return relations._kernel(relations._reduce(relations._gram(columns)[None])[0])
+
+
+def test_reduced_gram_kernel_matches_fraction_oracle():
     for rows, ncols in _kernel_grid():
-        basis = right_kernel_basis(rows, ncols)
+        basis = _reduced_kernel(rows, ncols)
         assert basis == orc.kernel_basis_oracle(rows, ncols), rows
         for k in basis:
             assert all(sum(a * x for a, x in zip(row, k)) == 0 for row in rows), (rows, k)
             assert math.gcd(*k) == 1 and next(x for x in k if x) > 0, (rows, k)
-    assert right_kernel_basis([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert right_kernel_basis([[2, 4, 6], [0, 0, 0]], 3) == [(2, -1, 0), (3, 0, -1)]
+    assert _reduced_kernel([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert _reduced_kernel([[2, 4, 6], [0, 0, 0]], 3) == [(2, -1, 0), (3, 0, -1)]
 
 
 def test_exponent_stack_has_the_gram_of_the_exponent_matrix(rng):
@@ -460,7 +514,7 @@ def _value_stacks(rng):
     ``relations._table_pays``: few distinct values under many rows, or many
     under few.  Pools mix small values, values past 10⁶ (trial division in
     ``arith.factor_table``), 1s and high powers, whose Gram diagonals put
-    some stacks past the int64 bound of ``_psd_rank``."""
+    some stacks past the int64 bound of ``_reduce``."""
     powers = [2**22, 3**13, 5**9, 7**7, 6**8, 2**11 * 3**6, 10**6]
     for n in range(3, 7):
         for top in (60, 5000, 2**22):
@@ -498,27 +552,32 @@ def test_value_table_gram_equals_the_layout_gram(rng, monkeypatch):
 
 
 def test_is_dependent_scans_no_subset_of_a_long_vector():
-    # 23 primes and their product: only the whole set is dependent, so
-    # mult_rank's subset scan would pass its 2²⁰ budget; is_dependent asks
-    # about the whole set alone, at any length
+    # 23 primes and their product: only the whole set is dependent, so its
+    # kernel is one line and mult_rank reads the rank off it; is_dependent
+    # asks about the whole set alone, at any length
     primes = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
     assert len(primes) == 25
     assert is_dependent(primes[:23] + [math.prod(primes[:23])])
+    assert mult_rank(primes[:23] + [math.prod(primes[:23])]) == 23
     assert not is_dependent(primes[:24])
     assert not is_dependent([-p for p in primes[:24]])
 
 
-def test_long_vector_subset_scan_runs_in_bounded_chunks():
-    # 15 primes and their product: only the whole vector is dependent, so
-    # the scan tests all 32 766 subsets of sizes 2 to 15 and finds none.
-    # Size 8 alone is C(16, 8)·8·8 int64 entries (6.6 MB), so the scan
-    # must not hold one size's blocks at once
+def test_long_vector_subset_scan_runs_in_bounded_chunks(monkeypatch):
+    # 15 primes and the products of the first 7 and the last 8: a
+    # two-dimensional kernel leaves the rank open between 1 and 15, so the
+    # scan tests the 65 518 subsets of sizes 2 to 8 and stops at the first
+    # 7 primes and their product.  Size 8 alone is C(17, 8)·8·8 int64
+    # entries (12.4 MB), so the scan must not hold one size's blocks at once
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-    v = primes + (math.prod(primes),)
-    assert mult_rank(v) == 15  # factorization tables are built here
+    v = primes + (math.prod(primes[:7]), math.prod(primes[7:]))
+    scans = []
+    scan = relations._subset_rank
+    monkeypatch.setattr(relations, "_subset_rank", lambda g, *args: scans.append(len(g)) or scan(g, *args))
+    assert mult_rank(v) == 7 and scans == [1]  # factorization tables are built here
     tracemalloc.start()
     try:
-        assert mult_rank(v) == 15
+        assert mult_rank(v) == 7
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
